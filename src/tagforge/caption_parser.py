@@ -499,17 +499,3 @@ def read_frequency_table(path: str | Path) -> dict[str, int]:
         except ValueError:
             raise TagforgeError(f"{path}:{lineno}: expected 'surface<TAB>count'") from None
     return freq
-
-
-def read_image_tags(path: str | Path) -> dict[str, list[ParsedTag]]:
-    result: dict[str, list[ParsedTag]] = {}
-    for lineno, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
-        if not line.strip():
-            continue
-        try:
-            obj = json.loads(line)
-            tags = [ParsedTag(t["surface"], t["kind"]) for t in obj["tags"]]
-            result[obj["image_id"]] = tags
-        except (json.JSONDecodeError, KeyError, TypeError):
-            raise TagforgeError(f"{path}:{lineno}: malformed parsed-tags record") from None
-    return result

@@ -2,7 +2,9 @@
 
 Distance work deliberately avoids matrix-multiply kernels: per-centroid
 ufunc reductions keep results bit-stable regardless of BLAS threading, which
-the cleaning engine's byte-identical-output contract depends on.
+the cleaning engine's byte-identical-output contract depends on. The
+centroid update sums with ``np.bincount``, which adds each point into its
+cluster's bin in point order, so that reduction order is fixed as well.
 """
 
 from __future__ import annotations
@@ -30,22 +32,40 @@ class ClusteringResult:
     iterations: int
 
 
-def _sq_dist_to(points: np.ndarray, centroid: np.ndarray) -> np.ndarray:
-    diff = points - centroid
-    return np.einsum("ij,ij->i", diff, diff)
+def _sq_dist_to(points: np.ndarray, centroid: np.ndarray, buf: np.ndarray | None = None,
+                out: np.ndarray | None = None) -> np.ndarray:
+    """Squared distance of every point to one centroid; buf (points' shape)
+    and out ((n,)) are optional scratch arrays to write into."""
+    diff = np.subtract(points, centroid, out=buf)
+    return np.einsum("ij,ij->i", diff, diff, out=out)
 
 
-def _assign(points: np.ndarray, centroids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Nearest centroid per point; ties go to the lowest centroid index."""
-    n = points.shape[0]
-    best = np.full(n, np.inf)
-    assignment = np.zeros(n, dtype=np.int64)
-    for j in range(centroids.shape[0]):
-        d = _sq_dist_to(points, centroids[j])
-        better = d < best
-        assignment[better] = j
-        best[better] = d[better]
-    return assignment, best
+def _fill_sq_dists(
+    points: np.ndarray, centroids: np.ndarray, rows, out: np.ndarray, buf: np.ndarray
+) -> None:
+    """Write the squared distances of every point to centroids[j] into out[j]
+    for each j in rows; buf is scratch space of points' shape."""
+    for j in rows:
+        _sq_dist_to(points, centroids[j], buf, out[j])
+
+
+def _nearest(sq_dists: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Nearest centroid per point from (k, n) squared distances, and that
+    distance; argmin returns the first minimum, so ties go to the lowest
+    centroid index."""
+    assignment = sq_dists.argmin(axis=0)
+    return assignment, sq_dists[assignment, np.arange(sq_dists.shape[1])]
+
+
+def distinct_rows(points: np.ndarray, stop_at: int | None = None) -> int:
+    """Number of value-distinct rows, or stop_at as soon as that many are
+    found. Adding 0.0 folds -0.0 into 0.0, so equal rows have equal bytes."""
+    seen: set[bytes] = set()
+    for row in points:
+        seen.add((row + 0.0).tobytes())
+        if len(seen) == stop_at:
+            break
+    return len(seen)
 
 
 def kmeanspp_init(points: np.ndarray, k: int, rng_seed: int) -> np.ndarray:
@@ -55,9 +75,9 @@ def kmeanspp_init(points: np.ndarray, k: int, rng_seed: int) -> np.ndarray:
     if points.ndim != 2 or points.shape[0] == 0:
         raise ValueError("points must be a non-empty 2-d array")
     n = points.shape[0]
-    distinct = np.unique(points, axis=0).shape[0]
     if k < 1:
         raise ValueError("k must be >= 1")
+    distinct = distinct_rows(points, stop_at=k)
     if k > distinct:
         raise ValueError(f"k={k} exceeds the number of distinct points ({distinct})")
 
@@ -68,7 +88,8 @@ def kmeanspp_init(points: np.ndarray, k: int, rng_seed: int) -> np.ndarray:
     if k == 1:
         return centroids
 
-    d2 = _sq_dist_to(points, centroids[0])
+    buf = np.empty_like(points)
+    d2 = _sq_dist_to(points, centroids[0], buf)
     for j in range(1, k):
         total = float(d2.sum())
         # total > 0 is guaranteed while chosen centroids < distinct points
@@ -78,7 +99,7 @@ def kmeanspp_init(points: np.ndarray, k: int, rng_seed: int) -> np.ndarray:
         if idx >= n:  # guards the r == total float edge case
             idx = int(np.max(np.nonzero(d2 > 0)[0]))
         centroids[j] = points[idx]
-        d2 = np.minimum(d2, _sq_dist_to(points, centroids[j]))
+        np.minimum(d2, _sq_dist_to(points, centroids[j], buf), out=d2)
     return centroids
 
 
@@ -102,19 +123,24 @@ def lloyd(
         raise ValueError(
             f"dimension mismatch: points are {points.shape[1]}-d, centroids {centroids.shape[1]}-d"
         )
-    k = centroids.shape[0]
+    k, dim = centroids.shape
     n = points.shape[0]
+    flat_points = points.ravel()  # row-major, matching the bins below
+    dim_offsets = np.arange(dim)
 
-    assignment, d2 = _assign(points, centroids)
+    buf = np.empty_like(points)
+    sq_dists = np.empty((k, n))
+    _fill_sq_dists(points, centroids, range(k), sq_dists, buf)
+    assignment, d2 = _nearest(sq_dists)
     inertia = float(d2.sum())
     iterations = 0
 
     for _ in range(max_iter):
-        new_centroids = np.zeros_like(centroids)
-        counts = np.zeros(k, dtype=np.int64)
-        # accumulate in canonical point order so the reduction is fixed
-        np.add.at(new_centroids, assignment, points)
-        np.add.at(counts, assignment, 1)
+        # one flat bincount adds every coordinate into its (cluster, dim) bin
+        # in canonical point order, so the reduction is fixed
+        bins = (assignment[:, None] * dim + dim_offsets).ravel()
+        new_centroids = np.bincount(bins, weights=flat_points, minlength=k * dim).reshape(k, dim)
+        counts = np.bincount(assignment, minlength=k)
         nonempty = counts > 0
         new_centroids[nonempty] /= counts[nonempty, None]
 
@@ -128,8 +154,12 @@ def lloyd(
                 taken += 1
 
         shift = float(np.sqrt(((new_centroids - centroids) ** 2).sum(axis=1)).max())
+        # a centroid equal in value to the last one keeps its row of
+        # distances: recomputing it would give the same bits
+        moved = np.flatnonzero((new_centroids != centroids).any(axis=1))
         centroids = new_centroids
-        assignment, d2 = _assign(points, centroids)
+        _fill_sq_dists(points, centroids, moved, sq_dists, buf)
+        assignment, d2 = _nearest(sq_dists)
         new_inertia = float(d2.sum())
         if new_inertia > inertia + _INERTIA_SLACK * max(1.0, inertia):
             raise AssertionError(

@@ -14,13 +14,15 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
+from itertools import groupby
+from operator import attrgetter
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
 from .caption_parser import LexiconBundle, load_lexicons, parse_corpus_file
-from .clustering import kmeanspp_init, lloyd
+from .clustering import distinct_rows, kmeanspp_init, lloyd
 from .config import EngineConfig
 from .embedding_store import EmbeddingTable, load_embeddings, normalize
 from .errors import TagforgeError
@@ -250,52 +252,51 @@ def clean_category(
         raise ValueError("fraction must be in [0, 1)")
     if outlier_scope not in (OUTLIER_SCOPE_CATEGORY, OUTLIER_SCOPE_CLUSTER):
         raise ValueError(f"unknown outlier scope {outlier_scope!r}")
-    regs = sorted(regions, key=lambda r: (r.image_id, r.region_id))
+    regs = sorted(regions, key=attrgetter("image_id", "region_id"))
     n = len(regs)
     if n < min_regions:
         return CategoryCleanResult(tag_id, n, 0, skipped=True)
 
-    missing = [r.embedding_key for r in regs if r.embedding_key not in region_embeddings]
-    if missing:
+    keys = [r.embedding_key for r in regs]
+    try:
+        points = region_embeddings.rows(keys)
+    except KeyError:
+        missing = [key for key in keys if key not in region_embeddings]
         raise EngineError(
             STAGE_CLEAN,
             f"category {tag_id}: unresolvable embedding keys: {missing[:5]}"
             + ("" if len(missing) <= 5 else f" (+{len(missing) - 5} more)"),
-        )
-    points = np.asarray([region_embeddings.vector(r.embedding_key) for r in regs])
+        ) from None
 
-    k = cluster_count(n)
-    k = min(k, np.unique(points, axis=0).shape[0])
+    k = distinct_rows(points, stop_at=cluster_count(n))
     category_seed = derive_seed(seed, tag_id)
     result = lloyd(points, kmeanspp_init(points, k, category_seed), max_iter=max_iter, tol=tol)
 
-    def ranked(indices):
-        return sorted(
-            indices, key=lambda i: (-result.distances[i], regs[i].image_id, regs[i].region_id)
-        )
-
+    # regs are in (image_id, region_id) order, so a stable sort by distance
+    # descending breaks ties by (image_id, region_id) ascending
+    ranked = np.argsort(-result.distances, kind="stable")
+    outlier = np.zeros(n, dtype=bool)
     if outlier_scope == OUTLIER_SCOPE_CATEGORY:
-        outlier_idx = set(ranked(range(n))[: _ceil_fraction(fraction, n)])
+        outlier[ranked[: _ceil_fraction(fraction, n)]] = True
     else:
-        outlier_idx = set()
+        ranked_cluster = result.assignment[ranked]
         for cluster in range(k):
-            members = [i for i in range(n) if result.assignment[i] == cluster]
-            outlier_idx.update(ranked(members)[: _ceil_fraction(fraction, len(members))])
+            members = ranked[ranked_cluster == cluster]
+            outlier[members[: _ceil_fraction(fraction, len(members))]] = True
 
-    by_image: dict[str, list[int]] = {}
-    for i, r in enumerate(regs):
-        by_image.setdefault(r.image_id, []).append(i)
+    # regs are grouped by image; a pair goes when all its regions are outliers
+    flags = outlier.tolist()
     removed = [
         (image_id, tag_id)
-        for image_id, idxs in sorted(by_image.items())
-        if all(i in outlier_idx for i in idxs)
+        for image_id, idxs in groupby(range(n), key=lambda i: regs[i].image_id)
+        if all(flags[i] for i in idxs)
     ]
     return CategoryCleanResult(
         tag_id=tag_id,
         region_count=n,
         k=k,
         skipped=False,
-        outlier_regions=[(regs[i].image_id, regs[i].region_id) for i in sorted(outlier_idx)],
+        outlier_regions=[(regs[i].image_id, regs[i].region_id) for i in np.flatnonzero(outlier)],
         removed_pairs=removed,
     )
 
@@ -410,21 +411,6 @@ class EngineResult:
     unmapped_surfaces: int
     rejected_generated: int
     filter_skipped: list[tuple[str, int, str]]
-
-
-def _store_from_tag_ids(
-    records: Iterable[tuple[str, Sequence[int]]], provenance: str, valid: set[int]
-) -> tuple[AnnotationStore, int]:
-    store: AnnotationStore = {}
-    rejected = 0
-    for image_id, tag_ids in records:
-        if any(t not in valid for t in tag_ids):
-            rejected += 1
-            continue
-        tags = store.setdefault(image_id, {})
-        for tag_id in tag_ids:
-            tags.setdefault(tag_id, TagEntry(provenance))
-    return store, rejected
 
 
 def load_tag_id_records(path: str | Path) -> list[tuple[str, list[int]]]:

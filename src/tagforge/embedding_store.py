@@ -76,15 +76,15 @@ class EmbeddingTable:
         matrix = np.asarray([np.asarray(vectors[k], dtype=np.float64) for k in keys])
         return cls(keys, matrix, normalized)
 
-    @classmethod
-    def empty(cls, dim: int, normalized: bool = False):
-        return cls([], np.empty((0, dim), dtype=np.float64), normalized)
-
     def vector(self, key: str) -> np.ndarray:
         i = self._index.get(key)
         if i is None:
             raise KeyError(key)
         return self.matrix[i]
+
+    def rows(self, keys: Iterable[str]) -> np.ndarray:
+        """The vectors of keys, stacked in order into a new (len(keys), dim) array."""
+        return self.matrix[[self._index[key] for key in keys]]
 
     def __contains__(self, key: str) -> bool:
         return key in self._index

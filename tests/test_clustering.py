@@ -1,10 +1,13 @@
 import itertools
+import math
 
 import numpy as np
 import pytest
 
-from tagforge.clustering import kmeans, kmeanspp_init, lloyd
-from tagforge.rng import derive_seed
+from tagforge.clustering import distinct_rows, kmeans, kmeanspp_init, lloyd
+from tagforge.data_engine import RegionRecord, clean_category, cluster_count
+from tagforge.embedding_store import EmbeddingTable
+from tagforge.rng import Xoshiro256StarStar, derive_seed
 
 
 def brute_force_optimum(points: np.ndarray, k: int) -> float:
@@ -139,3 +142,198 @@ def test_restarts_reach_bruteforce_optimum():
         if best <= brute_force_optimum(points, k) + 1e-9:
             hits += 1
     assert hits >= int(0.90 * trials)
+
+
+# -- bitwise equality with the reference kernels ----------------------------------
+# The functions below are the original loop kernels: np.add.at centroid update,
+# masked per-centroid assignment and np.unique distinct count. The optimized
+# kernels must reproduce their every bit.
+
+
+def _ref_sq_dist_to(points, centroid):
+    diff = points - centroid
+    return np.einsum("ij,ij->i", diff, diff)
+
+
+def _ref_assign(points, centroids):
+    n = points.shape[0]
+    best = np.full(n, np.inf)
+    assignment = np.zeros(n, dtype=np.int64)
+    for j in range(centroids.shape[0]):
+        d = _ref_sq_dist_to(points, centroids[j])
+        better = d < best
+        assignment[better] = j
+        best[better] = d[better]
+    return assignment, best
+
+
+def _ref_kmeanspp_init(points, k, rng_seed):
+    points = np.asarray(points, dtype=np.float64)
+    n = points.shape[0]
+    distinct = np.unique(points, axis=0).shape[0]
+    if k > distinct:
+        raise ValueError(f"k={k} exceeds the number of distinct points ({distinct})")
+    rng = Xoshiro256StarStar(rng_seed)
+    centroids = np.empty((k, points.shape[1]), dtype=np.float64)
+    centroids[0] = points[rng.next_below(n)]
+    if k == 1:
+        return centroids
+    d2 = _ref_sq_dist_to(points, centroids[0])
+    for j in range(1, k):
+        r = rng.next_float() * float(d2.sum())
+        idx = int(np.searchsorted(np.cumsum(d2), r, side="right"))
+        if idx >= n:
+            idx = int(np.max(np.nonzero(d2 > 0)[0]))
+        centroids[j] = points[idx]
+        d2 = np.minimum(d2, _ref_sq_dist_to(points, centroids[j]))
+    return centroids
+
+
+def _ref_lloyd(points, centroids, max_iter=100, tol=1e-4):
+    points = np.asarray(points, dtype=np.float64)
+    centroids = np.array(centroids, dtype=np.float64, copy=True)
+    k, n = centroids.shape[0], points.shape[0]
+    assignment, d2 = _ref_assign(points, centroids)
+    inertia = float(d2.sum())
+    iterations = 0
+    for _ in range(max_iter):
+        new_centroids = np.zeros_like(centroids)
+        counts = np.zeros(k, dtype=np.int64)
+        np.add.at(new_centroids, assignment, points)
+        np.add.at(counts, assignment, 1)
+        nonempty = counts > 0
+        new_centroids[nonempty] /= counts[nonempty, None]
+        empty = np.nonzero(~nonempty)[0]
+        if empty.size:
+            order = np.lexsort((np.arange(n), -d2))
+            for taken, cluster in enumerate(empty):
+                new_centroids[cluster] = points[order[taken]]
+        shift = float(np.sqrt(((new_centroids - centroids) ** 2).sum(axis=1)).max())
+        centroids = new_centroids
+        assignment, d2 = _ref_assign(points, centroids)
+        inertia = float(d2.sum())
+        iterations += 1
+        if shift < tol:
+            break
+    return centroids, assignment, np.sqrt(d2), inertia, iterations
+
+
+def _assert_lloyd_matches_reference(points, init, **kwargs):
+    got = lloyd(points, init, **kwargs)
+    want_centroids, want_assignment, want_distances, want_inertia, want_iterations = _ref_lloyd(
+        points, init, **kwargs
+    )
+    assert np.array_equal(got.centroids, want_centroids)
+    assert np.array_equal(got.assignment, want_assignment)
+    assert np.array_equal(got.distances, want_distances)
+    assert got.inertia == want_inertia
+    assert got.iterations == want_iterations
+    return got
+
+
+def _bitwise_cases():
+    """Seeded point sets covering duplicates, signed zeros, grids with exact
+    distance ties, and plain Gaussian blobs."""
+    rng = np.random.default_rng(2024)
+    for trial in range(12):
+        n = int(rng.integers(8, 300))
+        dim = int(rng.integers(1, 40))
+        points = rng.normal(size=(n, dim))
+        if trial % 3 == 0:  # duplicate rows
+            points[rng.integers(0, n, n // 3)] = points[rng.integers(0, n, n // 3)]
+        if trial % 3 == 1:  # -0.0 and 0.0 in the same positions of equal rows
+            points[: n // 4] = 0.0
+            points[: n // 8] = -0.0
+        yield f"random{trial}", points, int(rng.integers(1, 9))
+    # integer grid: many points equidistant from several centroids
+    grid = np.array([[x, y] for x in range(-3, 4) for y in range(-3, 4)], dtype=float)
+    yield "grid", np.vstack([grid, grid]), 6
+    yield "signed-zero", np.array([[0.0, 1.0], [-0.0, 1.0], [0.0, -0.0], [1.0, 0.0], [-0.0, -0.0]]), 3
+
+
+def test_kmeanspp_and_lloyd_bitwise_equal_reference():
+    for name, points, k in _bitwise_cases():
+        k = min(k, np.unique(points, axis=0).shape[0])
+        for seed in range(4):
+            init = kmeanspp_init(points, k, rng_seed=derive_seed(seed, 7))
+            assert np.array_equal(init, _ref_kmeanspp_init(points, k, derive_seed(seed, 7))), name
+            _assert_lloyd_matches_reference(points, init)
+            _assert_lloyd_matches_reference(points, init, max_iter=2, tol=0.0)
+
+
+def test_lloyd_bitwise_equal_reference_with_ties_and_empty_cluster():
+    # exact ties: every point of the grid line sits midway between two centroids
+    points = np.array([[float(x), 0.0] for x in range(-4, 5)] * 2)
+    init = np.array([[-1.0, 1.0], [-1.0, -1.0], [1.0, 1.0], [1.0, -1.0]])
+    result = _assert_lloyd_matches_reference(points, init, max_iter=0)
+    assert set(result.assignment.tolist()) == {0, 2}  # ties go to the lowest index
+    _assert_lloyd_matches_reference(points, init)
+    # a centroid far from every point starts empty and is reseeded
+    points = np.vstack([np.zeros((6, 3)), np.ones((6, 3)), np.full((1, 3), 9.0)])
+    points[:12] += np.linspace(0.0, 0.05, 36).reshape(12, 3)
+    init = np.array([[0.0, 0.0, 0.0], [1.0, 1.0, 1.0], [-50.0, -50.0, -50.0]])
+    result = _assert_lloyd_matches_reference(points, init)
+    assert len(set(result.assignment.tolist())) == 3
+
+
+def test_distinct_count_matches_unique():
+    for name, points, _ in _bitwise_cases():
+        want = np.unique(points, axis=0).shape[0]
+        assert distinct_rows(points) == want, name
+        assert distinct_rows(points, stop_at=3) == min(3, want), name
+    with pytest.raises(ValueError, match=r"distinct points \(3\)"):
+        kmeanspp_init(np.array([[0.0, 1.0], [-0.0, 1.0], [2.0, 2.0], [3.0, 3.0]]), 4, 0)
+
+
+def _ref_clean_outliers(regions, table, fraction, seed, scope):
+    """Outlier regions and removed pairs by the reference kernels and the
+    sorted(key=(-distance, image_id, region_id)) ranking."""
+    regs = sorted(regions, key=lambda r: (r.image_id, r.region_id))
+    n = len(regs)
+    points = np.asarray([table.vector(r.embedding_key) for r in regs])
+    k = min(cluster_count(n), np.unique(points, axis=0).shape[0])
+    init = _ref_kmeanspp_init(points, k, derive_seed(seed, regs[0].tag_id))
+    _, assignment, distances, _, _ = _ref_lloyd(points, init)
+
+    def ranked(indices):
+        return sorted(indices, key=lambda i: (-distances[i], regs[i].image_id, regs[i].region_id))
+
+    def quota(m):
+        return math.ceil(fraction * m - 1e-9) if fraction > 0 and m > 0 else 0
+
+    if scope == "category":
+        outliers = set(ranked(range(n))[: quota(n)])
+    else:
+        outliers = set()
+        for cluster in range(k):
+            members = [i for i in range(n) if assignment[i] == cluster]
+            outliers.update(ranked(members)[: quota(len(members))])
+    by_image = {}
+    for i, r in enumerate(regs):
+        by_image.setdefault(r.image_id, []).append(i)
+    removed = [
+        (image_id, regs[0].tag_id)
+        for image_id, idxs in sorted(by_image.items())
+        if all(i in outliers for i in idxs)
+    ]
+    return [(regs[i].image_id, regs[i].region_id) for i in sorted(outliers)], removed
+
+
+def test_clean_category_ranking_matches_reference():
+    rng = np.random.default_rng(77)
+    for trial in range(8):
+        n = int(rng.integers(25, 200))
+        dim = int(rng.integers(2, 12))
+        # few distinct vectors shared by many regions: exact distance ties
+        palette = rng.normal(size=(int(rng.integers(3, 12)), dim))
+        vectors = {f"e{i}": palette[rng.integers(len(palette))] for i in range(n)}
+        table = EmbeddingTable.from_vectors(vectors)
+        regions = [
+            RegionRecord(f"img{int(rng.integers(n // 2)):03d}", f"r{i:03d}", 5, 0.9, f"e{i}")
+            for i in rng.permutation(n)
+        ]
+        for scope in ("category", "cluster"):
+            got = clean_category(5, regions, table, fraction=0.2, seed=trial, outlier_scope=scope)
+            want_outliers, want_removed = _ref_clean_outliers(regions, table, 0.2, trial, scope)
+            assert got.outlier_regions == want_outliers, (trial, scope)
+            assert got.removed_pairs == want_removed, (trial, scope)
