@@ -287,20 +287,11 @@ def engine_clean_cmd(
     whole = normalize(load_embeddings(image_embeddings)) if image_embeddings else None
     whitelist_set = engine.load_whitelist(whitelist) if whitelist else None
 
-    by_tag: dict[int, list[engine.RegionRecord]] = {}
-    for r in region_list:
-        by_tag.setdefault(r.tag_id, []).append(r)
-    category_ids = (
-        sorted(by_tag) if whitelist_set is None else sorted(set(by_tag) & whitelist_set)
+    removals = engine.clean_stage(
+        region_list, region_table, whitelist_set,
+        fraction=fraction, seed=seed if seed is not None else 0,
+        min_regions=min_regions, outlier_scope=outlier_scope, workers=workers or 1,
     )
-    removals = []
-    for tag_id in category_ids:
-        outcome = engine.clean_category(
-            tag_id, by_tag[tag_id], region_table,
-            fraction=fraction, seed=seed if seed is not None else 0,
-            min_regions=min_regions, outlier_scope=outlier_scope,
-        )
-        removals.extend((img, tid, engine.REASON_OUTLIER) for img, tid in outcome.removed_pairs)
     clean_events, _ = engine.apply_removals(store, removals, engine.STAGE_CLEAN)
     filter_outcome = engine.prediction_filter(
         store, region_list, region_table, whole, query_matrix, profile,

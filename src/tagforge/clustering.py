@@ -32,10 +32,14 @@ class ClusteringResult:
     iterations: int
 
 
-def _sq_dist_to(points: np.ndarray, centroid: np.ndarray, buf: np.ndarray | None = None,
-                out: np.ndarray | None = None) -> np.ndarray:
+def _sq_dist_to(
+    points: np.ndarray,
+    centroid: np.ndarray,
+    buf: np.ndarray | None = None,
+    out: np.ndarray | None = None,
+) -> np.ndarray:
     """Squared distance of every point to one centroid; buf (points' shape)
-    and out ((n,)) are optional scratch arrays to write into."""
+    and out ((n,)) are optional arrays to write into instead of new ones."""
     diff = np.subtract(points, centroid, out=buf)
     return np.einsum("ij,ij->i", diff, diff, out=out)
 

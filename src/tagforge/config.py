@@ -27,7 +27,8 @@ unless absolute):
     margin              contrary-prediction margin (default 0.05)
     tol                 Lloyd convergence tolerance (default 1e-4)
     max_iter            Lloyd iteration cap (default 100)
-    workers             parser worker processes (default 1)
+    workers             parser and clean-category processes (default 1);
+                        outputs are byte-identical at every count
 """
 
 from __future__ import annotations

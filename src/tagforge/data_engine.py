@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import json
 import math
+import multiprocessing
 from dataclasses import dataclass, field
 from itertools import groupby
 from operator import attrgetter
@@ -22,7 +23,7 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 
 from .caption_parser import LexiconBundle, load_lexicons, parse_corpus_file
-from .clustering import distinct_rows, kmeanspp_init, lloyd
+from .clustering import DEFAULT_MAX_ITER, DEFAULT_TOL, distinct_rows, kmeanspp_init, lloyd
 from .config import EngineConfig
 from .embedding_store import EmbeddingTable, load_embeddings, normalize
 from .errors import TagforgeError
@@ -65,8 +66,13 @@ _CEIL_EPS = 1e-9
 class EngineError(TagforgeError):
     def __init__(self, stage: str, message: str, partial_stats: "EngineStats | None" = None):
         self.stage = stage
+        self.message = message
         self.partial_stats = partial_stats
         super().__init__(f"engine stage {stage!r} failed: {message}")
+
+    def __reduce__(self):
+        # lets an error raised in a clean worker process reach the parent
+        return type(self), (self.stage, self.message, self.partial_stats)
 
 
 @dataclass
@@ -234,8 +240,8 @@ def clean_category(
     fraction: float,
     seed: int,
     min_regions: int = DEFAULT_MIN_REGIONS,
-    tol: float = 1e-4,
-    max_iter: int = 100,
+    tol: float = DEFAULT_TOL,
+    max_iter: int = DEFAULT_MAX_ITER,
     outlier_scope: str = OUTLIER_SCOPE_CATEGORY,
 ) -> CategoryCleanResult:
     """Cluster one category's regions and mark the farthest fraction as
@@ -299,6 +305,68 @@ def clean_category(
         outlier_regions=[(regs[i].image_id, regs[i].region_id) for i in np.flatnonzero(outlier)],
         removed_pairs=removed,
     )
+
+
+# clean-worker state, set once per pool process by _clean_worker_init
+_WORKER_CLEAN: tuple | None = None
+
+
+def _clean_worker_init(by_tag, region_embeddings, params) -> None:
+    global _WORKER_CLEAN
+    _WORKER_CLEAN = (by_tag, region_embeddings, params)
+
+
+def _clean_worker(tag_id: int) -> CategoryCleanResult:
+    assert _WORKER_CLEAN is not None
+    by_tag, region_embeddings, params = _WORKER_CLEAN
+    return clean_category(tag_id, by_tag[tag_id], region_embeddings, **params)
+
+
+def clean_stage(
+    regions: Sequence[RegionRecord],
+    region_embeddings: EmbeddingTable,
+    whitelist: set[int] | None,
+    fraction: float,
+    seed: int,
+    min_regions: int = DEFAULT_MIN_REGIONS,
+    tol: float = DEFAULT_TOL,
+    max_iter: int = DEFAULT_MAX_ITER,
+    outlier_scope: str = OUTLIER_SCOPE_CATEGORY,
+    workers: int = 1,
+) -> list[tuple[str, int, str]]:
+    """Clean every category that has regions (only whitelisted ones when a
+    whitelist is given) and return the outlier removals.
+
+    With workers > 1 the categories are spread over a process pool, largest
+    first. The pool uses multiprocessing's default start method, like the
+    caption parser's: under fork the workers inherit the regions and the
+    embedding table, elsewhere the initializer sends them once per worker,
+    never per category. Results merge in ascending tag_id order, so the
+    removals are the same at every worker count.
+    """
+    by_tag: dict[int, list[RegionRecord]] = {}
+    for r in regions:
+        by_tag.setdefault(r.tag_id, []).append(r)
+    category_ids = sorted(by_tag) if whitelist is None else sorted(set(by_tag) & whitelist)
+    params = dict(
+        fraction=fraction, seed=seed, min_regions=min_regions, tol=tol, max_iter=max_iter,
+        outlier_scope=outlier_scope,
+    )
+    if workers > 1 and len(category_ids) > 1:
+        largest_first = sorted(category_ids, key=lambda t: (-len(by_tag[t]), t))
+        with multiprocessing.Pool(
+            processes=min(workers, len(category_ids)),
+            initializer=_clean_worker_init,
+            initargs=(by_tag, region_embeddings, params),
+        ) as pool:
+            done = {r.tag_id: r for r in pool.imap_unordered(_clean_worker, largest_first)}
+        results = [done[tag_id] for tag_id in category_ids]
+    else:
+        results = [
+            clean_category(tag_id, by_tag[tag_id], region_embeddings, **params)
+            for tag_id in category_ids
+        ]
+    return [(img, tid, REASON_OUTLIER) for r in results for img, tid in r.removed_pairs]
 
 
 # -- prediction filter ---------------------------------------------------------
@@ -549,26 +617,18 @@ def run_engine(config: EngineConfig, write_outputs: bool = True) -> EngineResult
         regions = load_regions(config.regions)
         region_table = normalize(load_embeddings(config.region_embeddings))
         whitelist = load_whitelist(config.whitelist) if config.whitelist else None
-        by_tag: dict[int, list[RegionRecord]] = {}
-        for r in regions:
-            by_tag.setdefault(r.tag_id, []).append(r)
-        category_ids = sorted(by_tag) if whitelist is None else sorted(set(by_tag) & whitelist)
-        removals: list[tuple[str, int, str]] = []
-        for tag_id in category_ids:
-            category_result = clean_category(
-                tag_id,
-                by_tag[tag_id],
-                region_table,
-                fraction=config.fraction,
-                seed=config.seed,
-                min_regions=config.min_regions,
-                tol=config.tol,
-                max_iter=config.max_iter,
-                outlier_scope=config.outlier_scope,
-            )
-            removals.extend(
-                (img, tid, REASON_OUTLIER) for img, tid in category_result.removed_pairs
-            )
+        removals = clean_stage(
+            regions,
+            region_table,
+            whitelist,
+            fraction=config.fraction,
+            seed=config.seed,
+            min_regions=config.min_regions,
+            tol=config.tol,
+            max_iter=config.max_iter,
+            outlier_scope=config.outlier_scope,
+            workers=config.workers,
+        )
         clean_events, clean_counts = apply_removals(merged, removals, STAGE_CLEAN)
         audit.extend(clean_events)
         stats.rows.append(_stage_row(STAGE_CLEAN, merged, removed=clean_counts))

@@ -272,6 +272,46 @@ def test_engine_run_matches_staged_commands(runner, tmp_path):
     assert result.exit_code == 0, result.output
 
 
+def test_engine_clean_worker_counts_byte_identical(runner, tmp_path):
+    corpus = build_synthetic_corpus(tmp_path / "c", n_images=80, seed=57)
+    cfg = corpus.config
+    outputs = {}
+    for workers in (1, 2):
+        out, audit = tmp_path / f"clean{workers}.jsonl", tmp_path / f"audit{workers}.jsonl"
+        result = runner.invoke(cli, [
+            "engine", "clean",
+            "--annotations", str(corpus_annotations(corpus, tmp_path)),
+            "--vocab", str(cfg.vocab),
+            "--regions", str(cfg.regions),
+            "--region-embeddings", str(cfg.region_embeddings),
+            "--queries", str(cfg.queries),
+            "--outlier-scope", "cluster",
+            "--seed", "3",
+            "--workers", str(workers),
+            "--out", str(out),
+            "--audit", str(audit),
+        ])
+        assert result.exit_code == 0, result.output
+        outputs[workers] = (out.read_bytes(), audit.read_bytes(), result.stderr)
+    assert b'"reason": "outlier"' in outputs[1][1]
+    assert outputs[1] == outputs[2]
+
+
+def corpus_annotations(corpus, tmp_path: Path) -> Path:
+    """The planted ground truth plus the injected false pairs, as an
+    annotations file for `engine clean`."""
+    path = tmp_path / "annotations.jsonl"
+    by_image: dict[str, list[int]] = {}
+    for image_id, tag_id in sorted(corpus.truth | corpus.injected):
+        by_image.setdefault(image_id, []).append(tag_id)
+    path.write_text("".join(
+        json.dumps({"image_id": i, "tags": [{"tag_id": t, "provenance": "parsed"} for t in ts]})
+        + "\n"
+        for i, ts in by_image.items()
+    ))
+    return path
+
+
 def test_stats_command_renders_and_validates(runner, tmp_path):
     stats_path = tmp_path / "stats.tsv"
     stats_path.write_text(

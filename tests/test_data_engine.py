@@ -1,3 +1,7 @@
+import hashlib
+import json
+import pickle
+
 import numpy as np
 import pytest
 
@@ -411,16 +415,88 @@ def test_run_engine_audit_files_round_trip(small_corpus, tmp_path):
 def test_run_engine_stage_error_names_stage(small_corpus, tmp_path):
     import dataclasses
 
-    bad = dataclasses.replace(
-        small_corpus.config,
-        regions=small_corpus.config.captions,  # captions are not region records
-        out_dir=tmp_path / "bad",
-    )
-    with pytest.raises(EngineError) as exc:
-        run_engine(bad)
-    assert exc.value.stage == "clean"
-    assert exc.value.partial_stats is not None
-    assert [r.stage for r in exc.value.partial_stats.rows] == ["parse", "generate"]
+    for workers in (1, 2):
+        bad = dataclasses.replace(
+            small_corpus.config,
+            regions=small_corpus.config.captions,  # captions are not region records
+            out_dir=tmp_path / "bad",
+            workers=workers,
+        )
+        with pytest.raises(EngineError) as exc:
+            run_engine(bad)
+        assert exc.value.stage == "clean"
+        assert exc.value.partial_stats is not None
+        assert [r.stage for r in exc.value.partial_stats.rows] == ["parse", "generate"]
+
+
+def test_run_engine_clean_worker_error_names_stage(small_corpus, tmp_path):
+    # a region whose embedding key is missing fails inside a clean worker;
+    # the error must survive pickling, or the pool could never report it
+    import dataclasses
+
+    error = pickle.loads(pickle.dumps(EngineError("clean", "boom")))
+    assert (error.stage, str(error)) == ("clean", "engine stage 'clean' failed: boom")
+
+    regions = tmp_path / "regions.jsonl"
+    lines = small_corpus.config.regions.read_text().splitlines()
+    record = json.loads(lines[0])
+    record["embedding_key"] = "no-such-key"
+    regions.write_text("\n".join([json.dumps(record)] + lines[1:]) + "\n")
+    for workers in (1, 2):
+        config = dataclasses.replace(
+            small_corpus.config, regions=regions, out_dir=tmp_path / "out", workers=workers
+        )
+        with pytest.raises(EngineError, match="no-such-key") as exc:
+            run_engine(config)
+        assert exc.value.stage == "clean"
+        assert [r.stage for r in exc.value.partial_stats.rows] == ["parse", "generate"]
+
+
+# sha256 of the engine outputs on the small corpus, as written before the
+# clean kernels were optimized and categories spread over workers
+ENGINE_GOLDEN_SHA256 = {
+    "category": {
+        "parsed.jsonl": "6677e0bde1f1dc586f53819b17f4b6f1a28adde24d79c4ad8d9c5ec9e51f8ffb",
+        "final.jsonl": "d66050939389346d29c0641268f94ac4a181854e475ba47c12a2ab758d84d061",
+        "audit.jsonl": "3c3e97a8eae853a64b045fa659b7bfa7e6ad022e19a523fa5ed103f744196896",
+        "stats.tsv": "966e98f9e2362688b348f302240186b2f5f94a5f668b84d749f70623b4d2da45",
+    },
+    "cluster": {
+        "parsed.jsonl": "6677e0bde1f1dc586f53819b17f4b6f1a28adde24d79c4ad8d9c5ec9e51f8ffb",
+        "final.jsonl": "97ce986bf13ee638a577478f0238f0b133b3dd0b08a5de69c7355e661cb77d73",
+        "audit.jsonl": "205d31019dbfc29c7c1e635b8043178c2ce0519e520d91935c0b110e003d1f76",
+        "stats.tsv": "be1d9ae93f7efee19a3725f759b74b9b53fb9162756875ba1805a548e94543a3",
+    },
+    "whitelist": {
+        "parsed.jsonl": "6677e0bde1f1dc586f53819b17f4b6f1a28adde24d79c4ad8d9c5ec9e51f8ffb",
+        "final.jsonl": "bae2b8ace34facb81455347987b4f800a59876bb05a0b780e4e0826086f10723",
+        "audit.jsonl": "4e15063a3502fae955152da52cbf6d0e4a51fbfc2b73af8594cce1cdcc389662",
+        "stats.tsv": "40207ac4d43487336fcbdbcbfcbf27488944b09f32c6396704b664db0c04d49d",
+    },
+}
+
+
+@pytest.mark.parametrize("variant", sorted(ENGINE_GOLDEN_SHA256))
+def test_run_engine_worker_counts_byte_identical_to_golden(small_corpus, tmp_path, variant):
+    import dataclasses
+
+    even = tmp_path / "even_whitelist.txt"
+    even.write_text("".join(f"{t}\n" for t in small_corpus.vocab.tag_ids() if t % 2 == 0))
+    changes = {
+        "category": dict(whitelist=None),
+        "cluster": dict(whitelist=None, outlier_scope="cluster"),
+        "whitelist": dict(whitelist=even),
+    }[variant]
+    for workers in (1, 2, 3):
+        out = tmp_path / f"w{workers}"
+        run_engine(
+            dataclasses.replace(small_corpus.config, out_dir=out, workers=workers, **changes)
+        )
+        digests = {
+            name: hashlib.sha256((out / name).read_bytes()).hexdigest()
+            for name in ENGINE_GOLDEN_SHA256[variant]
+        }
+        assert digests == ENGINE_GOLDEN_SHA256[variant], f"workers={workers}"
 
 
 def test_run_engine_empty_whitelist_cleans_nothing(small_corpus, tmp_path):
