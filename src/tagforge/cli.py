@@ -65,6 +65,13 @@ def _config_values(config_path: str | None) -> tuple[dict[str, str], Path]:
     return read_config_file(config_path), Path(config_path).parent
 
 
+def _echo_rejects(prefix: str, rejects: cp.RejectSummary) -> None:
+    """Report skipped caption records and why on stderr."""
+    click.echo(f"{prefix}, {rejects.count} rejected records", err=True)
+    for reason, count in sorted(rejects.reasons.items()):
+        click.echo(f"  reject reason: {reason} ({count})", err=True)
+
+
 @click.group()
 @click.version_option(__version__)
 def cli():
@@ -87,14 +94,10 @@ def parse_cmd(captions, out_tags, out_freq, lexicon_dir, seed, workers, config_p
     corpus = cp.parse_corpus_file(captions, lexicon_dir, workers=workers or 1)
     cp.write_image_tags(corpus, out_tags)
     cp.write_frequency_table(corpus, out_freq)
-    click.echo(
-        f"parsed {len(corpus.image_tags)} images, {len(corpus.frequencies)} distinct surfaces, "
-        f"{corpus.rejects.count} rejected records",
-        err=True,
+    _echo_rejects(
+        f"parsed {len(corpus.image_tags)} images, {len(corpus.frequencies)} distinct surfaces",
+        corpus.rejects,
     )
-    if corpus.rejects.count:
-        for reason, count in sorted(corpus.rejects.reasons.items()):
-            click.echo(f"  reject reason: {reason} ({count})", err=True)
 
 
 @cli.command("build-vocab")
@@ -344,6 +347,7 @@ def engine_run_cmd(
     values, base = _config_values(config_path)
     config = build_engine_config(values, base, overrides)
     result = engine.run_engine(config)
+    _echo_rejects("parse stage", result.parse_rejects)
     for row in result.stats.rows:
         click.echo(
             f"{row.stage}\timages={row.images}\ttags={row.tags}\t"

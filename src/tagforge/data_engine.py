@@ -22,7 +22,7 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .caption_parser import LexiconBundle, load_lexicons, parse_corpus_file
+from .caption_parser import LexiconBundle, RejectSummary, load_lexicons, parse_corpus_file
 from .clustering import DEFAULT_MAX_ITER, DEFAULT_TOL, distinct_rows, kmeanspp_init, lloyd
 from .config import EngineConfig
 from .embedding_store import EmbeddingTable, load_embeddings, normalize
@@ -479,6 +479,7 @@ class EngineResult:
     unmapped_surfaces: int
     rejected_generated: int
     filter_skipped: list[tuple[str, int, str]]
+    parse_rejects: RejectSummary  # malformed caption records skipped by parse
 
 
 def load_tag_id_records(path: str | Path) -> list[tuple[str, list[int]]]:
@@ -532,7 +533,7 @@ def load_whitelist(path: str | Path) -> set[int]:
 
 def _parse_stage(
     config: EngineConfig, vocab: TagVocabulary, lexicons: LexiconBundle
-) -> tuple[AnnotationStore, int]:
+) -> tuple[AnnotationStore, int, RejectSummary]:
     corpus = parse_corpus_file(config.captions, config.lexicon_dir, workers=config.workers)
     store: AnnotationStore = {}
     unmapped = 0
@@ -557,7 +558,7 @@ def _parse_stage(
                     tags.setdefault(tag_id, TagEntry(PROV_SEED))
                 else:
                     unmapped += 1
-    return store, unmapped
+    return store, unmapped, corpus.rejects
 
 
 def run_engine(config: EngineConfig, write_outputs: bool = True) -> EngineResult:
@@ -580,7 +581,7 @@ def run_engine(config: EngineConfig, write_outputs: bool = True) -> EngineResult
     try:
         vocab = load_vocabulary(config.vocab)
         lexicons = load_lexicons(config.lexicon_dir)
-        parsed, unmapped = _parse_stage(config, vocab, lexicons)
+        parsed, unmapped, parse_rejects = _parse_stage(config, vocab, lexicons)
         stats.rows.append(_stage_row(STAGE_PARSE, parsed, added=count_kept(parsed)))
     except EngineError:
         raise
@@ -668,6 +669,7 @@ def run_engine(config: EngineConfig, write_outputs: bool = True) -> EngineResult
         unmapped_surfaces=unmapped,
         rejected_generated=rejected,
         filter_skipped=outcome.skipped_pairs,
+        parse_rejects=parse_rejects,
     )
     if write_outputs:
         out_dir = Path(config.out_dir)

@@ -272,6 +272,29 @@ def test_engine_run_matches_staged_commands(runner, tmp_path):
     assert result.exit_code == 0, result.output
 
 
+def test_engine_run_reports_parse_rejects(runner, tmp_path):
+    corpus = build_synthetic_corpus(tmp_path / "c", n_images=40, seed=56)
+    cfg = corpus.config
+    bad_captions = tmp_path / "captions_bad.jsonl"
+    bad_captions.write_text(cfg.captions.read_text() + "{not json\n")
+    outputs = {}
+    for name, captions in (("clean", cfg.captions), ("bad", bad_captions)):
+        result = runner.invoke(cli, [
+            "engine", "run", "--captions", str(captions), "--vocab", str(cfg.vocab),
+            "--regions", str(cfg.regions), "--region-embeddings", str(cfg.region_embeddings),
+            "--queries", str(cfg.queries), "--out-dir", str(tmp_path / name), "--seed", "7",
+        ])
+        assert result.exit_code == 0, result.output
+        outputs[name] = result
+    assert "parse stage, 0 rejected records" in outputs["clean"].stderr
+    assert "parse stage, 1 rejected records" in outputs["bad"].stderr
+    assert "reject reason: invalid JSON (1)" in outputs["bad"].stderr
+    # the malformed line adds nothing, so stdout and the outputs are unchanged
+    assert outputs["bad"].stdout == outputs["clean"].stdout
+    for name in ("parsed.jsonl", "final.jsonl", "audit.jsonl", "stats.tsv"):
+        assert (tmp_path / "bad" / name).read_bytes() == (tmp_path / "clean" / name).read_bytes()
+
+
 def test_engine_clean_worker_counts_byte_identical(runner, tmp_path):
     corpus = build_synthetic_corpus(tmp_path / "c", n_images=80, seed=57)
     cfg = corpus.config
@@ -280,7 +303,7 @@ def test_engine_clean_worker_counts_byte_identical(runner, tmp_path):
         out, audit = tmp_path / f"clean{workers}.jsonl", tmp_path / f"audit{workers}.jsonl"
         result = runner.invoke(cli, [
             "engine", "clean",
-            "--annotations", str(corpus_annotations(corpus, tmp_path)),
+            "--annotations", str(_planted_annotations(corpus, tmp_path)),
             "--vocab", str(cfg.vocab),
             "--regions", str(cfg.regions),
             "--region-embeddings", str(cfg.region_embeddings),
@@ -297,7 +320,7 @@ def test_engine_clean_worker_counts_byte_identical(runner, tmp_path):
     assert outputs[1] == outputs[2]
 
 
-def corpus_annotations(corpus, tmp_path: Path) -> Path:
+def _planted_annotations(corpus, tmp_path: Path) -> Path:
     """The planted ground truth plus the injected false pairs, as an
     annotations file for `engine clean`."""
     path = tmp_path / "annotations.jsonl"
