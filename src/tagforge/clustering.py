@@ -44,15 +44,6 @@ def _sq_dist_to(
     return np.einsum("ij,ij->i", diff, diff, out=out)
 
 
-def _fill_sq_dists(
-    points: np.ndarray, centroids: np.ndarray, rows, out: np.ndarray, buf: np.ndarray
-) -> None:
-    """Write the squared distances of every point to centroids[j] into out[j]
-    for each j in rows; buf is scratch space of points' shape."""
-    for j in rows:
-        _sq_dist_to(points, centroids[j], buf, out[j])
-
-
 def _nearest(sq_dists: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Nearest centroid per point from (k, n) squared distances, and that
     distance; argmin returns the first minimum, so ties go to the lowest
@@ -133,8 +124,9 @@ def lloyd(
     dim_offsets = np.arange(dim)
 
     buf = np.empty_like(points)
-    sq_dists = np.empty((k, n))
-    _fill_sq_dists(points, centroids, range(k), sq_dists, buf)
+    sq_dists = np.empty((k, n))  # row j: squared distances to centroid j
+    for j in range(k):
+        _sq_dist_to(points, centroids[j], buf, sq_dists[j])
     assignment, d2 = _nearest(sq_dists)
     inertia = float(d2.sum())
     iterations = 0
@@ -162,7 +154,8 @@ def lloyd(
         # distances: recomputing it would give the same bits
         moved = np.flatnonzero((new_centroids != centroids).any(axis=1))
         centroids = new_centroids
-        _fill_sq_dists(points, centroids, moved, sq_dists, buf)
+        for j in moved:
+            _sq_dist_to(points, centroids[j], buf, sq_dists[j])
         assignment, d2 = _nearest(sq_dists)
         new_inertia = float(d2.sum())
         if new_inertia > inertia + _INERTIA_SLACK * max(1.0, inertia):
