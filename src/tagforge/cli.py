@@ -8,7 +8,6 @@ directory; --lexicon-dir overrides both.
 from __future__ import annotations
 
 import functools
-import json
 import sys
 from pathlib import Path
 
@@ -40,23 +39,32 @@ def _data_errors(fn):
     return wrapper
 
 
-def common_options(fn):
+def common_options(fn, used: bool = True):
+    """--seed, --workers and --config; a command that runs in one process
+    and draws no random numbers accepts them with used=False and ignores them."""
     fn = click.option(
         "--seed", type=int, default=None,
-        help="Random seed [default: 0, or the config file's seed].",
+        help="Random seed [default: 0, or the config file's seed]."
+        if used else "Ignored: this command draws no random numbers.",
     )(fn)
     fn = click.option(
         "--workers", type=int, default=None,
-        help="Worker processes [default: 1, or the config file's workers].",
+        help="Worker processes [default: 1, or the config file's workers]."
+        if used else "Ignored: this command runs in one process.",
     )(fn)
     fn = click.option(
         "--config",
         "config_path",
         type=click.Path(exists=True, dir_okay=False),
         default=None,
-        help="Key=value config file supplying defaults.",
+        help="Key=value config file supplying defaults."
+        if used else "Ignored: this command reads no config keys.",
     )(fn)
     return fn
+
+
+def single_process_options(fn):
+    return common_options(fn, used=False)
 
 
 def _config_values(config_path: str | None) -> tuple[dict[str, str], Path]:
@@ -101,7 +109,7 @@ def parse_cmd(captions, out_tags, out_freq, lexicon_dir, seed, workers, config_p
 
 
 @cli.command("build-vocab")
-@common_options
+@single_process_options
 @click.option("--freq", type=click.Path(exists=True, dir_okay=False), required=True,
               help="Frequency table TSV from `parse`.")
 @click.option("--k", "top_k", type=int, required=True, help="Keep the top-k frequent surfaces.")
@@ -129,7 +137,7 @@ def build_vocab_cmd(freq, top_k, seeds, synonyms, excludes, out_path, seed, work
 
 
 @cli.command("build-queries")
-@common_options
+@single_process_options
 @click.option("--vocab", type=click.Path(exists=True, dir_okay=False), required=True)
 @click.option("--prompts", type=click.Path(exists=True, dir_okay=False), required=True,
               help="EMB1 file of prompt embeddings keyed 'template::canonical'.")
@@ -154,7 +162,7 @@ def build_queries_cmd(vocab, prompts, templates, out_path, seed, workers, config
 
 
 @cli.command("tag")
-@common_options
+@single_process_options
 @click.option("--embeddings", type=click.Path(exists=True, dir_okay=False), required=True,
               help="EMB1 file of image embeddings keyed by image_id.")
 @click.option("--queries", type=click.Path(exists=True, dir_okay=False), required=True)
@@ -171,28 +179,7 @@ def tag_cmd(embeddings, queries, vocab, thresholds, out_path, seed, workers, con
     profile = st.load_threshold_profile(thresholds) if thresholds else st.ThresholdProfile()
     profile.validate_against(query_matrix.tag_ids)
     table = normalize(load_embeddings(embeddings))
-    with open(out_path, "w", encoding="utf-8") as fh:
-        for key in sorted(table.keys):
-            scores = st.score(table.vector(key), query_matrix)
-            selected = sorted(
-                tag_id
-                for tag_id, s in zip(query_matrix.tag_ids, scores)
-                if s >= profile.effective(tag_id)
-            )
-            fh.write(
-                json.dumps(
-                    {
-                        "image_id": key,
-                        "scores": {
-                            str(tag_id): round(float(s), 6)
-                            for tag_id, s in zip(query_matrix.tag_ids, scores)
-                        },
-                        "tags": selected,
-                    },
-                    ensure_ascii=False,
-                )
-            )
-            fh.write("\n")
+    st.write_predictions(table, query_matrix, profile, out_path)
     click.echo(f"tagged {len(table)} embeddings", err=True)
 
 
@@ -232,17 +219,11 @@ def engine_generate_cmd(
     records = []
     for path in generated_tags:
         records.extend(engine.load_tag_id_records(path))
-    caption_tags: dict[str, set[int]] = {}
-    for path in generated_captions:
-        corpus = cp.parse_corpus_file(path, lexicon_dir, workers=workers or 1)
-        for image_id, tags in corpus.image_tags.items():
-            ids = {
-                tid
-                for tid in (ls.map_tag(t.surface, vocabulary, lexicons) for t in tags)
-                if tid is not None
-            }
-            if ids:
-                caption_tags.setdefault(image_id, set()).update(ids)
+    caption_tags, caption_rejects = engine.caption_tag_ids(
+        generated_captions, lexicon_dir, vocabulary, lexicons, workers or 1
+    )
+    if generated_captions:
+        _echo_rejects("generated captions", caption_rejects)
     merged, audit, rejected = engine.generate_merge(store, records, caption_tags, valid)
     engine.write_annotations(merged, out_path)
     if audit_path:
@@ -348,6 +329,8 @@ def engine_run_cmd(
     config = build_engine_config(values, base, overrides)
     result = engine.run_engine(config)
     _echo_rejects("parse stage", result.parse_rejects)
+    if config.generated_captions:
+        _echo_rejects("generate stage", result.generated_rejects)
     for row in result.stats.rows:
         click.echo(
             f"{row.stage}\timages={row.images}\ttags={row.tags}\t"
@@ -360,7 +343,7 @@ def engine_run_cmd(
 
 
 @cli.command("eval")
-@common_options
+@single_process_options
 @click.option("--predictions", type=click.Path(exists=True, dir_okay=False), required=True)
 @click.option("--ground-truth", type=click.Path(exists=True, dir_okay=False), required=True)
 @click.option("--thresholds", type=click.Path(exists=True, dir_okay=False), default=None)
@@ -392,7 +375,7 @@ def eval_cmd(
 
 
 @cli.command("stats")
-@common_options
+@single_process_options
 @click.option("--stats-file", type=click.Path(exists=True, dir_okay=False), required=True,
               help="Engine stats TSV.")
 @_data_errors

@@ -480,6 +480,7 @@ class EngineResult:
     rejected_generated: int
     filter_skipped: list[tuple[str, int, str]]
     parse_rejects: RejectSummary  # malformed caption records skipped by parse
+    generated_rejects: RejectSummary  # malformed generated-caption records skipped
 
 
 def load_tag_id_records(path: str | Path) -> list[tuple[str, list[int]]]:
@@ -561,6 +562,31 @@ def _parse_stage(
     return store, unmapped, corpus.rejects
 
 
+def caption_tag_ids(
+    paths: Sequence[str | Path],
+    lexicon_dir: str | Path | None,
+    vocab: TagVocabulary,
+    lexicons: LexiconBundle,
+    workers: int = 1,
+) -> tuple[dict[str, set[int]], RejectSummary]:
+    """Parse generated caption files into the tag ids they name per image,
+    with the records the parser skipped."""
+    caption_tags: dict[str, set[int]] = {}
+    rejects = RejectSummary()
+    for path in paths:
+        corpus = parse_corpus_file(path, lexicon_dir, workers=workers)
+        rejects.merge(corpus.rejects)
+        for image_id, tags in corpus.image_tags.items():
+            ids = {
+                tid
+                for tid in (map_tag(t.surface, vocab, lexicons) for t in tags)
+                if tid is not None
+            }
+            if ids:
+                caption_tags.setdefault(image_id, set()).update(ids)
+    return caption_tags, rejects
+
+
 def run_engine(config: EngineConfig, write_outputs: bool = True) -> EngineResult:
     """Execute parse -> generate -> clean -> filter and collect accounting.
 
@@ -594,17 +620,9 @@ def run_engine(config: EngineConfig, write_outputs: bool = True) -> EngineResult
         generated_records: list[tuple[str, list[int]]] = []
         for path in config.generated_tags:
             generated_records.extend(load_tag_id_records(path))
-        generated_caption_tags: dict[str, set[int]] = {}
-        for path in config.generated_captions:
-            corpus = parse_corpus_file(path, config.lexicon_dir, workers=config.workers)
-            for image_id, tags in corpus.image_tags.items():
-                ids = {
-                    tid
-                    for tid in (map_tag(t.surface, vocab, lexicons) for t in tags)
-                    if tid is not None
-                }
-                if ids:
-                    generated_caption_tags.setdefault(image_id, set()).update(ids)
+        generated_caption_tags, generated_rejects = caption_tag_ids(
+            config.generated_captions, config.lexicon_dir, vocab, lexicons, config.workers
+        )
         merged, gen_audit, rejected = generate_merge(
             parsed, generated_records, generated_caption_tags, valid
         )
@@ -670,6 +688,7 @@ def run_engine(config: EngineConfig, write_outputs: bool = True) -> EngineResult
         rejected_generated=rejected,
         filter_skipped=outcome.skipped_pairs,
         parse_rejects=parse_rejects,
+        generated_rejects=generated_rejects,
     )
     if write_outputs:
         out_dir = Path(config.out_dir)

@@ -140,9 +140,7 @@ def precision_recall(
     per-class precision and recall over classes with at least one positive;
     a class with zero predicted positives contributes precision 1.
     """
-    thresholds = np.asarray(
-        [profile.effective(cid) for cid in instances.class_ids], dtype=np.float64
-    )
+    thresholds = profile.thresholds(instances.class_ids)
     predicted = instances.scores >= thresholds[None, :]
     positive = instances.labels == LABEL_POSITIVE
     if unannotated_as_negative:
@@ -208,17 +206,29 @@ def load_eval_instances(predictions_path: str | Path, ground_truth_path: str | P
     classes absent from both lists are unannotated. Repeated image_ids keep
     the last record. Scores absent for a known class rank last.
     """
-    pred: dict[str, dict[int, float]] = {}
+    # image_id -> (class ids, their scores); records that repeat the
+    # previous record's keys share its class-id list
+    pred: dict[str, tuple[list[int], np.ndarray]] = {}
+    keys: list[str] | None = None
+    class_list: list[int] = []
+    keep: list[int] | None = None
     for lineno, line in enumerate(Path(predictions_path).read_text(encoding="utf-8").splitlines(), 1):
         if not line.strip():
             continue
         try:
             obj = json.loads(line)
-            image_id = obj["image_id"]
-            scores = {int(k): float(v) for k, v in obj["scores"].items()}
-        except (json.JSONDecodeError, KeyError, TypeError, ValueError):
+            image_id = _image_id(obj)
+            raw = obj["scores"]
+            if not isinstance(raw, dict):
+                raise TypeError("scores must be an object")
+            record_keys = list(raw)
+            if record_keys != keys:
+                keys = record_keys
+                class_list, keep = _class_ids(keys)
+            values = _score_values(raw)
+        except (json.JSONDecodeError, KeyError, TypeError, ValueError, OverflowError):
             raise MetricsError(f"{predictions_path}:{lineno}: malformed prediction record") from None
-        pred[image_id] = scores
+        pred[image_id] = (class_list, values if keep is None else values[keep])
 
     gt: dict[str, tuple[set[int], set[int]]] = {}
     for lineno, line in enumerate(Path(ground_truth_path).read_text(encoding="utf-8").splitlines(), 1):
@@ -226,17 +236,18 @@ def load_eval_instances(predictions_path: str | Path, ground_truth_path: str | P
             continue
         try:
             obj = json.loads(line)
-            image_id = obj["image_id"]
+            image_id = _image_id(obj)
             positive = {int(v) for v in obj.get("positive", [])}
             negative = {int(v) for v in obj.get("negative", [])}
-        except (json.JSONDecodeError, KeyError, TypeError, ValueError):
+        except (json.JSONDecodeError, KeyError, TypeError, ValueError, OverflowError):
             raise MetricsError(f"{ground_truth_path}:{lineno}: malformed ground-truth record") from None
         gt[image_id] = (positive, negative)
 
     image_ids = sorted(set(pred) | set(gt))
+    pred_class_lists = {id(ids): ids for ids, _ in pred.values()}
     class_set: set[int] = set()
-    for scores in pred.values():
-        class_set.update(scores)
+    for ids in pred_class_lists.values():
+        class_set.update(ids)
     for positive, negative in gt.values():
         class_set.update(positive)
         class_set.update(negative)
@@ -244,18 +255,50 @@ def load_eval_instances(predictions_path: str | Path, ground_truth_path: str | P
         raise MetricsError("no classes found in predictions or ground truth")
     class_ids = sorted(class_set)
     col = {cid: i for i, cid in enumerate(class_ids)}
+    cols = {
+        key: np.asarray([col[cid] for cid in ids], dtype=np.intp)
+        for key, ids in pred_class_lists.items()
+    }
 
     scores = np.full((len(image_ids), len(class_ids)), MISSING_SCORE, dtype=np.float64)
     labels = np.full((len(image_ids), len(class_ids)), LABEL_UNANNOTATED, dtype=np.int8)
     for r, image_id in enumerate(image_ids):
-        for cid, value in pred.get(image_id, {}).items():
-            scores[r, col[cid]] = value
-        positive, negative = gt.get(image_id, (set(), set()))
-        for cid in positive:
-            labels[r, col[cid]] = LABEL_POSITIVE
-        for cid in negative:
-            labels[r, col[cid]] = LABEL_NEGATIVE
+        if image_id in pred:
+            ids, values = pred[image_id]
+            scores[r, cols[id(ids)]] = values
+        positive, negative = gt.get(image_id, ((), ()))
+        labels[r, [col[cid] for cid in positive]] = LABEL_POSITIVE
+        labels[r, [col[cid] for cid in negative]] = LABEL_NEGATIVE
     return EvalInstances(image_ids, class_ids, scores, labels)
+
+
+def _image_id(obj) -> str:
+    image_id = obj["image_id"]
+    if not isinstance(image_id, str):
+        raise TypeError("image_id must be a string")
+    return image_id
+
+
+def _class_ids(keys: list[str]) -> tuple[list[int], list[int] | None]:
+    """Class ids of a record's score keys, and when two keys name the same
+    class (say "1" and "01"), the positions to keep: the last of each."""
+    ids = [int(k) for k in keys]
+    last = {cid: i for i, cid in enumerate(ids)}
+    if len(last) == len(ids):
+        return ids, None
+    keep = sorted(last.values())
+    return [ids[i] for i in keep], keep
+
+
+def _score_values(raw: dict) -> np.ndarray:
+    """A record's scores as float64, as float(v) converts each value."""
+    try:
+        values = np.array(list(raw.values()))
+    except (TypeError, ValueError, OverflowError):
+        values = None
+    if values is None or values.dtype != np.float64 or values.ndim != 1:
+        values = np.array([float(v) for v in raw.values()], dtype=np.float64)
+    return values
 
 
 def write_report(report: EvalReport, path: str | Path) -> None:

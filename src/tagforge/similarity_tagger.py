@@ -22,6 +22,7 @@ from .label_system import TagVocabulary
 QUERY_NORM_TOLERANCE = 1e-6
 PROMPT_NORM_TOLERANCE = 1e-4
 DEFAULT_THRESHOLD = 0.2  # picked by calibrate_thresholds on synthetic validation data
+SCORE_DECIMALS = 6  # decimals of the scores `tag` writes
 
 PROMPT_KEY_SEPARATOR = "::"
 
@@ -62,6 +63,10 @@ class ThresholdProfile:
 
     def effective(self, tag_id: int) -> float:
         return self.overrides.get(tag_id, self.default_threshold)
+
+    def thresholds(self, tag_ids: Sequence[int]) -> np.ndarray:
+        """Effective threshold of each tag id, in the order given."""
+        return np.asarray([self.effective(t) for t in tag_ids], dtype=np.float64)
 
     def validate_against(self, tag_ids: Sequence[int]) -> None:
         known = set(tag_ids)
@@ -130,16 +135,55 @@ def tag_image(
 ) -> set[int]:
     """Tag ids whose score reaches their effective threshold."""
     scores = score(embedding, queries)
-    return {
-        tag_id
-        for tag_id, s in zip(queries.tag_ids, scores)
-        if s >= profile.effective(tag_id)
-    }
+    hits = np.flatnonzero(scores >= profile.thresholds(queries.tag_ids))
+    return {queries.tag_ids[i] for i in hits}
 
 
-def _f1(tp: int, fp: int, fn: int) -> float:
-    denom = 2 * tp + fp + fn
-    return 2 * tp / denom if denom else 0.0
+def round_scores(values: np.ndarray) -> np.ndarray:
+    """round(float(v), SCORE_DECIMALS) of every value, bit for bit.
+
+    np.rint(v * 10**d) / 10**d gives Python's correctly rounded result except
+    where the product lands on or next to a half (its own rounding may have
+    crossed it) or is too large to keep a fraction; those values, rare in
+    practice, go through Python's round.
+    """
+    values = np.asarray(values, dtype=np.float64)
+    scale = 10.0**SCORE_DECIMALS
+    with np.errstate(over="ignore", invalid="ignore"):
+        y = values * scale
+        out = np.rint(y) / scale
+        near_half = np.abs(y - np.floor(y) - 0.5) < 1e-6
+        exact = near_half | (np.abs(y) >= 2.0**52)
+    for i in np.flatnonzero(exact):
+        out[i] = round(float(values[i]), SCORE_DECIMALS)
+    return out
+
+
+def write_predictions(
+    table: EmbeddingTable,
+    queries: LabelQueryMatrix,
+    profile: ThresholdProfile,
+    path: str | Path,
+) -> None:
+    """One JSONL record per image, in image_id order: every tag's score
+    rounded to SCORE_DECIMALS and the ascending tag ids that reach their
+    threshold."""
+    tag_ids = queries.tag_ids
+    keys = [str(t) for t in tag_ids]
+    thresholds = profile.thresholds(tag_ids)
+    with open(path, "w", encoding="utf-8") as fh:
+        for image_id in sorted(table.keys):
+            # one matrix-vector product per image: a single matrix product
+            # over all images may change the scores' low bits
+            scores = score(table.vector(image_id), queries)
+            selected = sorted(tag_ids[i] for i in np.flatnonzero(scores >= thresholds))
+            record = {
+                "image_id": image_id,
+                "scores": dict(zip(keys, round_scores(scores).tolist())),
+                "tags": selected,
+            }
+            fh.write(json.dumps(record, ensure_ascii=False))
+            fh.write("\n")
 
 
 def calibrate_thresholds(
@@ -166,34 +210,40 @@ def calibrate_thresholds(
 
     grid_sorted = sorted(set(float(g) for g in grid))
     positives = labels_matrix == 1
-
-    best_default, best_default_f1 = grid_sorted[0], -1.0
-    best_per_tag: dict[int, tuple[float, float]] = {}
-    eligible = [
-        c
-        for c in range(len(tag_ids))
-        if positives[:, c].any() and (~positives[:, c]).any()
-    ]
-
-    for t in grid_sorted:
+    pos = np.count_nonzero(positives, axis=0)
+    # per (grid value, class): true positives and predicted positives
+    tp = np.empty((len(grid_sorted), len(tag_ids)), dtype=np.int64)
+    predicted = np.empty_like(tp)
+    for g, t in enumerate(grid_sorted):
         pred = scores_matrix >= t
-        tp_all = int((pred & positives).sum())
-        fp_all = int((pred & ~positives).sum())
-        fn_all = int((~pred & positives).sum())
-        micro = _f1(tp_all, fp_all, fn_all)
-        if micro >= best_default_f1:
-            best_default, best_default_f1 = t, micro
-        for c in eligible:
-            tp = int((pred[:, c] & positives[:, c]).sum())
-            fp = int((pred[:, c] & ~positives[:, c]).sum())
-            fn = int((~pred[:, c] & positives[:, c]).sum())
-            f1 = _f1(tp, fp, fn)
-            tag = tag_ids[c]
-            if tag not in best_per_tag or f1 >= best_per_tag[tag][1]:
-                best_per_tag[tag] = (t, f1)
+        tp[g] = np.count_nonzero(pred & positives, axis=0)
+        predicted[g] = np.count_nonzero(pred, axis=0)
 
-    overrides = {tag: t for tag, (t, _) in best_per_tag.items()}
+    # F1 = 2tp / (2tp + fp + fn) = 2tp / (predicted + positives)
+    micro = _f1(tp.sum(axis=1), predicted.sum(axis=1) + pos.sum())
+    per_class = _f1(tp, predicted + pos)
+    best_default = grid_sorted[_last_argmax(micro)]
+
+    # eligible classes need a positive and a negative; a tag repeated over
+    # columns takes its best F1, at the largest threshold reaching it
+    best_per_tag: dict[int, tuple[float, int]] = {}
+    last = _last_argmax(per_class)
+    for c in np.flatnonzero((pos > 0) & (pos < len(positives))):
+        key = (per_class[last[c], c], last[c])
+        tag = tag_ids[c]
+        best_per_tag[tag] = max(best_per_tag.get(tag, key), key)
+    overrides = {tag: grid_sorted[g] for tag, (_, g) in best_per_tag.items()}
     return ThresholdProfile(default_threshold=best_default, overrides=overrides)
+
+
+def _f1(tp: np.ndarray, denom: np.ndarray) -> np.ndarray:
+    """2tp / denom elementwise, 0 where denom is 0."""
+    return np.where(denom > 0, 2 * tp / np.maximum(denom, 1), 0.0)
+
+
+def _last_argmax(values: np.ndarray) -> np.ndarray:
+    """Index of the last maximum along axis 0: ties go to the larger threshold."""
+    return len(values) - 1 - np.argmax(values[::-1], axis=0)
 
 
 # -- persistence --------------------------------------------------------------

@@ -295,6 +295,48 @@ def test_engine_run_reports_parse_rejects(runner, tmp_path):
         assert (tmp_path / "bad" / name).read_bytes() == (tmp_path / "clean" / name).read_bytes()
 
 
+def test_generated_caption_rejects_reported(runner, tmp_path):
+    corpus = build_synthetic_corpus(tmp_path / "c", n_images=40, seed=58)
+    cfg = corpus.config
+    good = tmp_path / "generated_good.jsonl"
+    good.write_text(cfg.captions.read_text())
+    bad = tmp_path / "generated_bad.jsonl"
+    bad.write_text(cfg.captions.read_text() + "{broken\n")
+    outputs = {}
+    for name, generated in (("good", good), ("bad", bad)):
+        config_file = tmp_path / f"{name}.cfg"
+        config_file.write_text(
+            f"captions = {cfg.captions}\nvocab = {cfg.vocab}\nregions = {cfg.regions}\n"
+            f"region_embeddings = {cfg.region_embeddings}\nqueries = {cfg.queries}\n"
+            f"generated_captions = {generated}\nout_dir = {tmp_path / name}\nseed = 7\n"
+        )
+        result = runner.invoke(cli, ["engine", "run", "--config", str(config_file)])
+        assert result.exit_code == 0, result.output
+        outputs[name] = result
+    assert "generate stage, 0 rejected records" in outputs["good"].stderr
+    assert "generate stage, 1 rejected records" in outputs["bad"].stderr
+    assert "reject reason: invalid JSON (1)" in outputs["bad"].stderr
+    assert outputs["bad"].stdout == outputs["good"].stdout
+    for name in ("parsed.jsonl", "final.jsonl", "audit.jsonl", "stats.tsv"):
+        assert (tmp_path / "bad" / name).read_bytes() == (tmp_path / "good" / name).read_bytes()
+
+    merged = {}
+    for name, generated in (("good", good), ("bad", bad)):
+        merged[name] = tmp_path / f"merged_{name}.jsonl"
+        result = runner.invoke(cli, [
+            "engine", "generate", "--annotations", str(tmp_path / "good" / "parsed.jsonl"),
+            "--vocab", str(cfg.vocab), "--generated-captions", str(generated),
+            "--out", str(merged[name]),
+        ])
+        assert result.exit_code == 0, result.output
+        outputs[name] = result
+    assert "generated captions, 0 rejected records" in outputs["good"].stderr
+    assert "generated captions, 1 rejected records" in outputs["bad"].stderr
+    assert "reject reason: invalid JSON (1)" in outputs["bad"].stderr
+    assert outputs["bad"].stdout == outputs["good"].stdout
+    assert merged["bad"].read_bytes() == merged["good"].read_bytes()
+
+
 def test_engine_clean_worker_counts_byte_identical(runner, tmp_path):
     corpus = build_synthetic_corpus(tmp_path / "c", n_images=80, seed=57)
     cfg = corpus.config
