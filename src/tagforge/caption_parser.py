@@ -21,7 +21,6 @@ chunks.
 from __future__ import annotations
 
 import json
-import multiprocessing
 import os
 import re
 from collections import Counter
@@ -450,6 +449,8 @@ def parse_corpus_file(
         with open(path, encoding="utf-8") as fh:
             image_tags, rejects = _parse_lines(fh, lexicons)
     else:
+        import multiprocessing  # here, so that commands that never fork skip it
+
         image_tags = {}
         shards = _shard_boundaries(path, workers)
         with multiprocessing.Pool(

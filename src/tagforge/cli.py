@@ -3,6 +3,9 @@
 Exit codes: 0 success, 1 data or validation error, 2 usage error. The
 TAGFORGE_DATA_DIR environment variable overrides the packaged lexicon
 directory; --lexicon-dir overrides both.
+
+Modules that need numpy are imported by the commands that use them, so
+`parse` and `build-vocab` start without loading numpy.
 """
 
 from __future__ import annotations
@@ -15,13 +18,29 @@ import click
 
 from . import __version__
 from . import caption_parser as cp
-from . import data_engine as engine
 from . import label_system as ls
-from . import metrics as mx
-from . import similarity_tagger as st
-from .config import build_engine_config, read_config_file
-from .embedding_store import load_embeddings, normalize
+from .config import (
+    DEFAULT_FRACTION,
+    DEFAULT_MARGIN,
+    DEFAULT_MIN_REGIONS,
+    build_engine_config,
+    read_config_file,
+)
 from .errors import TagforgeError
+
+
+# every command loads embeddings through these two names in this module, so
+# tracing can wrap them here; embedding_store, and numpy, load on first call
+def load_embeddings(path):
+    from .embedding_store import load_embeddings
+
+    return load_embeddings(path)
+
+
+def normalize(table):
+    from .embedding_store import normalize
+
+    return normalize(table)
 
 
 def _data_errors(fn):
@@ -148,6 +167,8 @@ def build_vocab_cmd(freq, top_k, seeds, synonyms, excludes, out_path, seed, work
 @_data_errors
 def build_queries_cmd(vocab, prompts, templates, out_path, seed, workers, config_path):
     """Ensemble prompt embeddings into one label query per tag id."""
+    from . import similarity_tagger as st
+
     vocabulary = ls.load_vocabulary(vocab)
     prompt_table = load_embeddings(prompts)
     template_path = Path(templates) if templates else cp.default_lexicon_dir() / "templates.txt"
@@ -174,6 +195,8 @@ def build_queries_cmd(vocab, prompts, templates, out_path, seed, workers, config
 @_data_errors
 def tag_cmd(embeddings, queries, vocab, thresholds, out_path, seed, workers, config_path):
     """Score image embeddings against the label queries and apply thresholds."""
+    from . import similarity_tagger as st
+
     vocabulary = ls.load_vocabulary(vocab)
     query_matrix = st.load_label_queries(queries, vocabulary)
     profile = st.load_threshold_profile(thresholds) if thresholds else st.ThresholdProfile()
@@ -212,6 +235,8 @@ def engine_generate_cmd(
     out_path, audit_path, seed, workers, config_path,
 ):
     """Merge generated tags and parsed generated captions into the dataset."""
+    from . import data_engine as engine
+
     store = engine.load_annotations(annotations)
     vocabulary = ls.load_vocabulary(vocab)
     lexicons = cp.load_lexicons(lexicon_dir)
@@ -245,13 +270,13 @@ def engine_generate_cmd(
 @click.option("--thresholds", type=click.Path(exists=True, dir_okay=False), default=None)
 @click.option("--whitelist", type=click.Path(exists=True, dir_okay=False), default=None,
               help="tag_ids eligible for cleaning, one per line (default: all with regions).")
-@click.option("--fraction", type=float, default=engine.DEFAULT_FRACTION, show_default=True,
+@click.option("--fraction", type=float, default=DEFAULT_FRACTION, show_default=True,
               help="Outlier fraction per category.")
 @click.option("--outlier-scope", type=click.Choice(["category", "cluster"]),
               default="category", show_default=True,
               help="Pool outlier ranking across the category or within each cluster.")
-@click.option("--min-regions", type=int, default=engine.DEFAULT_MIN_REGIONS, show_default=True)
-@click.option("--margin", type=float, default=engine.DEFAULT_MARGIN, show_default=True)
+@click.option("--min-regions", type=int, default=DEFAULT_MIN_REGIONS, show_default=True)
+@click.option("--margin", type=float, default=DEFAULT_MARGIN, show_default=True)
 @click.option("--out", "out_path", type=click.Path(dir_okay=False), required=True)
 @click.option("--audit", "audit_path", type=click.Path(dir_okay=False), default=None)
 @_data_errors
@@ -261,6 +286,9 @@ def engine_clean_cmd(
     out_path, audit_path, seed, workers, config_path,
 ):
     """Run outlier cleaning and the prediction filter on an annotation set."""
+    from . import data_engine as engine
+    from . import similarity_tagger as st
+
     store = engine.load_annotations(annotations)
     vocabulary = ls.load_vocabulary(vocab)
     region_list = engine.load_regions(regions)
@@ -269,7 +297,7 @@ def engine_clean_cmd(
     profile = st.load_threshold_profile(thresholds) if thresholds else st.ThresholdProfile()
     profile.validate_against(query_matrix.tag_ids)
     whole = normalize(load_embeddings(image_embeddings)) if image_embeddings else None
-    whitelist_set = engine.load_whitelist(whitelist) if whitelist else None
+    whitelist_set = ls.load_whitelist(whitelist) if whitelist else None
 
     removals = engine.clean_stage(
         region_list, region_table, whitelist_set,
@@ -309,6 +337,8 @@ def engine_run_cmd(
     whitelist, seed, workers, config_path,
 ):
     """Run the full engine from a config file; flags override config keys."""
+    from .data_engine import run_engine
+
     def absolute(p):
         return str(Path(p).resolve()) if p is not None else None
 
@@ -327,7 +357,7 @@ def engine_run_cmd(
     }
     values, base = _config_values(config_path)
     config = build_engine_config(values, base, overrides)
-    result = engine.run_engine(config)
+    result = run_engine(config)
     _echo_rejects("parse stage", result.parse_rejects)
     if config.generated_captions:
         _echo_rejects("generate stage", result.generated_rejects)
@@ -359,9 +389,12 @@ def eval_cmd(
     out_path, seed, workers, config_path,
 ):
     """Evaluate predictions: per-class AP, mAP, micro/macro P/R at threshold."""
+    from . import metrics as mx
+    from .similarity_tagger import ThresholdProfile, load_threshold_profile
+
     instances = mx.load_eval_instances(predictions, ground_truth)
-    profile = st.load_threshold_profile(thresholds) if thresholds else st.ThresholdProfile()
-    filter_set = engine.load_whitelist(class_filter) if class_filter else None
+    profile = load_threshold_profile(thresholds) if thresholds else ThresholdProfile()
+    filter_set = ls.load_whitelist(class_filter) if class_filter else None
     report = mx.evaluate(
         instances, profile, filter_set, unannotated_as_negative=not exclude_unannotated
     )
@@ -381,7 +414,9 @@ def eval_cmd(
 @_data_errors
 def stats_cmd(stats_file, seed, workers, config_path):
     """Render an engine stats table and verify its conservation identity."""
-    stats = engine.load_stats(stats_file)
+    from .data_engine import load_stats
+
+    stats = load_stats(stats_file)
     stats.validate_conservation()
     width = max(len(r.stage) for r in stats.rows)
     click.echo(f"{'stage':<{width}}  {'images':>8}  {'tags':>10}  {'added':>8}  removals")

@@ -19,12 +19,13 @@ unless absolute):
     thresholds          threshold profile TSV (default: flat 0.2)
     whitelist           file of one tag_id per line; only these categories
                         are cleaned (default: every category with regions)
-    fraction            outlier fraction in [0, 1) (default 0.10)
+    fraction            outlier fraction in [0, 1) (default DEFAULT_FRACTION)
     outlier_scope       "category" pools distances across the whole category,
                         "cluster" marks the fraction within each cluster
                         (default "category")
-    min_regions         skip categories with fewer regions (default 20)
-    margin              contrary-prediction margin (default 0.05)
+    min_regions         skip categories with fewer regions
+                        (default DEFAULT_MIN_REGIONS)
+    margin              contrary-prediction margin (default DEFAULT_MARGIN)
     tol                 Lloyd convergence tolerance (default 1e-4)
     max_iter            Lloyd iteration cap (default 100)
     workers             parser and clean-category processes (default 1);
@@ -37,6 +38,11 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from .errors import TagforgeError
+
+# engine defaults, shared by EngineConfig, data_engine and `engine clean`
+DEFAULT_FRACTION = 0.10
+DEFAULT_MIN_REGIONS = 20
+DEFAULT_MARGIN = 0.05
 
 
 class ConfigError(TagforgeError):
@@ -80,10 +86,10 @@ class EngineConfig:
     image_embeddings: Path | None = None
     thresholds: Path | None = None
     whitelist: Path | None = None
-    fraction: float = 0.10
+    fraction: float = DEFAULT_FRACTION
     outlier_scope: str = "category"
-    min_regions: int = 20
-    margin: float = 0.05
+    min_regions: int = DEFAULT_MIN_REGIONS
+    margin: float = DEFAULT_MARGIN
     tol: float = 1e-4
     max_iter: int = 100
     workers: int = 1
@@ -191,10 +197,10 @@ def build_engine_config(
         image_embeddings=path_of(merged["image_embeddings"]) if merged.get("image_embeddings") else None,
         thresholds=path_of(merged["thresholds"]) if merged.get("thresholds") else None,
         whitelist=path_of(merged["whitelist"]) if merged.get("whitelist") else None,
-        fraction=number("fraction", float, 0.10),
+        fraction=number("fraction", float, DEFAULT_FRACTION),
         outlier_scope=str(merged.get("outlier_scope", "category")),
-        min_regions=number("min_regions", int, 20),
-        margin=number("margin", float, 0.05),
+        min_regions=number("min_regions", int, DEFAULT_MIN_REGIONS),
+        margin=number("margin", float, DEFAULT_MARGIN),
         tol=number("tol", float, 1e-4),
         max_iter=number("max_iter", int, 100),
         workers=number("workers", int, 1),

@@ -18,16 +18,16 @@ from dataclasses import dataclass, field
 from itertools import groupby
 from operator import attrgetter
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
 from .caption_parser import LexiconBundle, RejectSummary, load_lexicons, parse_corpus_file
 from .clustering import DEFAULT_MAX_ITER, DEFAULT_TOL, distinct_rows, kmeanspp_init, lloyd
-from .config import EngineConfig
+from .config import DEFAULT_FRACTION, DEFAULT_MARGIN, DEFAULT_MIN_REGIONS, EngineConfig
 from .embedding_store import EmbeddingTable, load_embeddings, normalize
 from .errors import TagforgeError
-from .label_system import TagVocabulary, load_vocabulary, map_tag
+from .label_system import TagVocabulary, load_vocabulary, load_whitelist, map_tag
 from .rng import derive_seed
 from .similarity_tagger import (
     LabelQueryMatrix,
@@ -53,10 +53,6 @@ STAGE_PARSE = "parse"
 STAGE_GENERATE = "generate"
 STAGE_CLEAN = "clean"
 STAGE_FILTER = "filter"
-
-DEFAULT_MIN_REGIONS = 20
-DEFAULT_FRACTION = 0.10
-DEFAULT_MARGIN = 0.05
 
 # ceil(fraction * n) computed on the real product; the epsilon absorbs float
 # representation error in fraction * n (e.g. 0.1 * 300 -> 30.000000000000004)
@@ -85,8 +81,7 @@ class TagEntry:
 AnnotationStore = dict[str, dict[int, TagEntry]]
 
 
-@dataclass(frozen=True)
-class RegionRecord:
+class RegionRecord(NamedTuple):
     image_id: str
     region_id: str
     tag_id: int
@@ -379,6 +374,22 @@ class FilterResult:
     images_without_whole_embedding: int = 0
 
 
+# regions scored per matmul call; bounds the gathered copies of vectors
+_FILTER_CHUNK_ROWS = 8192
+
+
+def _row_dots(a: np.ndarray, a_rows, b: np.ndarray, b_rows) -> np.ndarray:
+    """a[a_rows[i]] @ b[b_rows[i]] for every i. Each is one vector-vector
+    matmul, bit-identical to float(a[a_rows[i]] @ b[b_rows[i]]); a row-wise
+    einsum sums in another order and is not."""
+    out = np.empty(len(a_rows))
+    for start in range(0, len(a_rows), _FILTER_CHUNK_ROWS):
+        stop = start + _FILTER_CHUNK_ROWS
+        x, y = a[a_rows[start:stop]], b[b_rows[start:stop]]
+        out[start:stop] = np.matmul(x[:, None, :], y[:, :, None])[:, 0, 0]
+    return out
+
+
 def prediction_filter(
     store: AnnotationStore,
     regions: Sequence[RegionRecord],
@@ -398,49 +409,70 @@ def prediction_filter(
     touched; pairs with unresolvable embeddings are skipped and reported.
     """
     row_of = {tag_id: i for i, tag_id in enumerate(queries.tag_ids)}
-    regions_by_pair: dict[tuple[str, int], list[RegionRecord]] = {}
-    for r in regions:
-        regions_by_pair.setdefault((r.image_id, r.tag_id), []).append(r)
+    # each pair's region rows in the table, and its first unresolvable key
+    rows_by_pair: dict[tuple[str, int], list[int | None]] = {}
+    first_missing: dict[tuple[str, int], str] = {}
+    table_rows = region_embeddings.row_indices([r.embedding_key for r in regions])
+    for r, row in zip(regions, table_rows):
+        pair = (r.image_id, r.tag_id)
+        rows_by_pair.setdefault(pair, []).append(row)
+        if row is None:
+            first_missing.setdefault(pair, r.embedding_key)
 
     result = FilterResult()
-    images_missing_whole: set[str] = set()
-
+    # the scored pairs, in (image_id, tag_id) order, and their region rows
+    pairs: list[tuple[str, int]] = []
+    pair_query_rows: list[int] = []
+    pair_starts: list[int] = []
+    region_rows: list[int] = []
     for image_id in sorted(store):
-        for tag_id in sorted(store[image_id]):
-            entry = store[image_id][tag_id]
-            if entry.state != STATE_KEPT:
+        tags = store[image_id]
+        for tag_id in sorted(tags):
+            if tags[tag_id].state != STATE_KEPT:
                 continue
             if whitelist is not None and tag_id not in whitelist:
                 continue
-            pair_regions = regions_by_pair.get((image_id, tag_id))
-            if not pair_regions:
+            rows = rows_by_pair.get((image_id, tag_id))
+            if rows is None:
                 continue
             if tag_id not in row_of:
                 result.skipped_pairs.append((image_id, tag_id, "tag not in label queries"))
                 continue
-            missing = [
-                r.embedding_key for r in pair_regions if r.embedding_key not in region_embeddings
-            ]
-            if missing:
+            missing = first_missing.get((image_id, tag_id))
+            if missing is not None:
                 result.skipped_pairs.append(
-                    (image_id, tag_id, f"missing region embedding {missing[0]!r}")
+                    (image_id, tag_id, f"missing region embedding {missing!r}")
                 )
                 continue
-            query = queries.matrix[row_of[tag_id]]
-            region_scores = [
-                float(region_embeddings.vector(r.embedding_key) @ query) for r in pair_regions
-            ]
-            threshold = profile.effective(tag_id)
-            if max(region_scores) >= threshold:
-                continue
-            reason = REASON_NO_PREDICTION
-            if whole_image_embeddings is not None and image_id in whole_image_embeddings:
-                whole = float(whole_image_embeddings.vector(image_id) @ query)
-                if whole >= threshold and all(s < threshold - margin for s in region_scores):
-                    reason = REASON_CONTRARY
-            elif whole_image_embeddings is not None:
-                images_missing_whole.add(image_id)
-            result.removals.append((image_id, tag_id, reason))
+            pairs.append((image_id, tag_id))
+            pair_query_rows.append(row_of[tag_id])
+            pair_starts.append(len(region_rows))
+            region_rows += rows
+    if not pairs:
+        return result
+
+    query_rows = np.repeat(pair_query_rows, np.diff(pair_starts, append=len(region_rows)))
+    scores = _row_dots(
+        region_embeddings.matrix, np.asarray(region_rows), queries.matrix, query_rows
+    )
+    best = np.maximum.reduceat(scores, pair_starts).tolist()
+    thresholds = profile.thresholds([tag_id for _, tag_id in pairs]).tolist()
+    images_missing_whole: set[str] = set()
+    for (image_id, tag_id), query_row, best_score, threshold in zip(
+        pairs, pair_query_rows, best, thresholds
+    ):
+        if best_score >= threshold:
+            continue
+        reason = REASON_NO_PREDICTION
+        if whole_image_embeddings is not None and image_id in whole_image_embeddings:
+            query = queries.matrix[query_row]
+            whole = float(whole_image_embeddings.vector(image_id) @ query)
+            # every region is below threshold - margin when the best one is
+            if whole >= threshold and best_score < threshold - margin:
+                reason = REASON_CONTRARY
+        elif whole_image_embeddings is not None:
+            images_missing_whole.add(image_id)
+        result.removals.append((image_id, tag_id, reason))
     result.images_without_whole_embedding = len(images_missing_whole)
     return result
 
@@ -497,39 +529,62 @@ def load_tag_id_records(path: str | Path) -> list[tuple[str, list[int]]]:
     return out
 
 
+def _decode_lines(text: str, lines: list[str]) -> list | None:
+    """The JSON value of each of lines (the non-blank lines of text), from
+    one json.loads call; None when they must be decoded one by one.
+
+    Joined as "[" + ",".join(lines) + "]", lines that are not one JSON value
+    each could still decode, such as a record split over two lines next to
+    a line holding two records. So each line goes into its own array, and
+    the join is trusted only when text holds no bracket: then the arrays'
+    brackets can only pair up line by line, as no JSON string spans the
+    newline between two lines.
+    """
+    if "[" in text or "]" in text:
+        return None
+    try:
+        groups = json.loads("[[" + "],\n[".join(lines) + "]]")
+    except (ValueError, RecursionError):
+        return None
+    if any(len(group) != 1 for group in groups):
+        return None
+    return [group[0] for group in groups]
+
+
+def _region_record(obj) -> RegionRecord:
+    return RegionRecord(
+        str(obj["image_id"]),
+        str(obj["region_id"]),
+        int(obj["tag_id"]),
+        float(obj["score"]),
+        str(obj["embedding_key"]),
+    )
+
+
 def load_regions(path: str | Path) -> list[RegionRecord]:
+    text = Path(path).read_text(encoding="utf-8")
+    decoded = _decode_lines(text, [line for line in text.splitlines() if line.strip()])
+    if decoded is not None:
+        try:
+            regions = [_region_record(obj) for obj in decoded]
+        except (KeyError, TypeError, ValueError, OverflowError, RecursionError):
+            pass
+        else:
+            if all(0.0 <= r.detector_score <= 1.0 for r in regions):
+                return regions
+    # line by line, so that a bad file names its first bad line
     regions = []
-    for lineno, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
+    for lineno, line in enumerate(text.splitlines(), 1):
         if not line.strip():
             continue
         try:
-            obj = json.loads(line)
-            record = RegionRecord(
-                image_id=str(obj["image_id"]),
-                region_id=str(obj["region_id"]),
-                tag_id=int(obj["tag_id"]),
-                detector_score=float(obj["score"]),
-                embedding_key=str(obj["embedding_key"]),
-            )
+            record = _region_record(json.loads(line))
         except (json.JSONDecodeError, KeyError, TypeError, ValueError):
             raise TagforgeError(f"{path}:{lineno}: malformed region record") from None
         if not 0.0 <= record.detector_score <= 1.0:
             raise TagforgeError(f"{path}:{lineno}: detector score outside [0, 1]")
         regions.append(record)
     return regions
-
-
-def load_whitelist(path: str | Path) -> set[int]:
-    out = set()
-    for lineno, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
-        text = line.strip()
-        if not text or text.startswith("#"):
-            continue
-        try:
-            out.add(int(text))
-        except ValueError:
-            raise TagforgeError(f"{path}:{lineno}: bad tag_id {text!r}") from None
-    return out
 
 
 def _parse_stage(

@@ -82,6 +82,11 @@ class EmbeddingTable:
             raise KeyError(key)
         return self.matrix[i]
 
+    def row_indices(self, keys: Iterable[str]) -> list[int | None]:
+        """The matrix row of each key, None for a key not in the table."""
+        get = self._index.get
+        return [get(key) for key in keys]
+
     def rows(self, keys: Iterable[str]) -> np.ndarray:
         """The vectors of keys, stacked in order into a new (len(keys), dim) array."""
         return self.matrix[[self._index[key] for key in keys]]
@@ -113,42 +118,60 @@ def load_embeddings(path: str | Path, expected_dim: int | None = None) -> Embedd
             f"{path}: dimension mismatch at offset 8: file has {dim}, expected {expected_dim}"
         )
 
+    # one pass over the key lengths proves the structure; a structural error
+    # is raised only after the finiteness check of the records before it, so
+    # every file reports the error a record-by-record reader meets first
+    size = len(data)
+    vec_bytes = dim * 4
     offset = 13
     keys: list[str] = []
-    rows = np.empty((count, dim), dtype=np.float64)
     seen: set[str] = set()
-    vec_bytes = dim * 4
-    for i in range(count):
-        if offset + 2 > len(data):
-            raise EmbeddingFormatError(f"{path}: truncated payload at offset {offset}")
-        (key_len,) = struct.unpack_from("<H", data, offset)
+    starts: list[int] = []  # byte offset of each record's vector
+    error = None
+    for _ in range(count):
+        if offset + 2 > size:
+            error = f"truncated payload at offset {offset}"
+            break
+        key_len = data[offset] | data[offset + 1] << 8
         offset += 2
-        if offset + key_len > len(data):
-            raise EmbeddingFormatError(f"{path}: truncated key at offset {offset}")
+        if offset + key_len > size:
+            error = f"truncated key at offset {offset}"
+            break
         try:
             key = data[offset : offset + key_len].decode("utf-8")
         except UnicodeDecodeError:
-            raise EmbeddingFormatError(f"{path}: invalid UTF-8 key at offset {offset}") from None
+            error = f"invalid UTF-8 key at offset {offset}"
+            break
         offset += key_len
         if key in seen:
-            raise EmbeddingFormatError(f"{path}: duplicate key {key!r} at offset {offset}")
+            error = f"duplicate key {key!r} at offset {offset}"
+            break
+        if offset + vec_bytes > size:
+            error = f"truncated vector for key {key!r} at offset {offset}"
+            break
         seen.add(key)
-        if offset + vec_bytes > len(data):
-            raise EmbeddingFormatError(
-                f"{path}: truncated vector for key {key!r} at offset {offset}"
-            )
-        vec = np.frombuffer(data, dtype="<f4", count=dim, offset=offset).astype(np.float64)
-        if not np.isfinite(vec).all():
-            raise EmbeddingFormatError(
-                f"{path}: non-finite value for key {key!r} at offset {offset}"
-            )
-        rows[i] = vec
-        offset += vec_bytes
         keys.append(key)
-    if offset != len(data):
-        raise EmbeddingFormatError(f"{path}: {len(data) - offset} trailing bytes at offset {offset}")
+        starts.append(offset)
+        offset += vec_bytes
+    else:
+        if offset != size:
+            error = f"{size - offset} trailing bytes at offset {offset}"
+
+    # the vectors exist in the file, so the matrices below are bounded by its size
+    view = memoryview(data)
+    vectors = np.frombuffer(
+        b"".join([view[start : start + vec_bytes] for start in starts]), dtype="<f4"
+    ).reshape(len(starts), dim)
+    finite = np.isfinite(vectors).all(axis=1)
+    if not finite.all():
+        bad = int(np.argmin(finite))
+        raise EmbeddingFormatError(
+            f"{path}: non-finite value for key {keys[bad]!r} at offset {starts[bad]}"
+        )
+    if error is not None:
+        raise EmbeddingFormatError(f"{path}: {error}")
     try:
-        return EmbeddingTable(keys, rows, normalized)
+        return EmbeddingTable(keys, vectors.astype(np.float64), normalized)
     except EmbeddingFormatError as exc:
         raise EmbeddingFormatError(f"{path}: {exc}") from None
 

@@ -281,6 +281,21 @@ def load_surface_list(path: str | Path) -> list[str]:
     return out
 
 
+def load_whitelist(path: str | Path) -> set[int]:
+    """Tag ids, one per line ('#' starts a comment): the engine's whitelist
+    or eval's class filter."""
+    out = set()
+    for lineno, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
+        text = line.strip()
+        if not text or text.startswith("#"):
+            continue
+        try:
+            out.add(int(text))
+        except ValueError:
+            raise TagforgeError(f"{path}:{lineno}: bad tag_id {text!r}") from None
+    return out
+
+
 def load_synonyms(path: str | Path) -> SynonymLexicon:
     pairs: list[tuple[str, str]] = []
     for lineno, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):

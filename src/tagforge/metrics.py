@@ -202,9 +202,9 @@ def load_eval_instances(predictions_path: str | Path, ground_truth_path: str | P
     """Build the evaluation matrices from prediction and ground-truth JSONL.
 
     Predictions: {"image_id": ..., "scores": {tag_id: score}}.
-    Ground truth: {"image_id": ..., "positive": [...], "negative": [...]};
-    classes absent from both lists are unannotated. Repeated image_ids keep
-    the last record. Scores absent for a known class rank last.
+    Ground truth: {"image_id": ..., "positive": [...], "negative": [...]},
+    both lists optional; classes absent from both are unannotated. Repeated
+    image_ids keep the last record. Scores absent for a known class rank last.
     """
     # image_id -> (class ids, their scores); records that repeat the
     # previous record's keys share its class-id list
@@ -237,8 +237,8 @@ def load_eval_instances(predictions_path: str | Path, ground_truth_path: str | P
         try:
             obj = json.loads(line)
             image_id = _image_id(obj)
-            positive = {int(v) for v in obj.get("positive", [])}
-            negative = {int(v) for v in obj.get("negative", [])}
+            positive = _label_set(obj, "positive")
+            negative = _label_set(obj, "negative")
         except (json.JSONDecodeError, KeyError, TypeError, ValueError, OverflowError):
             raise MetricsError(f"{ground_truth_path}:{lineno}: malformed ground-truth record") from None
         gt[image_id] = (positive, negative)
@@ -277,6 +277,15 @@ def _image_id(obj) -> str:
     if not isinstance(image_id, str):
         raise TypeError("image_id must be a string")
     return image_id
+
+
+def _label_set(obj, field: str) -> set[int]:
+    """A ground-truth record's class ids under field; a list, else TypeError
+    (a string would otherwise be read digit by digit)."""
+    values = obj.get(field, [])
+    if not isinstance(values, list):
+        raise TypeError(f"{field} must be a list")
+    return {int(v) for v in values}
 
 
 def _class_ids(keys: list[str]) -> tuple[list[int], list[int] | None]:

@@ -73,6 +73,15 @@ def test_truncated_payload(tmp_path):
         load_embeddings(path)
 
 
+def test_header_count_beyond_file_is_truncation_not_allocation(tmp_path):
+    # count 0xFFFFFFFF x dim 0xFFFF float64s would be 2 PiB
+    path = tmp_path / "huge.emb"
+    _write_raw(path, 0xFFFFFFFF, 0xFFFF, False, [])
+    assert path.stat().st_size == 13
+    with pytest.raises(EmbeddingFormatError, match="truncated payload at offset 13$"):
+        load_embeddings(path)
+
+
 def test_trailing_bytes(tmp_path):
     path = tmp_path / "trail.emb"
     _write_raw(path, 1, 2, False, [("key", [1, 2])])

@@ -261,3 +261,18 @@ def test_load_eval_instances_dedupes_by_image(tmp_path):
     gt.write_text('{"image_id": "a", "positive": [0]}\n')
     inst = load_eval_instances(pred, gt)
     assert inst.scores[0, 0] == 0.9
+
+
+@pytest.mark.parametrize(
+    "field", ['"positive": "12"', '"negative": "12"', '"positive": {"1": 1}', '"negative": 3',
+              '"positive": null']
+)
+def test_ground_truth_class_lists_must_be_lists(tmp_path, field):
+    pred = tmp_path / "pred.jsonl"
+    gt = tmp_path / "gt.jsonl"
+    pred.write_text('{"image_id": "a", "scores": {"1": 0.5, "2": 0.5, "12": 0.5}}\n')
+    gt.write_text('{"image_id": "b", "positive": [1]}\n' f'{{"image_id": "a", {field}}}\n')
+    with pytest.raises(MetricsError, match=f"{gt}:2: malformed ground-truth record"):
+        load_eval_instances(pred, gt)
+    gt.write_text('{"image_id": "b", "positive": [1]}\n{"image_id": "a", "positive": [12]}\n')
+    assert load_eval_instances(pred, gt).class_ids == [1, 2, 12]
