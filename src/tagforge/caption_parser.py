@@ -20,14 +20,17 @@ chunks.
 
 from __future__ import annotations
 
+import io
 import json
 import os
 import re
 from collections import Counter
 from dataclasses import dataclass, field
+from functools import cached_property
 from pathlib import Path
 from typing import Iterable, Mapping, NamedTuple
 
+from . import jsonl
 from .errors import TagforgeError
 
 KIND_OBJECT = "object"
@@ -284,30 +287,33 @@ def parse_caption(record: CaptionRecord, lexicons: LexiconBundle) -> list[Parsed
 class RejectSummary:
     count: int = 0
     reasons: Counter = field(default_factory=Counter)
-    samples: list[str] = field(default_factory=list)
 
-    def add(self, reason: str, sample: str = "") -> None:
+    def add(self, reason: str) -> None:
         self.count += 1
         self.reasons[reason] += 1
-        if sample and len(self.samples) < 10:
-            self.samples.append(sample)
 
     def merge(self, other: "RejectSummary") -> None:
         self.count += other.count
         self.reasons.update(other.reasons)
-        for sample in other.samples:
-            if len(self.samples) >= 10:
-                break
-            self.samples.append(sample)
 
 
 @dataclass
 class CorpusParse:
-    """Per-image tags (canonical order), corpus frequencies, reject summary."""
+    """Per-image tags (canonical order), reject summary, corpus frequencies."""
 
     image_tags: dict[str, list[ParsedTag]]
-    frequencies: dict[str, int]
     rejects: RejectSummary
+
+    @cached_property
+    def frequencies(self) -> dict[str, int]:
+        frequencies: dict[str, int] = {}
+        for tags in self.image_tags.values():
+            seen: set[str] = set()
+            for surface, _ in tags:
+                if surface not in seen:
+                    seen.add(surface)
+                    frequencies[surface] = frequencies.get(surface, 0) + 1
+        return frequencies
 
 
 def _canonical_tag_order(tags: Iterable[tuple[str, str]]) -> list[ParsedTag]:
@@ -315,24 +321,10 @@ def _canonical_tag_order(tags: Iterable[tuple[str, str]]) -> list[ParsedTag]:
     return [ParsedTag(s, k) for s, k in ordered]
 
 
-def _frequencies_of(image_tags: dict[str, list[ParsedTag]]) -> dict[str, int]:
-    frequencies: dict[str, int] = {}
-    for tags in image_tags.values():
-        seen: set[str] = set()
-        for surface, _ in tags:
-            if surface not in seen:
-                seen.add(surface)
-                frequencies[surface] = frequencies.get(surface, 0) + 1
-    return frequencies
-
-
-def _finalize(per_image: dict[str, set[tuple[str, str]]], rejects: RejectSummary) -> CorpusParse:
-    image_tags = {img: _canonical_tag_order(tags) for img, tags in per_image.items()}
-    return CorpusParse(image_tags, _frequencies_of(image_tags), rejects)
-
-
 def _coerce_record(obj) -> CaptionRecord | str:
     """Returns a CaptionRecord or a reject reason string."""
+    if obj is jsonl.INVALID:
+        return "invalid JSON"
     if isinstance(obj, CaptionRecord):
         rec = obj
     elif isinstance(obj, dict):
@@ -354,6 +346,8 @@ def _coerce_record(obj) -> CaptionRecord | str:
 def parse_corpus(records: Iterable, lexicons: LexiconBundle) -> CorpusParse:
     """Parse a stream of caption records; per-image tags are unioned.
 
+    Records are CaptionRecords or decoded JSON values; jsonl.INVALID (a
+    line that is not JSON) and other non-captions are counted as rejects.
     The frequency table counts each (image, surface) pair once, no matter
     how many captions of that image mention it. Output is independent of
     record order.
@@ -363,11 +357,12 @@ def parse_corpus(records: Iterable, lexicons: LexiconBundle) -> CorpusParse:
     for obj in records:
         rec = _coerce_record(obj)
         if isinstance(rec, str):
-            rejects.add(rec, repr(obj)[:120])
+            rejects.add(rec)
             continue
         tags = extract_tags(rec.caption, lexicons)
         per_image.setdefault(rec.image_id, set()).update(tags)
-    return _finalize(per_image, rejects)
+    image_tags = {img: _canonical_tag_order(tags) for img, tags in per_image.items()}
+    return CorpusParse(image_tags, rejects)
 
 
 # -- parallel corpus file parsing -------------------------------------------
@@ -378,28 +373,6 @@ _WORKER_LEXICONS: LexiconBundle | None = None
 def _worker_init(lexicon_dir: str) -> None:
     global _WORKER_LEXICONS
     _WORKER_LEXICONS = load_lexicons(lexicon_dir)
-
-
-def _parse_lines(lines, lexicons: LexiconBundle):
-    """Parse JSONL lines into canonically ordered per-image tag lists."""
-    per_image: dict[str, set[tuple[str, str]]] = {}
-    rejects = RejectSummary()
-    for line in lines:
-        if not line.strip():
-            continue
-        try:
-            obj = json.loads(line)
-        except json.JSONDecodeError:
-            rejects.add("invalid JSON", line[:120])
-            continue
-        rec = _coerce_record(obj)
-        if isinstance(rec, str):
-            rejects.add(rec, line[:120])
-            continue
-        tags = extract_tags(rec.caption, lexicons)
-        per_image.setdefault(rec.image_id, set()).update(tags)
-    image_tags = {img: _canonical_tag_order(tags) for img, tags in per_image.items()}
-    return image_tags, rejects
 
 
 def _shard_boundaries(path: Path, shards: int) -> list[tuple[int, int]]:
@@ -423,7 +396,9 @@ def _worker_parse_range(args):
     with open(path, "rb") as fh:
         fh.seek(start)
         blob = fh.read(end - start)
-    return _parse_lines(blob.decode("utf-8").splitlines(), _WORKER_LEXICONS)
+    # newline=None reads the shard's lines as a text-mode file reads them
+    lines = io.StringIO(blob.decode("utf-8"), newline=None)
+    return parse_corpus(jsonl.values(lines), _WORKER_LEXICONS)
 
 
 def parse_corpus_file(
@@ -442,31 +417,27 @@ def parse_corpus_file(
     lexicon_dir = Path(lexicon_dir) if lexicon_dir is not None else default_lexicon_dir()
     lexicons = load_lexicons(lexicon_dir)
 
-    rejects = RejectSummary()
-    image_tags: dict[str, list[ParsedTag]]
-
     if workers <= 1:
         with open(path, encoding="utf-8") as fh:
-            image_tags, rejects = _parse_lines(fh, lexicons)
-    else:
-        import multiprocessing  # here, so that commands that never fork skip it
+            return parse_corpus(jsonl.values(fh), lexicons)
 
-        image_tags = {}
-        shards = _shard_boundaries(path, workers)
-        with multiprocessing.Pool(
-            processes=workers, initializer=_worker_init, initargs=(str(lexicon_dir),)
-        ) as pool:
-            tasks = [(str(path), a, b) for a, b in shards]
-            for partial, partial_rejects in pool.imap_unordered(_worker_parse_range, tasks):
-                for img, tags in partial.items():
-                    existing = image_tags.get(img)
-                    if existing is None:
-                        image_tags[img] = tags
-                    else:
-                        image_tags[img] = _canonical_tag_order(existing + tags)
-                rejects.merge(partial_rejects)
+    import multiprocessing  # here, so that commands that never fork skip it
 
-    return CorpusParse(image_tags, _frequencies_of(image_tags), rejects)
+    image_tags: dict[str, list[ParsedTag]] = {}
+    rejects = RejectSummary()
+    shards = _shard_boundaries(path, workers)
+    with multiprocessing.Pool(
+        processes=workers, initializer=_worker_init, initargs=(str(lexicon_dir),)
+    ) as pool:
+        tasks = [(str(path), a, b) for a, b in shards]
+        for partial in pool.imap_unordered(_worker_parse_range, tasks):
+            for img, tags in partial.image_tags.items():
+                if img in image_tags:
+                    tags = _canonical_tag_order(image_tags[img] + tags)
+                image_tags[img] = tags
+            rejects.merge(partial.rejects)
+
+    return CorpusParse(image_tags, rejects)
 
 
 # -- output writers / readers -----------------------------------------------

@@ -25,6 +25,7 @@ from .config import (
     DEFAULT_MIN_REGIONS,
     build_engine_config,
     read_config_file,
+    seed_and_workers,
 )
 from .errors import TagforgeError
 
@@ -86,12 +87,6 @@ def single_process_options(fn):
     return common_options(fn, used=False)
 
 
-def _config_values(config_path: str | None) -> tuple[dict[str, str], Path]:
-    if config_path is None:
-        return {}, Path(".")
-    return read_config_file(config_path), Path(config_path).parent
-
-
 def _echo_rejects(prefix: str, rejects: cp.RejectSummary) -> None:
     """Report skipped caption records and why on stderr."""
     click.echo(f"{prefix}, {rejects.count} rejected records", err=True)
@@ -118,7 +113,8 @@ def cli():
 @_data_errors
 def parse_cmd(captions, out_tags, out_freq, lexicon_dir, seed, workers, config_path):
     """Parse a caption corpus into per-image tags and a frequency table."""
-    corpus = cp.parse_corpus_file(captions, lexicon_dir, workers=workers or 1)
+    _, workers = seed_and_workers(config_path, seed, workers)
+    corpus = cp.parse_corpus_file(captions, lexicon_dir, workers=workers)
     cp.write_image_tags(corpus, out_tags)
     cp.write_frequency_table(corpus, out_freq)
     _echo_rejects(
@@ -211,11 +207,6 @@ def engine_group():
     """Data-engine stages: generate, clean, or the full run."""
 
 
-def _engine_config(config_path, overrides):
-    values, base = _config_values(config_path)
-    return build_engine_config(values, base, overrides)
-
-
 @engine_group.command("generate")
 @common_options
 @click.option("--annotations", type=click.Path(exists=True, dir_okay=False), required=True,
@@ -237,15 +228,14 @@ def engine_generate_cmd(
     """Merge generated tags and parsed generated captions into the dataset."""
     from . import data_engine as engine
 
+    _, workers = seed_and_workers(config_path, seed, workers)
     store = engine.load_annotations(annotations)
     vocabulary = ls.load_vocabulary(vocab)
     lexicons = cp.load_lexicons(lexicon_dir)
     valid = set(vocabulary.tag_ids())
-    records = []
-    for path in generated_tags:
-        records.extend(engine.load_tag_id_records(path))
+    records = [r for path in generated_tags for r in engine.load_tag_id_records(path)]
     caption_tags, caption_rejects = engine.caption_tag_ids(
-        generated_captions, lexicon_dir, vocabulary, lexicons, workers or 1
+        generated_captions, lexicon_dir, vocabulary, lexicons, workers
     )
     if generated_captions:
         _echo_rejects("generated captions", caption_rejects)
@@ -289,6 +279,7 @@ def engine_clean_cmd(
     from . import data_engine as engine
     from . import similarity_tagger as st
 
+    seed, workers = seed_and_workers(config_path, seed, workers)
     store = engine.load_annotations(annotations)
     vocabulary = ls.load_vocabulary(vocab)
     region_list = engine.load_regions(regions)
@@ -301,8 +292,8 @@ def engine_clean_cmd(
 
     removals = engine.clean_stage(
         region_list, region_table, whitelist_set,
-        fraction=fraction, seed=seed if seed is not None else 0,
-        min_regions=min_regions, outlier_scope=outlier_scope, workers=workers or 1,
+        fraction=fraction, seed=seed,
+        min_regions=min_regions, outlier_scope=outlier_scope, workers=workers,
     )
     clean_events, _ = engine.apply_removals(store, removals, engine.STAGE_CLEAN)
     filter_outcome = engine.prediction_filter(
@@ -355,7 +346,8 @@ def engine_run_cmd(
         "workers": workers,
         "seed": seed,
     }
-    values, base = _config_values(config_path)
+    values = read_config_file(config_path) if config_path is not None else {}
+    base = Path(config_path).parent if config_path is not None else Path(".")
     config = build_engine_config(values, base, overrides)
     result = run_engine(config)
     _echo_rejects("parse stage", result.parse_rejects)
@@ -439,11 +431,8 @@ def selftest_cmd(perf_captions, seed, workers, config_path):
     """Run the built-in property suites; exits nonzero on failure."""
     from . import selftest
 
-    ok = selftest.run_all(
-        seed=seed if seed is not None else 20240901,
-        perf_captions=perf_captions,
-        workers=workers or 1,
-    )
+    seed, workers = seed_and_workers(config_path, seed, workers, default_seed=20240901)
+    ok = selftest.run_all(seed=seed, perf_captions=perf_captions, workers=workers)
     if not ok:
         raise click.ClickException("selftest failed")
 

@@ -35,9 +35,12 @@ unless absolute):
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 from pathlib import Path
 
 from .errors import TagforgeError
+
+_seed = partial(int, base=0)  # a seed may be written in any base Python reads, as 0x2A
 
 # engine defaults, shared by EngineConfig, data_engine and `engine clean`
 DEFAULT_FRACTION = 0.10
@@ -142,6 +145,28 @@ def read_config_file(path: str | Path) -> dict[str, str]:
     return values
 
 
+def _number(values: dict, key: str, cast, default=None):
+    if key not in values:
+        return default
+    try:
+        return cast(str(values[key]))
+    except ValueError:
+        raise ConfigError(key, f"cannot parse {values[key]!r}") from None
+
+
+def seed_and_workers(
+    config_path: str | Path | None, seed: int | None, workers: int | None, default_seed: int = 0
+) -> tuple[int, int]:
+    """A command's --seed and --workers, each falling back to the config
+    file's key, then to default_seed and 1."""
+    values = read_config_file(config_path) if config_path is not None else {}
+    if seed is None:
+        seed = _number(values, "seed", _seed, default_seed)
+    if workers is None:
+        workers = _number(values, "workers", int, 1)
+    return seed, workers or 1
+
+
 def build_engine_config(
     values: dict[str, str], base_dir: str | Path = ".", overrides: dict | None = None
 ) -> EngineConfig:
@@ -169,19 +194,6 @@ def build_engine_config(
             return [path_of(v) for v in raw]
         return [path_of(part.strip()) for part in str(raw).split(",") if part.strip()]
 
-    def number(key: str, cast, default):
-        if key not in merged:
-            return default
-        try:
-            return cast(str(merged[key]))
-        except ValueError:
-            raise ConfigError(key, f"cannot parse {merged[key]!r}") from None
-
-    try:
-        seed = int(str(merged["seed"]), 0)
-    except ValueError:
-        raise ConfigError("seed", f"cannot parse {merged['seed']!r}") from None
-
     config = EngineConfig(
         captions=path_of(merged["captions"]),
         vocab=path_of(merged["vocab"]),
@@ -189,7 +201,7 @@ def build_engine_config(
         region_embeddings=path_of(merged["region_embeddings"]),
         queries=path_of(merged["queries"]),
         out_dir=path_of(merged["out_dir"]),
-        seed=seed,
+        seed=_number(merged, "seed", _seed),
         lexicon_dir=path_of(merged["lexicon_dir"]) if merged.get("lexicon_dir") else None,
         generated_tags=path_list("generated_tags"),
         generated_captions=path_list("generated_captions"),
@@ -197,13 +209,13 @@ def build_engine_config(
         image_embeddings=path_of(merged["image_embeddings"]) if merged.get("image_embeddings") else None,
         thresholds=path_of(merged["thresholds"]) if merged.get("thresholds") else None,
         whitelist=path_of(merged["whitelist"]) if merged.get("whitelist") else None,
-        fraction=number("fraction", float, DEFAULT_FRACTION),
+        fraction=_number(merged, "fraction", float, DEFAULT_FRACTION),
         outlier_scope=str(merged.get("outlier_scope", "category")),
-        min_regions=number("min_regions", int, DEFAULT_MIN_REGIONS),
-        margin=number("margin", float, DEFAULT_MARGIN),
-        tol=number("tol", float, 1e-4),
-        max_iter=number("max_iter", int, 100),
-        workers=number("workers", int, 1),
+        min_regions=_number(merged, "min_regions", int, DEFAULT_MIN_REGIONS),
+        margin=_number(merged, "margin", float, DEFAULT_MARGIN),
+        tol=_number(merged, "tol", float, 1e-4),
+        max_iter=_number(merged, "max_iter", int, 100),
+        workers=_number(merged, "workers", int, 1),
     )
     config.validate()
     return config

@@ -22,6 +22,7 @@ from typing import Iterable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
+from . import jsonl
 from .caption_parser import LexiconBundle, RejectSummary, load_lexicons, parse_corpus_file
 from .clustering import DEFAULT_MAX_ITER, DEFAULT_TOL, distinct_rows, kmeanspp_init, lloyd
 from .config import DEFAULT_FRACTION, DEFAULT_MARGIN, DEFAULT_MIN_REGIONS, EngineConfig
@@ -515,76 +516,33 @@ class EngineResult:
     generated_rejects: RejectSummary  # malformed generated-caption records skipped
 
 
+def _tag_id_record(obj) -> tuple[str, list[int]]:
+    tag_ids = obj["tag_ids"]
+    if not isinstance(tag_ids, list):  # a string would be read digit by digit
+        raise TypeError("tag_ids must be a list")
+    return obj["image_id"], [int(t) for t in tag_ids]
+
+
 def load_tag_id_records(path: str | Path) -> list[tuple[str, list[int]]]:
     """JSONL of {"image_id": ..., "tag_ids": [...]}."""
-    out = []
-    for lineno, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
-        if not line.strip():
-            continue
-        try:
-            obj = json.loads(line)
-            out.append((obj["image_id"], [int(t) for t in obj["tag_ids"]]))
-        except (json.JSONDecodeError, KeyError, TypeError, ValueError):
-            raise TagforgeError(f"{path}:{lineno}: malformed tag-id record") from None
-    return out
-
-
-def _decode_lines(text: str, lines: list[str]) -> list | None:
-    """The JSON value of each of lines (the non-blank lines of text), from
-    one json.loads call; None when they must be decoded one by one.
-
-    Joined as "[" + ",".join(lines) + "]", lines that are not one JSON value
-    each could still decode, such as a record split over two lines next to
-    a line holding two records. So each line goes into its own array, and
-    the join is trusted only when text holds no bracket: then the arrays'
-    brackets can only pair up line by line, as no JSON string spans the
-    newline between two lines.
-    """
-    if "[" in text or "]" in text:
-        return None
-    try:
-        groups = json.loads("[[" + "],\n[".join(lines) + "]]")
-    except (ValueError, RecursionError):
-        return None
-    if any(len(group) != 1 for group in groups):
-        return None
-    return [group[0] for group in groups]
+    return list(jsonl.read(path, "tag-id", _tag_id_record))
 
 
 def _region_record(obj) -> RegionRecord:
-    return RegionRecord(
+    record = RegionRecord(
         str(obj["image_id"]),
         str(obj["region_id"]),
         int(obj["tag_id"]),
         float(obj["score"]),
         str(obj["embedding_key"]),
     )
+    if not 0.0 <= record.detector_score <= 1.0:
+        raise jsonl.RecordError("detector score outside [0, 1]")
+    return record
 
 
 def load_regions(path: str | Path) -> list[RegionRecord]:
-    text = Path(path).read_text(encoding="utf-8")
-    decoded = _decode_lines(text, [line for line in text.splitlines() if line.strip()])
-    if decoded is not None:
-        try:
-            regions = [_region_record(obj) for obj in decoded]
-        except (KeyError, TypeError, ValueError, OverflowError, RecursionError):
-            pass
-        else:
-            if all(0.0 <= r.detector_score <= 1.0 for r in regions):
-                return regions
-    # line by line, so that a bad file names its first bad line
-    regions = []
-    for lineno, line in enumerate(text.splitlines(), 1):
-        if not line.strip():
-            continue
-        try:
-            record = _region_record(json.loads(line))
-        except (json.JSONDecodeError, KeyError, TypeError, ValueError):
-            raise TagforgeError(f"{path}:{lineno}: malformed region record") from None
-        if not 0.0 <= record.detector_score <= 1.0:
-            raise TagforgeError(f"{path}:{lineno}: detector score outside [0, 1]")
-        regions.append(record)
-    return regions
+    return list(jsonl.read(path, "region", _region_record))
 
 
 def _parse_stage(
@@ -672,9 +630,7 @@ def run_engine(config: EngineConfig, write_outputs: bool = True) -> EngineResult
     # stage: generate
     try:
         valid = set(vocab.tag_ids())
-        generated_records: list[tuple[str, list[int]]] = []
-        for path in config.generated_tags:
-            generated_records.extend(load_tag_id_records(path))
+        generated_records = [r for p in config.generated_tags for r in load_tag_id_records(p)]
         generated_caption_tags, generated_rejects = caption_tag_ids(
             config.generated_captions, config.lexicon_dir, vocab, lexicons, config.workers
         )
@@ -772,21 +728,15 @@ def write_annotations(store: AnnotationStore, path: str | Path) -> None:
                 fh.write("\n")
 
 
+def _annotation(obj) -> tuple[str, dict[int, TagEntry]]:
+    tags = {int(t["tag_id"]): TagEntry(t.get("provenance", PROV_PARSED)) for t in obj["tags"]}
+    image_id = obj["image_id"]
+    hash(image_id)  # an id that cannot key the store is a malformed record
+    return image_id, tags
+
+
 def load_annotations(path: str | Path) -> AnnotationStore:
-    store: AnnotationStore = {}
-    for lineno, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
-        if not line.strip():
-            continue
-        try:
-            obj = json.loads(line)
-            tags = {
-                int(t["tag_id"]): TagEntry(t.get("provenance", PROV_PARSED))
-                for t in obj["tags"]
-            }
-            store[obj["image_id"]] = tags
-        except (json.JSONDecodeError, KeyError, TypeError, ValueError):
-            raise TagforgeError(f"{path}:{lineno}: malformed annotation record") from None
-    return store
+    return dict(jsonl.read(path, "annotation", _annotation))
 
 
 def write_audit(events: Sequence[AuditEvent], path: str | Path) -> None:
@@ -807,21 +757,14 @@ def write_audit(events: Sequence[AuditEvent], path: str | Path) -> None:
             fh.write("\n")
 
 
+def _audit_event(obj) -> AuditEvent:
+    return AuditEvent(
+        obj["image_id"], int(obj["tag_id"]), obj["action"], obj["reason"], obj["stage"]
+    )
+
+
 def load_audit(path: str | Path) -> list[AuditEvent]:
-    events = []
-    for lineno, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
-        if not line.strip():
-            continue
-        try:
-            obj = json.loads(line)
-            events.append(
-                AuditEvent(
-                    obj["image_id"], int(obj["tag_id"]), obj["action"], obj["reason"], obj["stage"]
-                )
-            )
-        except (json.JSONDecodeError, KeyError, TypeError, ValueError):
-            raise TagforgeError(f"{path}:{lineno}: malformed audit record") from None
-    return events
+    return list(jsonl.read(path, "audit", _audit_event))
 
 
 def replay_audit(parsed: AnnotationStore, events: Sequence[AuditEvent]) -> set[tuple[str, int]]:

@@ -1,0 +1,97 @@
+"""JSON Lines, the format of every tagforge record file.
+
+A line ends at "\\n", "\\r\\n" or "\\r", as in a text-mode file; U+0085,
+U+2028 and U+2029, which JSON strings may hold, never end one. Blank lines
+are skipped but counted. Lines are read lazily, BATCH_LINES at a time.
+"""
+
+from __future__ import annotations
+
+import json
+from itertools import islice
+from pathlib import Path
+from typing import Any, Callable, Iterable, Iterator
+
+from .errors import TagforgeError
+
+BATCH_LINES = 8192
+
+INVALID = object()  # the value of a line that is not one JSON value
+
+
+class RecordError(ValueError):
+    """Raised by a build step to reject a record with its own message."""
+
+
+def _decode_batch(lines: list[str]) -> list | None:
+    """The JSON value of each of lines, from one json.loads call; None when
+    they must be decoded one by one.
+
+    Joined as "[" + ",".join(lines) + "]", lines that are not one JSON value
+    each could still decode, such as a record split over two lines next to
+    a line holding two records. So each line goes into its own array, and
+    the join is trusted only when no line holds a bracket: then the arrays'
+    brackets can only pair up line by line, as no JSON string spans the
+    newline between two lines.
+    """
+    if any("[" in line or "]" in line for line in lines):
+        return None
+    try:
+        groups = json.loads("[[" + "],\n[".join(lines) + "]]")
+        return [value for (value,) in groups]  # ValueError unless one value each
+    except (ValueError, RecursionError):
+        return None
+
+
+def decode(lines: Iterable[str]) -> Iterator[tuple[int, Any]]:
+    """(line number, value) of each non-blank line; INVALID if not JSON."""
+    rest = iter(lines)
+    done = 0  # lines read before this chunk
+    while chunk := list(islice(rest, BATCH_LINES)):
+        # line numbers and lines, not a tuple per line: the tuples would set off
+        # cyclic garbage collections that scan every record decoded so far
+        numbers = [lineno for lineno, line in enumerate(chunk, done + 1) if line.strip()]
+        batch = [chunk[lineno - done - 1] for lineno in numbers]
+        done += len(chunk)
+        decoded = _decode_batch(batch)
+        if decoded is not None:
+            yield from zip(numbers, decoded)
+            continue
+        for lineno, line in zip(numbers, batch):
+            try:
+                value = json.loads(line)
+            except (ValueError, RecursionError):
+                value = INVALID
+            yield lineno, value
+
+
+def values(lines: Iterable[str]) -> Iterator[Any]:
+    return (value for _, value in decode(lines))
+
+
+def read(
+    path: str | Path, what: str, build: Callable, error: type[TagforgeError] = TagforgeError
+) -> Iterator:
+    """build(value) of each record of the JSONL file at path, in file order.
+
+    The first line that is not JSON, or whose build raises ValueError,
+    KeyError, TypeError, OverflowError or RecursionError, raises
+    error("{path}:{lineno}: malformed {what} record"), or for a RecordError
+    error("{path}:{lineno}: {its message}").
+    """
+    with open(path, encoding="utf-8") as fh:
+        try:
+            for lineno, value in decode(fh):
+                try:
+                    if value is INVALID:
+                        raise ValueError("not JSON")
+                    record = build(value)
+                except RecordError as exc:
+                    raise error(f"{path}:{lineno}: {exc}") from None
+                except (ValueError, KeyError, TypeError, OverflowError, RecursionError):
+                    raise error(f"{path}:{lineno}: malformed {what} record") from None
+                yield record
+        except UnicodeDecodeError:
+            # the whole file's decode error names the byte's offset in the file
+            Path(path).read_bytes().decode("utf-8")
+            raise

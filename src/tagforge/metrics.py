@@ -9,13 +9,13 @@ per class instead.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Sequence
 
 import numpy as np
 
+from . import jsonl
 from .errors import TagforgeError
 from .similarity_tagger import ThresholdProfile
 
@@ -206,42 +206,29 @@ def load_eval_instances(predictions_path: str | Path, ground_truth_path: str | P
     both lists optional; classes absent from both are unannotated. Repeated
     image_ids keep the last record. Scores absent for a known class rank last.
     """
-    # image_id -> (class ids, their scores); records that repeat the
-    # previous record's keys share its class-id list
-    pred: dict[str, tuple[list[int], np.ndarray]] = {}
+    # records that repeat the previous record's keys share its class-id list
     keys: list[str] | None = None
     class_list: list[int] = []
     keep: list[int] | None = None
-    for lineno, line in enumerate(Path(predictions_path).read_text(encoding="utf-8").splitlines(), 1):
-        if not line.strip():
-            continue
-        try:
-            obj = json.loads(line)
-            image_id = _image_id(obj)
-            raw = obj["scores"]
-            if not isinstance(raw, dict):
-                raise TypeError("scores must be an object")
-            record_keys = list(raw)
-            if record_keys != keys:
-                keys = record_keys
-                class_list, keep = _class_ids(keys)
-            values = _score_values(raw)
-        except (json.JSONDecodeError, KeyError, TypeError, ValueError, OverflowError):
-            raise MetricsError(f"{predictions_path}:{lineno}: malformed prediction record") from None
-        pred[image_id] = (class_list, values if keep is None else values[keep])
 
-    gt: dict[str, tuple[set[int], set[int]]] = {}
-    for lineno, line in enumerate(Path(ground_truth_path).read_text(encoding="utf-8").splitlines(), 1):
-        if not line.strip():
-            continue
-        try:
-            obj = json.loads(line)
-            image_id = _image_id(obj)
-            positive = _label_set(obj, "positive")
-            negative = _label_set(obj, "negative")
-        except (json.JSONDecodeError, KeyError, TypeError, ValueError, OverflowError):
-            raise MetricsError(f"{ground_truth_path}:{lineno}: malformed ground-truth record") from None
-        gt[image_id] = (positive, negative)
+    def prediction(obj) -> tuple[str, tuple[list[int], np.ndarray]]:
+        nonlocal keys, class_list, keep
+        image_id = _image_id(obj)
+        raw = obj["scores"]
+        if not isinstance(raw, dict):
+            raise TypeError("scores must be an object")
+        if list(raw) != keys:
+            keys = list(raw)
+            class_list, keep = _class_ids(keys)
+        values = _score_values(raw)
+        return image_id, (class_list, values if keep is None else values[keep])
+
+    def ground_truth(obj) -> tuple[str, tuple[set[int], set[int]]]:
+        return _image_id(obj), (_label_set(obj, "positive"), _label_set(obj, "negative"))
+
+    # image_id -> (class ids, their scores)
+    pred = dict(jsonl.read(predictions_path, "prediction", prediction, MetricsError))
+    gt = dict(jsonl.read(ground_truth_path, "ground-truth", ground_truth, MetricsError))
 
     image_ids = sorted(set(pred) | set(gt))
     pred_class_lists = {id(ids): ids for ids, _ in pred.values()}

@@ -362,6 +362,33 @@ def test_engine_clean_worker_counts_byte_identical(runner, tmp_path):
     assert outputs[1] == outputs[2]
 
 
+def test_engine_clean_reads_seed_and_workers_from_config(runner, tmp_path):
+    corpus = build_synthetic_corpus(tmp_path / "c", n_images=80, seed=57)
+    cfg = corpus.config
+    config_file = tmp_path / "clean.cfg"
+    config_file.write_text("seed = 7\nworkers = 2\n")
+    outputs = {}
+    for name, flags in (
+        ("config", ["--config", str(config_file)]), ("seed 7", ["--seed", "7"]), ("seed 0", []),
+    ):
+        out, audit = tmp_path / f"{name}.jsonl", tmp_path / f"{name}.audit.jsonl"
+        result = runner.invoke(cli, [
+            "engine", "clean",
+            "--annotations", str(_planted_annotations(corpus, tmp_path)),
+            "--vocab", str(cfg.vocab),
+            "--regions", str(cfg.regions),
+            "--region-embeddings", str(cfg.region_embeddings),
+            "--queries", str(cfg.queries),
+            "--out", str(out),
+            "--audit", str(audit),
+            *flags,
+        ])
+        assert result.exit_code == 0, result.output
+        outputs[name] = (out.read_bytes(), audit.read_bytes(), result.stderr)
+    assert outputs["config"] == outputs["seed 7"]
+    assert outputs["seed 0"][1] != outputs["seed 7"][1]
+
+
 def _planted_annotations(corpus, tmp_path: Path) -> Path:
     """The planted ground truth plus the injected false pairs, as an
     annotations file for `engine clean`."""

@@ -21,6 +21,7 @@ from tagforge.data_engine import (
     load_audit,
     load_regions,
     load_stats,
+    load_tag_id_records,
     prediction_filter,
     replay_audit,
     run_engine,
@@ -28,6 +29,7 @@ from tagforge.data_engine import (
     write_stats,
 )
 from tagforge.embedding_store import EmbeddingTable
+from tagforge.errors import TagforgeError
 from tagforge.similarity_tagger import LabelQueryMatrix, ThresholdProfile
 
 from engine_synth import build_synthetic_corpus
@@ -356,6 +358,15 @@ def test_load_regions_validates(tmp_path):
     path.write_text('{"image_id": "i", "region_id": "r", "tag_id": 1, "score": 1.5, "embedding_key": "k"}\n')
     with pytest.raises(Exception, match="score"):
         load_regions(path)
+
+
+def test_tag_ids_must_be_a_list(tmp_path):
+    path = tmp_path / "tags.jsonl"
+    path.write_text('{"image_id": "a", "tag_ids": [1, 2]}\n{"image_id": "b", "tag_ids": "12"}\n')
+    with pytest.raises(TagforgeError, match=r"tags\.jsonl:2: malformed tag-id record$"):
+        load_tag_id_records(path)
+    path.write_text('{"image_id": "a", "tag_ids": [1, 2]}\n{"image_id": "b", "tag_ids": []}\n')
+    assert load_tag_id_records(path) == [("a", [1, 2]), ("b", [])]
 
 
 # -- full engine -------------------------------------------------------------------

@@ -4,6 +4,7 @@ references, plus the commands that must start without numpy."""
 
 import json
 import os
+import re
 import struct
 import subprocess
 import sys
@@ -99,24 +100,26 @@ class ReferenceRegionRecord:
 
 
 def reference_load_regions(path):
+    # lines as a text-mode file reads them: U+2028 and the like end no line
     regions = []
-    for lineno, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
-        if not line.strip():
-            continue
-        try:
-            obj = json.loads(line)
-            record = ReferenceRegionRecord(
-                image_id=str(obj["image_id"]),
-                region_id=str(obj["region_id"]),
-                tag_id=int(obj["tag_id"]),
-                detector_score=float(obj["score"]),
-                embedding_key=str(obj["embedding_key"]),
-            )
-        except (json.JSONDecodeError, KeyError, TypeError, ValueError):
-            raise TagforgeError(f"{path}:{lineno}: malformed region record") from None
-        if not 0.0 <= record.detector_score <= 1.0:
-            raise TagforgeError(f"{path}:{lineno}: detector score outside [0, 1]")
-        regions.append(record)
+    with open(path, encoding="utf-8") as fh:
+        for lineno, line in enumerate(fh, 1):
+            if not line.strip():
+                continue
+            try:
+                obj = json.loads(line)
+                record = ReferenceRegionRecord(
+                    image_id=str(obj["image_id"]),
+                    region_id=str(obj["region_id"]),
+                    tag_id=int(obj["tag_id"]),
+                    detector_score=float(obj["score"]),
+                    embedding_key=str(obj["embedding_key"]),
+                )
+            except (ValueError, KeyError, TypeError, OverflowError, RecursionError):
+                raise TagforgeError(f"{path}:{lineno}: malformed region record") from None
+            if not 0.0 <= record.detector_score <= 1.0:
+                raise TagforgeError(f"{path}:{lineno}: detector score outside [0, 1]")
+            regions.append(record)
     return regions
 
 
@@ -351,6 +354,7 @@ ODD_REGION_FILES = {
     "brackets in a string": GOOD.replace('"k"', '"k[0]"') + "\n" + GOOD + "\n",
     "extra fields and duplicate keys": GOOD[:-1] + ', "x": {"y": 1}, "score": 0.75}\n',
     "negative zero score": GOOD.replace("0.5", "-0.0") + "\n",
+    "line separator inside a string": GOOD.replace('"k"', '"a\u2028b"') + "\n",
 }
 
 
@@ -359,6 +363,12 @@ def test_load_regions_odd_files_match_reference(tmp_path, case):
     path = tmp_path / "regions.jsonl"
     path.write_text(ODD_REGION_FILES[case], encoding="utf-8")
     assert _assert_same_regions(path)[0] == "records"
+
+
+def test_load_regions_keeps_line_separators_inside_strings(tmp_path):
+    path = tmp_path / "regions.jsonl"
+    path.write_text(ODD_REGION_FILES["line separator inside a string"], encoding="utf-8")
+    assert load_regions(path) == [RegionRecord("i", "r", 1, 0.5, "a\u2028b")]
 
 
 BAD_REGION_FILES = {
@@ -381,7 +391,6 @@ BAD_REGION_FILES = {
     "json error after score error": "{\n" + GOOD.replace("0.5", "2") + "\n",
     "byte order mark": "\ufeff" + GOOD + "\n",
     "two records on one line": f"{GOOD}, {GOOD}\n",
-    "line separator inside a string": GOOD.replace('"k"', '"a\u2028b"') + "\n",
     # neither line 1 nor 2 is a record alone, though the lines joined with
     # commas would decode to exactly three valid records
     "record split over two lines": f"{GOOD}, {GOOD}\n" + GOOD.replace(", ", "\n", 1) + "\n",
@@ -397,6 +406,14 @@ def test_load_regions_errors_match_reference(tmp_path, case):
     path = tmp_path / "regions.jsonl"
     path.write_text(BAD_REGION_FILES[case], encoding="utf-8")
     assert _assert_same_regions(path)[0] == "error"
+
+
+@pytest.mark.parametrize("case", ["deep nesting", "huge integer score", "infinite tag id"])
+def test_load_regions_hostile_lines_name_file_and_line(tmp_path, case):
+    path = tmp_path / "regions.jsonl"
+    path.write_text(BAD_REGION_FILES[case], encoding="utf-8")
+    with pytest.raises(TagforgeError, match=f"^{re.escape(str(path))}:1: malformed region record$"):
+        load_regions(path)
 
 
 # -- prediction filter ---------------------------------------------------------------

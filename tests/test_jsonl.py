@@ -1,0 +1,246 @@
+"""The JSON Lines reader behind every JSONL input: its line rule, batching
+and errors; the loaders built on it (round trips, `parse` at every worker
+count, hostile lines); and a fuzz of every loader."""
+
+import json
+import re
+
+import pytest
+from click.testing import CliRunner
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from tagforge import jsonl
+from tagforge.caption_parser import parse_corpus_file
+from tagforge.cli import cli
+from tagforge.data_engine import (
+    AuditEvent,
+    TagEntry,
+    load_annotations,
+    load_audit,
+    load_regions,
+    load_tag_id_records,
+    write_annotations,
+    write_audit,
+)
+from tagforge.errors import TagforgeError
+from tagforge.label_system import build_label_system, save_vocabulary
+from tagforge.metrics import MetricsError, load_eval_instances
+
+# characters str.splitlines() ends a line at, though a JSON string may hold them
+SEPARATORS = ("\u2028", "\u2029", "\x85")
+ENDINGS = ("\n", "\r\n", "\r")
+
+
+def _error_at(path, lineno, message):
+    return f"^{re.escape(str(path))}:{lineno}: {re.escape(message)}$"
+
+
+# -- the reader ---------------------------------------------------------------------
+
+
+def test_lines_end_at_newline_crlf_and_cr_only(tmp_path):
+    path = tmp_path / "x.jsonl"
+    path.write_bytes(
+        '{"a": "1\u2028x"}\r\n\n{"a": "2\u2029\x85"}\r{"a": 3}\n  \n{"a": 4}'.encode()
+    )
+    with open(path, encoding="utf-8") as fh:
+        assert list(jsonl.decode(fh)) == [
+            (1, {"a": "1\u2028x"}), (3, {"a": "2\u2029\x85"}), (4, {"a": 3}), (6, {"a": 4}),
+        ]
+    got = list(jsonl.read(path, "test", lambda obj: obj["a"]))
+    assert got == ["1\u2028x", "2\u2029\x85", 3, 4]
+
+
+LINES = [
+    '{"a": 1}\n', "\n", '{"b": "x]"}\n', '{"a": 2}, {"a": 3}\n', "{broken\n", " \t\n",
+    "7\n", '{"c": {"d": null}}\n', '{"e": "\u2028"}\n', '"s"\n', '{"f": 1e999}\n', "[1,\n",
+]
+
+
+@pytest.mark.parametrize("batch", [1, 2, 3, 5, 8192])
+def test_batches_decode_as_lines_decoded_one_by_one(monkeypatch, batch):
+    monkeypatch.setattr(jsonl, "BATCH_LINES", batch)
+    want = []
+    for lineno, line in enumerate(LINES, 1):
+        if line.strip():
+            try:
+                want.append((lineno, json.loads(line)))
+            except ValueError:
+                want.append((lineno, jsonl.INVALID))
+    assert list(jsonl.decode(LINES)) == want
+
+
+def test_each_batch_is_built_before_the_next_is_read(monkeypatch):
+    monkeypatch.setattr(jsonl, "BATCH_LINES", 4)
+    read = []
+
+    def lines():
+        for i in range(10):
+            read.append(i)
+            yield f'{{"i": {i}}}\n'
+
+    seen = [(value["i"], len(read)) for _, value in jsonl.decode(lines())]
+    assert seen == [(i, min(10, (i // 4 + 1) * 4)) for i in range(10)]
+
+
+def test_read_raises_the_callers_error_at_the_first_bad_line(tmp_path):
+    path = tmp_path / "x.jsonl"
+    path.write_text('{"a": 1}\n\n{"a": "x"}\n{broken\n', encoding="utf-8")
+    with pytest.raises(MetricsError, match=_error_at(path, 3, "malformed thing record")):
+        list(jsonl.read(path, "thing", lambda obj: int(obj["a"]), MetricsError))
+    path.write_text('{"a": 1}\n{broken\n{"a": "x"}\n', encoding="utf-8")
+    with pytest.raises(TagforgeError, match=_error_at(path, 2, "malformed thing record")):
+        list(jsonl.read(path, "thing", lambda obj: int(obj["a"])))
+
+
+def test_read_puts_a_record_errors_message_in_place(tmp_path):
+    path = tmp_path / "x.jsonl"
+    path.write_text('{"a": 1}\n{"a": -1}\n', encoding="utf-8")
+
+    def positive(obj):
+        if obj["a"] < 0:
+            raise jsonl.RecordError("negative a")
+        return obj["a"]
+
+    with pytest.raises(TagforgeError, match=_error_at(path, 2, "negative a")):
+        list(jsonl.read(path, "thing", positive))
+
+
+# -- the loaders ----------------------------------------------------------------------
+
+
+def test_annotations_and_audit_round_trip_line_separators(tmp_path):
+    ids = [f"img{sep}{i}" for i, sep in enumerate(SEPARATORS + ENDINGS)]
+    store = {
+        image_id: {i: TagEntry("parsed"), i + 10: TagEntry("generated")}
+        for i, image_id in enumerate(ids)
+    }
+    write_annotations(store, tmp_path / "a.jsonl")
+    assert load_annotations(tmp_path / "a.jsonl") == store
+    events = [AuditEvent(image_id, 3, "removed", "outlier", "clean") for image_id in ids]
+    write_audit(events, tmp_path / "audit.jsonl")
+    assert load_audit(tmp_path / "audit.jsonl") == events
+
+
+def test_parse_byte_identical_across_line_ends_and_worker_counts(tmp_path, golden_corpus):
+    records = [
+        json.dumps({
+            "image_id": e["image_id"] + SEPARATORS[i % 3],
+            "caption": e["caption"] + SEPARATORS[(i + 1) % 3] + " a red ball",
+            "source": SEPARATORS[(i + 2) % 3],
+        }, ensure_ascii=False)
+        for i, e in enumerate(golden_corpus)
+    ]
+    runner = CliRunner()
+    outputs = set()
+    for n, ending in enumerate(ENDINGS):
+        captions = tmp_path / f"captions{n}.jsonl"
+        captions.write_bytes((ending.join(records) + ending).encode())
+        for workers in (1, 2, 3):
+            tags, freq = tmp_path / f"tags{n}{workers}.jsonl", tmp_path / f"freq{n}{workers}.tsv"
+            result = runner.invoke(cli, [
+                "parse", "--captions", str(captions), "--out-tags", str(tags),
+                "--out-freq", str(freq), "--workers", str(workers),
+            ])
+            assert result.exit_code == 0, result.output
+            assert f"parsed {len(golden_corpus)} images" in result.stderr
+            assert "0 rejected records" in result.stderr
+            outputs.add((tags.read_bytes(), freq.read_bytes(), result.stderr))
+    assert len(outputs) == 1
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_parse_counts_deep_nesting_as_invalid_json(tmp_path, workers):
+    captions = tmp_path / "captions.jsonl"
+    good = '{"image_id": "a", "caption": "a red dog"}\n'
+    captions.write_text(good + "[" * 100000 + "\n" + '{"a": ' * 100000 + "\n" + good)
+    corpus = parse_corpus_file(captions, workers=workers)
+    assert corpus.rejects.count == 2 and dict(corpus.rejects.reasons) == {"invalid JSON": 2}
+    assert list(corpus.image_tags) == ["a"]
+
+
+def test_engine_generate_names_the_line_of_an_overflowing_tag_id(tmp_path):
+    vocab, annotations = tmp_path / "vocab.tsv", tmp_path / "annotations.jsonl"
+    save_vocabulary(build_label_system({"dog": 3, "cat": 2}, 2), vocab)
+    annotations.write_text("")
+    generated = tmp_path / "generated.jsonl"
+    generated.write_text(
+        '{"image_id": "a", "tag_ids": [0]}\n{"image_id": "b", "tag_ids": [1e999]}\n'
+    )
+    result = CliRunner().invoke(cli, [
+        "engine", "generate", "--annotations", str(annotations), "--vocab", str(vocab),
+        "--generated-tags", str(generated), "--out", str(tmp_path / "out.jsonl"),
+    ])
+    assert result.exit_code == 1
+    assert f"{generated}:2: malformed tag-id record" in result.output
+    assert "Traceback" not in result.output
+
+
+# -- fuzz -------------------------------------------------------------------------------
+
+GOOD_RECORDS = [
+    {"image_id": "a", "tag_ids": [1, 2]},
+    {"image_id": "i", "region_id": "r", "tag_id": 1, "score": 0.5, "embedding_key": "k"},
+    {"image_id": "a", "tags": [{"tag_id": 1, "provenance": "parsed"}]},
+    {"image_id": "a", "tag_id": 1, "action": "removed", "reason": "outlier", "stage": "clean"},
+    {"image_id": "a", "scores": {"1": 0.5, "2": 0.25}, "tags": [1]},
+    {"image_id": "a", "positive": [1], "negative": [2]},
+    {"image_id": "a", "caption": "a red dog\u2028runs", "source": "s"},
+]
+FIELDS = sorted({key for record in GOOD_RECORDS for key in record} | {"provenance"})
+
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=5),
+    lambda children: st.lists(children, max_size=3)
+    | st.dictionaries(st.text(max_size=3), children, max_size=3),
+    max_leaves=6,
+)
+# JSON texts that decode to values the loaders must refuse without a traceback
+HOSTILE = ["Infinity", "NaN", "1e999", "-1e999", "1" + "0" * 400, "[" * 5000 + "]" * 5000,
+           '"12"', '{"1": [0.5]}', '"\u2028"']
+raw_values = json_values.map(json.dumps) | st.sampled_from(HOSTILE)
+
+
+def _replace_field(record, key, raw):
+    return json.dumps({**record, key: "@@"}, ensure_ascii=False).replace('"@@"', raw)
+
+
+good_lines = st.sampled_from([json.dumps(r, ensure_ascii=False) for r in GOOD_RECORDS])
+fuzz_lines = st.one_of(
+    good_lines,
+    st.tuples(good_lines, st.integers(0, 100)).map(lambda t: t[0][: t[1]]),  # truncated
+    st.builds(_replace_field, st.sampled_from(GOOD_RECORDS), st.sampled_from(FIELDS), raw_values),
+    raw_values,
+    st.text(max_size=30),
+)
+
+ENGINE_LOADERS = (load_tag_id_records, load_regions, load_annotations, load_audit)
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    directory = tmp_path_factory.mktemp("fuzz")
+    (directory / "pred.jsonl").write_text(json.dumps(GOOD_RECORDS[4]) + "\n")
+    (directory / "gt.jsonl").write_text(json.dumps(GOOD_RECORDS[5]) + "\n")
+    return directory
+
+
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(lines=st.lists(fuzz_lines, max_size=6), ending=st.sampled_from(ENDINGS))
+def test_every_jsonl_reader_returns_records_or_raises_its_own_error(fuzz_dir, lines, ending):
+    path = fuzz_dir / "input.jsonl"
+    path.write_bytes(ending.join(lines).encode())
+    for loader in ENGINE_LOADERS:
+        try:
+            loader(path)
+        except TagforgeError as exc:
+            assert type(exc) is TagforgeError and str(exc).startswith(f"{path}:"), (loader, exc)
+    for args in ((path, fuzz_dir / "gt.jsonl"), (fuzz_dir / "pred.jsonl", path)):
+        try:
+            load_eval_instances(*args)
+        except MetricsError:
+            pass
+    with open(path, encoding="utf-8") as fh:
+        non_blank = sum(1 for line in fh if line.strip())
+    assert parse_corpus_file(path).rejects.count <= non_blank
