@@ -417,10 +417,17 @@ def parse_corpus_file(
     lexicon_dir = Path(lexicon_dir) if lexicon_dir is not None else default_lexicon_dir()
     lexicons = load_lexicons(lexicon_dir)
 
-    if workers <= 1:
-        with open(path, encoding="utf-8") as fh:
-            return parse_corpus(jsonl.values(fh), lexicons)
+    try:
+        if workers <= 1:
+            with open(path, encoding="utf-8") as fh:
+                return parse_corpus(jsonl.values(fh), lexicons)
+        return _parse_shards(path, lexicon_dir, workers)
+    except UnicodeDecodeError:
+        # named from the whole file, so every worker count gives one message
+        raise jsonl.invalid_utf8(path) from None
 
+
+def _parse_shards(path: Path, lexicon_dir: Path, workers: int) -> CorpusParse:
     import multiprocessing  # here, so that commands that never fork skip it
 
     image_tags: dict[str, list[ParsedTag]] = {}
@@ -436,7 +443,6 @@ def parse_corpus_file(
                     tags = _canonical_tag_order(image_tags[img] + tags)
                 image_tags[img] = tags
             rejects.merge(partial.rejects)
-
     return CorpusParse(image_tags, rejects)
 
 

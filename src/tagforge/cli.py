@@ -23,6 +23,7 @@ from .config import (
     DEFAULT_FRACTION,
     DEFAULT_MARGIN,
     DEFAULT_MIN_REGIONS,
+    SELFTEST_SEED,
     build_engine_config,
     read_config_file,
     seed_and_workers,
@@ -59,18 +60,20 @@ def _data_errors(fn):
     return wrapper
 
 
-def common_options(fn, used: bool = True):
-    """--seed, --workers and --config; a command that runs in one process
-    and draws no random numbers accepts them with used=False and ignores them."""
+def common_options(fn, default_seed: int | None = 0, workers: bool = True):
+    """--seed, --workers and --config. A command that draws no random
+    numbers (default_seed None) or runs in one process (workers False)
+    accepts the option it does not use and ignores it, and --config too when
+    it uses neither."""
     fn = click.option(
         "--seed", type=int, default=None,
-        help="Random seed [default: 0, or the config file's seed]."
-        if used else "Ignored: this command draws no random numbers.",
+        help=f"Random seed [default: {default_seed}, or the config file's seed]."
+        if default_seed is not None else "Ignored: this command draws no random numbers.",
     )(fn)
     fn = click.option(
         "--workers", type=int, default=None,
         help="Worker processes [default: 1, or the config file's workers]."
-        if used else "Ignored: this command runs in one process.",
+        if workers else "Ignored: this command runs in one process.",
     )(fn)
     fn = click.option(
         "--config",
@@ -78,13 +81,13 @@ def common_options(fn, used: bool = True):
         type=click.Path(exists=True, dir_okay=False),
         default=None,
         help="Key=value config file supplying defaults."
-        if used else "Ignored: this command reads no config keys.",
+        if default_seed is not None or workers else "Ignored: this command reads no config keys.",
     )(fn)
     return fn
 
 
 def single_process_options(fn):
-    return common_options(fn, used=False)
+    return common_options(fn, default_seed=None, workers=False)
 
 
 def _echo_rejects(prefix: str, rejects: cp.RejectSummary) -> None:
@@ -423,17 +426,14 @@ def stats_cmd(stats_file, seed, workers, config_path):
 
 
 @cli.command("selftest")
-@common_options
-@click.option("--perf", "perf_captions", type=int, default=0, show_default=True,
-              help="Also benchmark parsing over this many synthetic captions.")
+@functools.partial(common_options, default_seed=SELFTEST_SEED, workers=False)
 @_data_errors
-def selftest_cmd(perf_captions, seed, workers, config_path):
+def selftest_cmd(seed, workers, config_path):
     """Run the built-in property suites; exits nonzero on failure."""
     from . import selftest
 
-    seed, workers = seed_and_workers(config_path, seed, workers, default_seed=20240901)
-    ok = selftest.run_all(seed=seed, perf_captions=perf_captions, workers=workers)
-    if not ok:
+    seed, _ = seed_and_workers(config_path, seed, workers, default_seed=SELFTEST_SEED)
+    if not selftest.run_all(seed=seed):
         raise click.ClickException("selftest failed")
 
 

@@ -47,6 +47,8 @@ DEFAULT_FRACTION = 0.10
 DEFAULT_MIN_REGIONS = 20
 DEFAULT_MARGIN = 0.05
 
+SELFTEST_SEED = 20240901  # `selftest`'s seed when neither --seed nor the config sets one
+
 
 class ConfigError(TagforgeError):
     def __init__(self, key: str, message: str):

@@ -77,7 +77,9 @@ def read(
     The first line that is not JSON, or whose build raises ValueError,
     KeyError, TypeError, OverflowError or RecursionError, raises
     error("{path}:{lineno}: malformed {what} record"), or for a RecordError
-    error("{path}:{lineno}: {its message}").
+    error("{path}:{lineno}: {its message}"). A file that is not UTF-8 raises
+    invalid_utf8(path, error) once the reader reaches the bad byte, which it
+    decodes ahead of the lines it checks.
     """
     with open(path, encoding="utf-8") as fh:
         try:
@@ -92,6 +94,19 @@ def read(
                     raise error(f"{path}:{lineno}: malformed {what} record") from None
                 yield record
         except UnicodeDecodeError:
-            # the whole file's decode error names the byte's offset in the file
-            Path(path).read_bytes().decode("utf-8")
-            raise
+            raise invalid_utf8(path, error) from None
+
+
+def invalid_utf8(path: str | Path, error: type[TagforgeError] = TagforgeError) -> TagforgeError:
+    """error("{path}:{lineno}: invalid UTF-8") naming the line that holds the
+    file's first byte that is not UTF-8, whichever part of the file failed
+    to decode first; lines end as in decode."""
+    data = Path(path).read_bytes()
+    try:
+        data.decode("utf-8")
+        end = len(data)  # the file changed since it failed to decode
+    except UnicodeDecodeError as exc:
+        end = exc.start
+    head = data[:end]
+    lineno = head.count(b"\n") + head.count(b"\r") - head.count(b"\r\n") + 1
+    return error(f"{path}:{lineno}: invalid UTF-8")

@@ -3,14 +3,14 @@
 from __future__ import annotations
 
 import tempfile
-import time
 from pathlib import Path
 
 import numpy as np
 
 from . import caption_parser as cp
 from . import clustering, embedding_store, label_system, metrics
-from .rng import Xoshiro256StarStar, derive_seed
+from .config import SELFTEST_SEED
+from .rng import derive_seed
 from .similarity_tagger import LabelQueryMatrix, ThresholdProfile, tag_image
 
 
@@ -143,7 +143,7 @@ def _check_tagger(seed: int) -> str | None:
     return None
 
 
-def run_all(seed: int = 20240901, perf_captions: int = 0, workers: int = 1) -> bool:
+def run_all(seed: int = SELFTEST_SEED) -> bool:
     """Run every suite; prints one PASS/FAIL line each, returns overall ok."""
     suites = [
         ("lexicon-consistency", lambda: _check_lexicons()),
@@ -162,43 +162,4 @@ def run_all(seed: int = 20240901, perf_captions: int = 0, workers: int = 1) -> b
         else:
             print(f"FAIL {name}: {failure}")
             ok = False
-
-    if perf_captions > 0:
-        rate = parse_throughput(perf_captions, workers)
-        print(f"INFO parse-throughput: {rate:,.0f} captions/s ({perf_captions} captions, workers={workers})")
     return ok
-
-
-_PERF_NOUNS = (
-    "dog cat horse beach street kitchen table window tree mountain car boat "
-    "bird child woman man flower cloud bridge market"
-).split()
-
-
-def synth_caption(i: int) -> str:
-    rng = Xoshiro256StarStar(derive_seed(977, i))
-    n = 4 + rng.next_below(6)
-    words = []
-    for _ in range(n):
-        words.append(_PERF_NOUNS[rng.next_below(len(_PERF_NOUNS))])
-    return "a " + " and a ".join(words)
-
-
-def parse_throughput(n_captions: int, workers: int = 1) -> float:
-    """Captions parsed per second over a synthetic JSONL corpus."""
-    import json
-
-    with tempfile.TemporaryDirectory() as tmp:
-        path = Path(tmp) / "captions.jsonl"
-        with open(path, "w", encoding="utf-8") as fh:
-            for i in range(n_captions):
-                fh.write(
-                    json.dumps(
-                        {"image_id": f"img{i:07d}", "caption": synth_caption(i), "source": "perf"}
-                    )
-                )
-                fh.write("\n")
-        start = time.perf_counter()
-        cp.parse_corpus_file(path, workers=workers)
-        elapsed = time.perf_counter() - start
-    return n_captions / elapsed

@@ -159,6 +159,80 @@ def round_scores(values: np.ndarray) -> np.ndarray:
     return out
 
 
+WRITE_CHUNK_ROWS = 256  # images whose score text is laid out at once
+
+# the end of each cell of the score layout, after the key's '"id": ' prefix
+# and padding: sign, "0.", SCORE_DECIMALS digits and the ", " separator
+_CELL_TAIL = b"-0.000000, "
+_SIGN, _POINT, _DIGIT = -11, slice(-10, -8), -8  # _DIGIT: the first digit
+
+
+class _ScoreText:
+    """The text json.dumps writes between the braces of {"key": value, ...},
+    for rows of round_scores values, a chunk of rows at a time.
+
+    A value v with 100 <= |rint(v * 1e6)| < 1e6 is the double nearest to a
+    six-decimal fraction under 1 in magnitude, and repr, so json.dumps,
+    writes it as that fraction without trailing zeros: no shorter string
+    rounds to v, and repr keeps fixed notation from 1e-4 up. Those cells are
+    laid out in a fixed-width uint8 array and one boolean mask drops the
+    bytes they do not use. Any other value (0.0, -0.0, |v| < 1e-4, |v| >= 1,
+    NaN, inf) keeps only its key and separator there, and its json.dumps
+    text is spliced in.
+    """
+
+    def __init__(self, keys: Sequence[str]):
+        prefixes = [(json.dumps(k, ensure_ascii=False) + ": ").encode("utf-8") for k in keys]
+        width = max(map(len, prefixes), default=0) + len(_CELL_TAIL)
+        self.cells = np.zeros((len(keys), width), dtype=np.uint8)
+        self.keep = np.zeros((len(keys), width), dtype=bool)
+        for cell, kept, prefix in zip(self.cells, self.keep, prefixes):
+            cell[: len(prefix)] = np.frombuffer(prefix, dtype=np.uint8)
+            kept[: len(prefix)] = True
+        self.cells[:, -len(_CELL_TAIL) :] = np.frombuffer(_CELL_TAIL, dtype=np.uint8)
+        self.keep[:, -2:] = True
+        self.keep[-1:, -2:] = False  # no separator after the last value
+        self.prefix_lengths = np.array([len(p) for p in prefixes], dtype=np.int64)
+        # bytes each cell keeps besides its value: key prefix and separator
+        self.sizes = np.count_nonzero(self.keep, axis=1)
+
+    def bodies(self, values: np.ndarray) -> list[str]:
+        """The text of each row of values, an array of rows x keys."""
+        rows = len(values)
+        with np.errstate(over="ignore", invalid="ignore"):
+            scaled = np.rint(values * 10.0**SCORE_DECIMALS)
+            fixed = (np.abs(scaled) >= 100) & (np.abs(scaled) < 10**SCORE_DECIMALS)
+        text = np.empty((rows,) + self.cells.shape, dtype=np.uint8)
+        text[:] = self.cells
+        keep = np.empty(text.shape, dtype=bool)
+        keep[:] = self.keep
+        keep[:, :, _SIGN] = fixed & (scaled < 0)
+        keep[:, :, _POINT] = fixed[:, :, None]
+        rest = np.where(fixed, np.abs(scaled), 0).astype(np.int32)  # below 10**6
+        nonzero = np.zeros(fixed.shape, dtype=bool)  # a digit from here on is not 0
+        sizes = self.sizes + 2 * fixed + keep[:, :, _SIGN]  # bytes each cell keeps
+        for place in range(SCORE_DECIMALS - 1, -1, -1):  # last digit first
+            digit = rest - rest // 10 * 10
+            rest //= 10
+            text[:, :, _DIGIT + place] = digit + ord("0")
+            nonzero |= digit != 0
+            keep[:, :, _DIGIT + place] = nonzero
+            sizes += nonzero
+        joined = text[keep].tobytes().decode("utf-8")
+        cell_ends = np.cumsum(sizes, axis=1)
+        row_ends = np.cumsum(sizes.sum(axis=1)).tolist()
+        bodies = [joined[a:b] for a, b in zip([0] + row_ends, row_ends)]
+        for r in np.flatnonzero(~fixed.all(axis=1)):
+            cols = np.flatnonzero(~fixed[r])
+            at = (cell_ends[r] - sizes[r] + self.prefix_lengths)[cols].tolist()
+            body, pieces, start = bodies[r], [], 0
+            for end, value in zip(at, values[r, cols].tolist()):
+                pieces += [body[start:end], json.dumps(value)]
+                start = end
+            bodies[r] = "".join(pieces) + body[start:]
+        return bodies
+
+
 def write_predictions(
     table: EmbeddingTable,
     queries: LabelQueryMatrix,
@@ -167,23 +241,30 @@ def write_predictions(
 ) -> None:
     """One JSONL record per image, in image_id order: every tag's score
     rounded to SCORE_DECIMALS and the ascending tag ids that reach their
-    threshold."""
-    tag_ids = queries.tag_ids
-    keys = [str(t) for t in tag_ids]
-    thresholds = profile.thresholds(tag_ids)
+    threshold, as json.dumps(record, ensure_ascii=False) writes it.
+
+    Records are made WRITE_CHUNK_ROWS images at a time, their scores
+    through _ScoreText rather than one float repr at a time.
+    """
+    order = np.argsort(np.asarray(queries.tag_ids, dtype=np.int64))
+    ascending = np.asarray(queries.tag_ids, dtype=np.int64)[order]
+    score_text = _ScoreText([str(t) for t in queries.tag_ids])
+    thresholds = profile.thresholds(queries.tag_ids)
+    image_ids = sorted(table.keys)
     with open(path, "w", encoding="utf-8") as fh:
-        for image_id in sorted(table.keys):
+        for start in range(0, len(image_ids), WRITE_CHUNK_ROWS):
+            chunk = image_ids[start : start + WRITE_CHUNK_ROWS]
             # one matrix-vector product per image: a single matrix product
             # over all images may change the scores' low bits
-            scores = score(table.vector(image_id), queries)
-            selected = sorted(tag_ids[i] for i in np.flatnonzero(scores >= thresholds))
-            record = {
-                "image_id": image_id,
-                "scores": dict(zip(keys, round_scores(scores).tolist())),
-                "tags": selected,
-            }
-            fh.write(json.dumps(record, ensure_ascii=False))
-            fh.write("\n")
+            scores = np.stack([score(table.vector(image_id), queries) for image_id in chunk])
+            hits = (scores >= thresholds)[:, order]
+            bodies = score_text.bodies(round_scores(scores.ravel()).reshape(scores.shape))
+            fh.write("".join(
+                '{"image_id": ' + json.dumps(image_id, ensure_ascii=False)
+                + ', "scores": {' + body + '}, "tags": '
+                + json.dumps(ascending[row].tolist()) + "}\n"
+                for image_id, body, row in zip(chunk, bodies, hits)
+            ))
 
 
 def calibrate_thresholds(

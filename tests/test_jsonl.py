@@ -107,6 +107,76 @@ def test_read_puts_a_record_errors_message_in_place(tmp_path):
         list(jsonl.read(path, "thing", positive))
 
 
+# -- invalid UTF-8 ---------------------------------------------------------------------
+
+# a stray byte, truncated sequences, an encoded surrogate and an overlong form
+BAD_BYTES = [b"\xff", b"\xc3", b"\xe2\x82", b"\xed\xa0\x80", b"\xc0\xaf"]
+
+
+@pytest.mark.parametrize("ending", ENDINGS, ids=["LF", "CRLF", "CR"])
+@pytest.mark.parametrize("bad", BAD_BYTES, ids=["stray", "cut-2", "cut-3", "surrogate", "overlong"])
+def test_invalid_utf8_names_file_and_line_in_the_callers_error(tmp_path, ending, bad):
+    path = tmp_path / "x.jsonl"
+    lines = [b'{"a": 1}', b"", '{"a": "café \x85"}'.encode(), b'{"a": "x' + bad + b'"}', b"{"]
+    path.write_bytes(ending.encode().join(lines))
+    with pytest.raises(MetricsError, match=_error_at(path, 4, "invalid UTF-8")):
+        list(jsonl.read(path, "thing", lambda obj: obj["a"], MetricsError))
+    path.write_bytes(ending.encode().join(lines[:3]) + ending.encode() + bad)  # at the end
+    with pytest.raises(TagforgeError, match=_error_at(path, 4, "invalid UTF-8")):
+        list(jsonl.read(path, "thing", lambda obj: obj["a"]))
+
+
+def test_invalid_utf8_far_into_a_file_names_its_line(tmp_path):
+    path = tmp_path / "x.jsonl"
+
+    def write(record):
+        good = json.dumps(record).encode() + b"\n"
+        bad = good.replace(b'"image_id": "', b'"image_id": "\xff', 1)
+        path.write_bytes(good * 15000 + bad + good * 5000)
+
+    for loader, record in zip(ENGINE_LOADERS, GOOD_RECORDS):
+        write(record)
+        with pytest.raises(TagforgeError, match=_error_at(path, 15001, "invalid UTF-8")):
+            loader(path)
+    for record, args in ((GOOD_RECORDS[4], (path, path.with_name("gt.jsonl"))),
+                         (GOOD_RECORDS[5], (path.with_name("pred.jsonl"), path))):
+        path.with_name("pred.jsonl").write_text(json.dumps(GOOD_RECORDS[4]) + "\n")
+        path.with_name("gt.jsonl").write_text(json.dumps(GOOD_RECORDS[5]) + "\n")
+        write(record)
+        with pytest.raises(MetricsError, match=_error_at(path, 15001, "invalid UTF-8")):
+            load_eval_instances(*args)
+
+
+def test_eval_names_the_line_of_a_stray_byte(tmp_path):
+    predictions, truth = tmp_path / "pred.jsonl", tmp_path / "gt.jsonl"
+    line = json.dumps({"image_id": "a", "scores": {"1": 0.5}, "tags": [1]}) + "\n"
+    text = (line * (2100 // len(line) + 1)).encode()
+    predictions.write_bytes(text[:2000] + b"\xff" + text[2000:])
+    truth.write_text('{"image_id": "a", "positive": [1], "negative": []}\n')
+    result = CliRunner().invoke(cli, [
+        "eval", "--predictions", str(predictions), "--ground-truth", str(truth),
+    ])
+    assert result.exit_code == 1
+    assert f"Error: {predictions}:{2000 // len(line) + 1}: invalid UTF-8" in result.output
+    assert "codec" not in result.output
+
+
+def test_parse_names_the_first_invalid_line_at_every_worker_count(tmp_path):
+    captions = tmp_path / "captions.jsonl"
+    lines = [json.dumps({"image_id": f"i{n}", "caption": "a red dog"}).encode() for n in range(3000)]
+    lines[1700] = lines[1700].replace(b"red", b"r\xe9d")  # Latin-1, not UTF-8
+    lines[2900] = lines[2900].replace(b"dog", b"d\xffg")
+    captions.write_bytes(b"\r\n".join(lines) + b"\r\n")
+    runner = CliRunner()
+    for workers in (1, 2, 3):
+        result = runner.invoke(cli, [
+            "parse", "--captions", str(captions), "--out-tags", str(tmp_path / "t.jsonl"),
+            "--out-freq", str(tmp_path / "f.tsv"), "--workers", str(workers),
+        ])
+        assert result.exit_code == 1, workers
+        assert result.output == f"Error: {captions}:1701: invalid UTF-8\n", workers
+
+
 # -- the loaders ----------------------------------------------------------------------
 
 

@@ -5,6 +5,8 @@ digests of `tag` and `eval` outputs pinned from the per-cell code."""
 import hashlib
 import json
 import math
+import re
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -13,8 +15,10 @@ from click.testing import CliRunner
 
 from tagforge.cli import cli
 from tagforge.embedding_store import EmbeddingTable, save_embeddings
+from tagforge import similarity_tagger
 from tagforge.metrics import MISSING_SCORE, EvalInstances, MetricsError, load_eval_instances
 from tagforge.similarity_tagger import (
+    WRITE_CHUNK_ROWS,
     LabelQueryMatrix,
     ThresholdProfile,
     calibrate_thresholds,
@@ -230,6 +234,105 @@ def test_write_predictions_matches_reference_bytes(tmp_path, seed, tag_ids):
         record = json.loads(got.read_text().splitlines()[0])
         if profile.overrides:
             assert set(overrides) <= set(record["tags"])
+
+
+def _fixed_score_tagger(monkeypatch, rows, tag_ids):
+    """A table of one-hot image vectors and a `score` that returns rows[i]
+    for image i, patched where the writer and the reference look it up."""
+    rows = np.asarray(rows, dtype=np.float64)
+    keys = [f"img{i:05d}" for i in range(len(rows))]
+    table = EmbeddingTable(keys, np.eye(len(rows)), normalized=True)
+    queries = LabelQueryMatrix(
+        "v", tuple(tag_ids), tuple(f"t{i}" for i in range(len(tag_ids))),
+        np.eye(len(tag_ids), len(rows)),
+    )
+
+    def fixed_score(embedding, _queries):
+        return rows[int(np.argmax(embedding))].copy()
+
+    monkeypatch.setattr(similarity_tagger, "score", fixed_score)
+    monkeypatch.setitem(globals(), "score", fixed_score)
+    return table, queries
+
+
+def _odd_scores():
+    halves = (np.arange(-1000, 1000) + 0.5) / 1e6  # nearest doubles to decimal halves
+    dyadic = np.arange(-127, 128, 2) / 256.0  # exactly halfway between two 6-decimal values
+    edges = np.array([
+        0.0001, 0.00009999, 0.0000999999, 0.000099999999, 0.00009995, -0.00009995, 0.00015,
+        0.0, -0.0, 1e-7, -1e-7, 4e-7, -4e-7, 5e-7, 1.0, -1.0, 1.5, -1.5, 1e17, -1e17,
+        0.9999994, 0.9999995, 0.99999949, -0.9999996, 0.1, -0.1, 0.5, -0.5, 0.25, 0.123,
+        1e-6, -2.5e-5, 9.9e-5, 0.0012, -0.010203, 0.100001, 5e-324, 12.345678, -123456.5, 1e300, 2.0**52,
+        np.nan, -np.nan, np.inf, -np.inf,
+    ])
+    rng = np.random.default_rng(81)
+    spread = rng.uniform(-1.0, 1.0, 3000) * 10.0 ** rng.integers(-8, 1, 3000)
+    return np.concatenate([_neighbours(np.concatenate([edges, dyadic, halves]), steps=2), spread])
+
+
+@pytest.mark.parametrize("width", [37, 1])
+def test_write_predictions_odd_values_match_reference_bytes(tmp_path, monkeypatch, width):
+    values = _odd_scores()
+    values = np.concatenate([values, np.zeros(-len(values) % width)]).reshape(-1, width)
+    values = values[: 3 * WRITE_CHUNK_ROWS]  # several chunks, the last one partial
+    tag_ids = [(7 * c) % (width + 3) for c in range(width)]  # not ascending
+    table, queries = _fixed_score_tagger(monkeypatch, values, tag_ids)
+    profile = ThresholdProfile(0.3, {tag_ids[0]: -0.5})
+    want, got = tmp_path / "want.jsonl", tmp_path / "got.jsonl"
+    reference_write_predictions(table, queries, profile, want)
+    write_predictions(table, queries, profile, got)
+    assert got.read_bytes() == want.read_bytes()
+    text = got.read_text()
+    for value in ("NaN", "-Infinity", "-0.0", "1e-06", "-2.5e-05", "0.0001", "-0.5", "0.1", "1e+17"):
+        assert re.search(f'": {re.escape(value)}[,}}]', text), value
+
+
+@pytest.mark.parametrize("image_ids", [
+    ['q"uote', "back\\slash", "ctl\x00\x01\x1f\x7f", "tab\tnew\nline\rcr", "sep  \x85",
+     "café", "日本", "\U0001f431", ""],
+])
+def test_write_predictions_escapes_image_ids_like_json_dumps(tmp_path, image_ids):
+    rng = np.random.default_rng(82)
+    queries = LabelQueryMatrix("v", (2, 0, 1), ("a", "b", "c"), _unit_rows(rng, 3, 6))
+    vectors = dict(zip(image_ids, _unit_rows(rng, len(image_ids), 6)))
+    table = EmbeddingTable.from_vectors(vectors, normalized=True)
+    want, got = tmp_path / "want.jsonl", tmp_path / "got.jsonl"
+    reference_write_predictions(table, queries, ThresholdProfile(0.0), want)
+    write_predictions(table, queries, ThresholdProfile(0.0), got)
+    assert got.read_bytes() == want.read_bytes()
+    assert [json.loads(line)["image_id"] for line in got.read_text("utf-8").split("\n")[:-1]] == (
+        sorted(image_ids)
+    )
+
+
+@pytest.mark.parametrize("n_images", [1, WRITE_CHUNK_ROWS - 1, WRITE_CHUNK_ROWS, WRITE_CHUNK_ROWS + 1])
+@pytest.mark.parametrize("n_tags", [0, 1, 5])
+def test_write_predictions_chunk_edges_match_reference_bytes(tmp_path, n_images, n_tags):
+    rng = np.random.default_rng(83 + n_images + n_tags)
+    table, queries = _random_tagger(rng, n_images, n_tags, 4)
+    want, got = tmp_path / "want.jsonl", tmp_path / "got.jsonl"
+    reference_write_predictions(table, queries, ThresholdProfile(0.1), want)
+    write_predictions(table, queries, ThresholdProfile(0.1), got)
+    assert got.read_bytes() == want.read_bytes()
+    assert len(got.read_text().splitlines()) == n_images
+
+
+def test_write_predictions_memory_does_not_grow_with_images_times_tags(tmp_path):
+    n_tags = 64
+
+    def peak(n_images):
+        table, queries = _random_tagger(np.random.default_rng(84), n_images, n_tags, 8)
+        tracemalloc.start()
+        try:
+            write_predictions(table, queries, ThresholdProfile(), tmp_path / "p.jsonl")
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    small, large = 2 * WRITE_CHUNK_ROWS, 8 * WRITE_CHUNK_ROWS
+    # a block of all scores (8 bytes a cell) or of all record text (~10)
+    # would add several bytes per added cell; a chunk at a time adds none
+    assert peak(large) - peak(small) < (large - small) * n_tags
 
 
 def test_tag_image_matches_reference():
