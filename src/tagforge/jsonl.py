@@ -101,12 +101,10 @@ def invalid_utf8(path: str | Path, error: type[TagforgeError] = TagforgeError) -
     """error("{path}:{lineno}: invalid UTF-8") naming the line that holds the
     file's first byte that is not UTF-8, whichever part of the file failed
     to decode first; lines end as in decode."""
-    data = Path(path).read_bytes()
+    head = Path(path).read_bytes()
     try:
-        data.decode("utf-8")
-        end = len(data)  # the file changed since it failed to decode
+        head.decode("utf-8")
     except UnicodeDecodeError as exc:
-        end = exc.start
-    head = data[:end]
+        head = head[: exc.start]
     lineno = head.count(b"\n") + head.count(b"\r") - head.count(b"\r\n") + 1
     return error(f"{path}:{lineno}: invalid UTF-8")
