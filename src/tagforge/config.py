@@ -9,7 +9,7 @@ unless absolute):
     region_embeddings   EMB1 file for region vectors (required)
     queries             label-query EMB1 file with sidecar (required)
     out_dir             output directory (required)
-    seed                64-bit integer, drives all randomness (required)
+    seed                64-bit integer, drives all randomness (default 0)
     lexicon_dir         lexicon directory (default: packaged data)
     generated_tags      comma-separated JSONL paths of generated tag ids
     generated_captions  comma-separated JSONL caption paths to parse
@@ -56,8 +56,9 @@ class ConfigError(TagforgeError):
         super().__init__(f"config key {key!r}: {message}")
 
 
-_REQUIRED = ("captions", "vocab", "regions", "region_embeddings", "queries", "out_dir", "seed")
+_REQUIRED = ("captions", "vocab", "regions", "region_embeddings", "queries", "out_dir")
 _OPTIONAL = (
+    "seed",
     "lexicon_dir",
     "generated_tags",
     "generated_captions",
@@ -203,7 +204,7 @@ def build_engine_config(
         region_embeddings=path_of(merged["region_embeddings"]),
         queries=path_of(merged["queries"]),
         out_dir=path_of(merged["out_dir"]),
-        seed=_number(merged, "seed", _seed),
+        seed=_number(merged, "seed", _seed, 0),
         lexicon_dir=path_of(merged["lexicon_dir"]) if merged.get("lexicon_dir") else None,
         generated_tags=path_list("generated_tags"),
         generated_captions=path_list("generated_captions"),

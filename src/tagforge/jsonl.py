@@ -8,6 +8,7 @@ are skipped but counted. Lines are read lazily, BATCH_LINES at a time.
 from __future__ import annotations
 
 import json
+import re
 from itertools import islice
 from pathlib import Path
 from typing import Any, Callable, Iterable, Iterator
@@ -17,6 +18,11 @@ from .errors import TagforgeError
 BATCH_LINES = 8192
 
 INVALID = object()  # the value of a line that is not one JSON value
+NOT_UTF8 = object()  # the value of a line holding a byte that is not UTF-8
+
+# a byte that is not UTF-8, as a file opened with errors="surrogateescape"
+# reads it; valid UTF-8 never decodes to a lone surrogate
+_UNDECODABLE = re.compile("[\udc80-\udcff]")
 
 
 class RecordError(ValueError):
@@ -43,8 +49,13 @@ def _decode_batch(lines: list[str]) -> list | None:
         return None
 
 
+def _undecodable(line: str) -> bool:
+    return not line.isascii() and _UNDECODABLE.search(line) is not None
+
+
 def decode(lines: Iterable[str]) -> Iterator[tuple[int, Any]]:
-    """(line number, value) of each non-blank line; INVALID if not JSON."""
+    """(line number, value) of each non-blank line; INVALID if not JSON,
+    NOT_UTF8 if it holds a byte that a surrogateescape reader escaped."""
     rest = iter(lines)
     done = 0  # lines read before this chunk
     while chunk := list(islice(rest, BATCH_LINES)):
@@ -53,13 +64,13 @@ def decode(lines: Iterable[str]) -> Iterator[tuple[int, Any]]:
         numbers = [lineno for lineno, line in enumerate(chunk, done + 1) if line.strip()]
         batch = [chunk[lineno - done - 1] for lineno in numbers]
         done += len(chunk)
-        decoded = _decode_batch(batch)
+        decoded = None if any(map(_undecodable, batch)) else _decode_batch(batch)
         if decoded is not None:
             yield from zip(numbers, decoded)
             continue
         for lineno, line in zip(numbers, batch):
             try:
-                value = json.loads(line)
+                value = NOT_UTF8 if _undecodable(line) else json.loads(line)
             except (ValueError, RecursionError):
                 value = INVALID
             yield lineno, value
@@ -77,34 +88,34 @@ def read(
     The first line that is not JSON, or whose build raises ValueError,
     KeyError, TypeError, OverflowError or RecursionError, raises
     error("{path}:{lineno}: malformed {what} record"), or for a RecordError
-    error("{path}:{lineno}: {its message}"). A file that is not UTF-8 raises
-    invalid_utf8(path, error) once the reader reaches the bad byte, which it
-    decodes ahead of the lines it checks.
+    error("{path}:{lineno}: {its message}"), and a line holding a byte that
+    is not UTF-8 error("{path}:{lineno}: invalid UTF-8"): the first bad line
+    of the file is the one named, whichever way it is bad.
     """
-    with open(path, encoding="utf-8") as fh:
-        try:
-            for lineno, value in decode(fh):
-                try:
-                    if value is INVALID:
-                        raise ValueError("not JSON")
-                    record = build(value)
-                except RecordError as exc:
-                    raise error(f"{path}:{lineno}: {exc}") from None
-                except (ValueError, KeyError, TypeError, OverflowError, RecursionError):
-                    raise error(f"{path}:{lineno}: malformed {what} record") from None
-                yield record
-        except UnicodeDecodeError:
-            raise invalid_utf8(path, error) from None
+    with open(path, encoding="utf-8", errors="surrogateescape") as fh:
+        for lineno, value in decode(fh):
+            if value is NOT_UTF8:
+                raise error(f"{path}:{lineno}: invalid UTF-8")
+            try:
+                if value is INVALID:
+                    raise ValueError("not JSON")
+                record = build(value)
+            except RecordError as exc:
+                raise error(f"{path}:{lineno}: {exc}") from None
+            except (ValueError, KeyError, TypeError, OverflowError, RecursionError):
+                raise error(f"{path}:{lineno}: malformed {what} record") from None
+            yield record
 
 
-def invalid_utf8(path: str | Path, error: type[TagforgeError] = TagforgeError) -> TagforgeError:
-    """error("{path}:{lineno}: invalid UTF-8") naming the line that holds the
-    file's first byte that is not UTF-8, whichever part of the file failed
-    to decode first; lines end as in decode."""
+def invalid_utf8(path: str | Path) -> TagforgeError:
+    """TagforgeError("{path}:{lineno}: invalid UTF-8") naming the line that
+    holds the file's first byte that is not UTF-8, whichever part of the file
+    failed to decode first (`parse` decodes shards in worker processes);
+    lines end as in decode."""
     head = Path(path).read_bytes()
     try:
         head.decode("utf-8")
     except UnicodeDecodeError as exc:
         head = head[: exc.start]
     lineno = head.count(b"\n") + head.count(b"\r") - head.count(b"\r\n") + 1
-    return error(f"{path}:{lineno}: invalid UTF-8")
+    return TagforgeError(f"{path}:{lineno}: invalid UTF-8")

@@ -17,7 +17,7 @@ import numpy as np
 
 from . import jsonl
 from .errors import TagforgeError
-from .similarity_tagger import ThresholdProfile
+from .similarity_tagger import ThresholdProfile, read_score_sidecar
 
 LABEL_POSITIVE = 1
 LABEL_NEGATIVE = 0
@@ -205,6 +205,8 @@ def load_eval_instances(predictions_path: str | Path, ground_truth_path: str | P
     Ground truth: {"image_id": ..., "positive": [...], "negative": [...]},
     both lists optional; classes absent from both are unannotated. Repeated
     image_ids keep the last record. Scores absent for a known class rank last.
+    The predictions' scores come from the binary sidecar `tag` wrote beside
+    them when read_score_sidecar trusts it, which gives the same matrices.
     """
     # records that repeat the previous record's keys share its class-id list
     keys: list[str] | None = None
@@ -227,7 +229,12 @@ def load_eval_instances(predictions_path: str | Path, ground_truth_path: str | P
         return _image_id(obj), (_label_set(obj, "positive"), _label_set(obj, "negative"))
 
     # image_id -> (class ids, their scores)
-    pred = dict(jsonl.read(predictions_path, "prediction", prediction, MetricsError))
+    sidecar = read_score_sidecar(predictions_path)
+    if sidecar is None:
+        pred = dict(jsonl.read(predictions_path, "prediction", prediction, MetricsError))
+    else:
+        sidecar_ids, class_list, matrix = sidecar
+        pred = {image_id: (class_list, row) for image_id, row in zip(sidecar_ids, matrix)}
     gt = dict(jsonl.read(ground_truth_path, "ground-truth", ground_truth, MetricsError))
 
     image_ids = sorted(set(pred) | set(gt))

@@ -4,11 +4,32 @@ A label query is the renormalized mean of a tag's prompt embeddings, one per
 template, so scores against unit-norm inputs are plain cosines. Scores are
 raw cosines rather than a softmax over tags: tagging is multi-label and tags
 must not compete with each other.
+
+`tag` writes its predictions JSONL and, beside it at "<predictions>.scores",
+the same scores in binary, so that `eval` need not parse them back from
+text. The JSONL stays the source of truth: a sidecar counts only when it is
+whole and was written with exactly the JSONL's current bytes, and deleting
+it is always safe.
+
+Format SCR1 (little-endian):
+    magic    4 bytes  b"SCR1"
+    count    u32      images, in the JSONL's record order
+    tags     u32      score keys per record
+    tag_ids  tags * i64, the records' score keys in their order
+    images   count times:
+        id_len  u32
+        id      id_len bytes, UTF-8
+    scores   count * tags * f64, row-major: the values json.loads reads
+             from the records (NaN as float("nan"))
+    jsonl    32 bytes, sha256 of the JSONL file
+    self     32 bytes, sha256 of every byte above
 """
 
 from __future__ import annotations
 
+import hashlib
 import json
+import struct
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Sequence
@@ -244,27 +265,114 @@ def write_predictions(
     threshold, as json.dumps(record, ensure_ascii=False) writes it.
 
     Records are made WRITE_CHUNK_ROWS images at a time, their scores
-    through _ScoreText rather than one float repr at a time.
+    through _ScoreText rather than one float repr at a time. The same
+    scores go to the SCR1 sidecar (see the module docstring) chunk by chunk.
     """
-    order = np.argsort(np.asarray(queries.tag_ids, dtype=np.int64))
-    ascending = np.asarray(queries.tag_ids, dtype=np.int64)[order]
+    tag_ids = np.asarray(queries.tag_ids, dtype=np.int64)
+    order = np.argsort(tag_ids)
+    ascending = tag_ids[order]
     score_text = _ScoreText([str(t) for t in queries.tag_ids])
     thresholds = profile.thresholds(queries.tag_ids)
     image_ids = sorted(table.keys)
-    with open(path, "w", encoding="utf-8") as fh:
+    jsonl_digest, sidecar_digest = hashlib.sha256(), hashlib.sha256()
+    with open(path, "wb") as fh, open(score_sidecar_path(path), "wb") as sidecar:
+
+        def put(data: bytes) -> None:
+            sidecar.write(data)
+            sidecar_digest.update(data)
+
+        put(SIDECAR_MAGIC + struct.pack("<II", len(image_ids), len(tag_ids)))
+        put(tag_ids.astype("<i8").tobytes())
+        put(b"".join(
+            struct.pack("<I", len(encoded)) + encoded
+            for encoded in (image_id.encode("utf-8") for image_id in image_ids)
+        ))
         for start in range(0, len(image_ids), WRITE_CHUNK_ROWS):
             chunk = image_ids[start : start + WRITE_CHUNK_ROWS]
             # one matrix-vector product per image: a single matrix product
             # over all images may change the scores' low bits
             scores = np.stack([score(table.vector(image_id), queries) for image_id in chunk])
             hits = (scores >= thresholds)[:, order]
-            bodies = score_text.bodies(round_scores(scores.ravel()).reshape(scores.shape))
-            fh.write("".join(
+            rounded = round_scores(scores.ravel()).reshape(scores.shape)
+            text = "".join(
                 '{"image_id": ' + json.dumps(image_id, ensure_ascii=False)
                 + ', "scores": {' + body + '}, "tags": '
                 + json.dumps(ascending[row].tolist()) + "}\n"
-                for image_id, body, row in zip(chunk, bodies, hits)
-            ))
+                for image_id, body, row in zip(chunk, score_text.bodies(rounded), hits)
+            ).encode("utf-8")
+            fh.write(text)
+            jsonl_digest.update(text)
+            # json.loads reads every NaN the text holds as float("nan")
+            put(np.where(np.isnan(rounded), np.nan, rounded).astype("<f8").tobytes())
+        put(jsonl_digest.digest())
+        sidecar.write(sidecar_digest.digest())
+
+
+SIDECAR_MAGIC = b"SCR1"
+_DIGEST_BYTES = 32  # sha256
+
+
+def score_sidecar_path(predictions: str | Path) -> Path:
+    return Path(str(predictions) + ".scores")
+
+
+def read_score_sidecar(
+    predictions: str | Path,
+) -> tuple[list[str], list[int], np.ndarray] | None:
+    """(image ids, tag ids, scores matrix) of the predictions JSONL at
+    predictions, read from its SCR1 sidecar; None unless the sidecar is
+    there, its own digest checks, its structure fills it exactly, its tag
+    ids are distinct (json.loads would merge repeated keys) and it was
+    written with exactly the bytes the JSONL holds now. The matrix is a
+    read-only view, one row per image id."""
+    try:
+        data = score_sidecar_path(predictions).read_bytes()
+    except OSError:
+        return None
+    body_end = len(data) - 2 * _DIGEST_BYTES  # where the JSONL digest starts
+    if (
+        body_end < 12
+        or data[:4] != SIDECAR_MAGIC
+        or hashlib.sha256(memoryview(data)[:-_DIGEST_BYTES]).digest() != data[-_DIGEST_BYTES:]
+    ):
+        return None
+    count, tags = struct.unpack_from("<II", data, 4)
+    offset = 12 + 8 * tags
+    if offset > body_end:
+        return None
+    tag_ids = np.frombuffer(data, "<i8", tags, 12).tolist()
+    image_ids = []
+    for _ in range(count):  # each id takes 4 bytes at least, so the file bounds the loop
+        if offset + 4 > body_end:
+            return None
+        (length,) = struct.unpack_from("<I", data, offset)
+        offset += 4
+        if offset + length > body_end:
+            return None
+        try:
+            image_ids.append(data[offset : offset + length].decode("utf-8"))
+        except UnicodeDecodeError:
+            return None
+        offset += length
+    if body_end - offset != 8 * count * tags or len(set(tag_ids)) != tags:
+        return None
+    try:
+        if _file_sha256(predictions) != data[body_end:-_DIGEST_BYTES]:
+            return None
+    except OSError:
+        return None
+    matrix = np.frombuffer(data, "<f8", count * tags, offset).reshape(count, tags)
+    return image_ids, tag_ids, matrix
+
+
+def _file_sha256(path: str | Path) -> bytes:
+    with open(path, "rb") as fh:
+        if hasattr(hashlib, "file_digest"):  # Python 3.11+
+            return hashlib.file_digest(fh, "sha256").digest()
+        digest = hashlib.sha256()
+        while block := fh.read(1 << 20):
+            digest.update(block)
+        return digest.digest()
 
 
 def calibrate_thresholds(

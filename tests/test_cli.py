@@ -297,6 +297,24 @@ def test_engine_run_reports_parse_rejects(runner, tmp_path):
         assert (tmp_path / "bad" / name).read_bytes() == (tmp_path / "clean" / name).read_bytes()
 
 
+def test_engine_run_seed_defaults_to_zero_as_its_help_says(runner, tmp_path):
+    corpus = build_synthetic_corpus(tmp_path / "c", n_images=80, seed=58)
+    cfg = corpus.config
+    outputs = {}
+    for name, flags in (("default", []), ("seed 0", ["--seed", "0"]), ("seed 7", ["--seed", "7"])):
+        result = runner.invoke(cli, [
+            "engine", "run", "--captions", str(cfg.captions), "--vocab", str(cfg.vocab),
+            "--regions", str(cfg.regions), "--region-embeddings", str(cfg.region_embeddings),
+            "--queries", str(cfg.queries), "--out-dir", str(tmp_path / name), *flags,
+        ])
+        assert result.exit_code == 0, result.output
+        outputs[name] = [(tmp_path / name / f).read_bytes() for f in ("final.jsonl", "audit.jsonl")]
+    assert outputs["default"] == outputs["seed 0"]
+    assert outputs["seed 7"][1] != outputs["seed 0"][1]
+    help_text = " ".join(runner.invoke(cli, ["engine", "run", "--help"]).output.split())
+    assert "Random seed [default: 0, or the config file's seed]" in help_text
+
+
 def test_generated_caption_rejects_reported(runner, tmp_path):
     corpus = build_synthetic_corpus(tmp_path / "c", n_images=40, seed=58)
     cfg = corpus.config

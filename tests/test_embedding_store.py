@@ -2,6 +2,8 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tagforge.embedding_store import (
     EmbeddingFormatError,
@@ -142,3 +144,63 @@ def test_normalize_zero_vector_names_key():
 def test_from_vectors_requires_consistent_dims():
     with pytest.raises(ValueError):
         EmbeddingTable.from_vectors({"a": np.ones(3), "b": np.ones(4)})
+
+
+# -- fuzz: truncated and garbage EMB1 files ----------------------------------------
+
+f32s = st.floats(width=32, allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def emb1_files(draw, min_count=0):
+    """The bytes of a valid EMB1 file: distinct keys, finite f32 vectors."""
+    dim = draw(st.integers(1, 4))
+    keys = draw(st.lists(st.text(max_size=6), min_size=min_count, max_size=5, unique=True))
+    records = [(key, draw(st.lists(f32s, min_size=dim, max_size=dim))) for key in keys]
+    header = b"EMB1" + struct.pack("<IIB", len(records), dim, 0)
+    return header + b"".join(
+        struct.pack("<H", len(key.encode())) + key.encode() + np.asarray(vec, "<f4").tobytes()
+        for key, vec in records
+    )
+
+
+def _load_bytes(tmp_path_factory, data):
+    path = tmp_path_factory.mktemp("emb1") / "fuzz.emb"
+    path.write_bytes(data)
+    return load_embeddings(path)
+
+
+@settings(derandomize=True, deadline=None, max_examples=150)
+@given(data=emb1_files(min_count=1), cut=st.floats(0, 1, exclude_max=True))
+def test_truncated_emb1_files_raise_format_error(tmp_path_factory, data, cut):
+    _load_bytes(tmp_path_factory, data)  # whole, it loads
+    with pytest.raises(EmbeddingFormatError):
+        _load_bytes(tmp_path_factory, data[: int(cut * len(data))])
+
+
+@settings(derandomize=True, deadline=None, max_examples=150)
+@given(data=emb1_files(), tail=st.binary(min_size=1, max_size=40))
+def test_emb1_files_with_garbage_after_them_raise_format_error(tmp_path_factory, data, tail):
+    with pytest.raises(EmbeddingFormatError):
+        _load_bytes(tmp_path_factory, data + tail)
+
+
+@settings(derandomize=True, deadline=None, max_examples=150)
+@given(garbage=st.binary(max_size=80).filter(lambda b: not b.startswith(b"EMB1")))
+def test_garbage_without_the_magic_raises_format_error(tmp_path_factory, garbage):
+    with pytest.raises(EmbeddingFormatError, match="bad magic at offset 0"):
+        _load_bytes(tmp_path_factory, garbage)
+
+
+@settings(derandomize=True, deadline=None, max_examples=150)
+@given(data=emb1_files(min_count=1), at=st.floats(0, 1, exclude_max=True),
+       garbage=st.binary(min_size=1, max_size=16))
+def test_emb1_files_with_garbage_inside_load_or_raise_format_error(
+    tmp_path_factory, data, at, garbage
+):
+    start = 4 + int(at * (len(data) - 4))  # after the magic
+    try:
+        table = _load_bytes(tmp_path_factory, data[:start] + garbage + data[start + len(garbage):])
+    except EmbeddingFormatError:
+        return
+    assert table.matrix.shape == (len(table.keys), table.dim)

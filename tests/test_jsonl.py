@@ -126,6 +126,51 @@ def test_invalid_utf8_names_file_and_line_in_the_callers_error(tmp_path, ending,
         list(jsonl.read(path, "thing", lambda obj: obj["a"]))
 
 
+@pytest.mark.parametrize("ending", ENDINGS, ids=["LF", "CRLF", "CR"])
+@pytest.mark.parametrize("first, second, bad_line", [
+    (b"{broken", b'{"a": "\xff"}', "malformed"),  # the file's first bad line is malformed
+    (b'{"a": "x"}', b'{"a": "\xff"}', "malformed"),  # a record its build refuses
+    (b'{"a": "\xff"}', b"{broken", "invalid UTF-8"),
+])
+@pytest.mark.parametrize("before", [0, 14998])  # lines ahead of the pair, in one batch
+def test_read_names_the_files_first_bad_line_either_way(tmp_path, ending, first, second,
+                                                         bad_line, before):
+    path = tmp_path / "x.jsonl"
+    end = ending.encode()
+    path.write_bytes(b'{"a": 1}' + end + (b'{"a": 2}' + end) * before + first + end + second + end)
+    message = "malformed thing record" if bad_line == "malformed" else bad_line
+    with pytest.raises(MetricsError, match=_error_at(path, before + 2, message)):
+        list(jsonl.read(path, "thing", lambda obj: int(obj["a"]), MetricsError))
+
+
+def test_eval_names_the_first_bad_ground_truth_line(tmp_path):
+    predictions, truth = tmp_path / "pred.jsonl", tmp_path / "gt.jsonl"
+    predictions.write_text(json.dumps({"image_id": "a", "scores": {"1": 0.5}, "tags": [1]}) + "\n")
+    truth.write_bytes(b'{broken\n{"image_id": "\xff", "positive": [1]}\n')
+    result = CliRunner().invoke(cli, [
+        "eval", "--predictions", str(predictions), "--ground-truth", str(truth),
+    ])
+    assert result.exit_code == 1
+    assert result.output == f"Error: {truth}:1: malformed ground-truth record\n"
+
+
+def test_parse_stops_at_the_first_line_that_is_not_utf8_at_every_worker_count(tmp_path):
+    # `parse` counts a malformed line as a reject and goes on, so the first
+    # bad line that stops it is the first one that is not UTF-8
+    captions = tmp_path / "captions.jsonl"
+    good = [json.dumps({"image_id": f"i{n}", "caption": "a red dog"}).encode() for n in range(3000)]
+    lines = [b"{broken"] + good[:2000] + [b'{"image_id": "x", "caption": "\xff"}', b"{broken"]
+    captions.write_bytes(b"\n".join(lines + good[2000:]) + b"\n")
+    runner = CliRunner()
+    for workers in (1, 2, 3):
+        result = runner.invoke(cli, [
+            "parse", "--captions", str(captions), "--out-tags", str(tmp_path / "t.jsonl"),
+            "--out-freq", str(tmp_path / "f.tsv"), "--workers", str(workers),
+        ])
+        assert result.exit_code == 1, workers
+        assert result.output == f"Error: {captions}:2002: invalid UTF-8\n", workers
+
+
 def test_invalid_utf8_far_into_a_file_names_its_line(tmp_path):
     path = tmp_path / "x.jsonl"
 
