@@ -190,7 +190,8 @@ def build_queries_cmd(vocab, prompts, templates, out_path, seed, workers, config
 @click.option("--thresholds", type=click.Path(exists=True, dir_okay=False), default=None,
               help="Threshold profile TSV (default: flat 0.2).")
 @click.option("--out", "out_path", type=click.Path(dir_okay=False), required=True,
-              help="Output predictions JSONL with scores and selected tags.")
+              help="Output predictions JSONL with scores and selected tags; the scores "
+                   "also go, in binary, to OUT.scores where that can be written.")
 @_data_errors
 def tag_cmd(embeddings, queries, vocab, thresholds, out_path, seed, workers, config_path):
     """Score image embeddings against the label queries and apply thresholds."""

@@ -9,7 +9,15 @@ must not compete with each other.
 the same scores in binary, so that `eval` need not parse them back from
 text. The JSONL stays the source of truth: a sidecar counts only when it is
 whole and was written with exactly the JSONL's current bytes, and deleting
-it is always safe.
+it is always safe. The sidecar is best effort: `tag` writes none beside a
+predictions file that is not a regular file (a pipe, /dev/stdout) or over
+a file that is not an SCR1 sidecar, and drops one it cannot create or
+write; `eval` then parses the JSONL.
+
+Its digests are plain sha256, not keyed: they catch a truncated, corrupt
+or stale sidecar, not one made on purpose to disagree with the JSONL. A
+sidecar is trusted, so evaluate predictions you did not write yourself
+with their sidecar deleted.
 
 Format SCR1 (little-endian):
     magic    4 bytes  b"SCR1"
@@ -27,12 +35,15 @@ Format SCR1 (little-endian):
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import json
+import os
+import stat
 import struct
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Sequence
+from typing import BinaryIO, Sequence
 
 import numpy as np
 
@@ -274,16 +285,10 @@ def write_predictions(
     score_text = _ScoreText([str(t) for t in queries.tag_ids])
     thresholds = profile.thresholds(queries.tag_ids)
     image_ids = sorted(table.keys)
-    jsonl_digest, sidecar_digest = hashlib.sha256(), hashlib.sha256()
-    with open(path, "wb") as fh, open(score_sidecar_path(path), "wb") as sidecar:
-
-        def put(data: bytes) -> None:
-            sidecar.write(data)
-            sidecar_digest.update(data)
-
-        put(SIDECAR_MAGIC + struct.pack("<II", len(image_ids), len(tag_ids)))
-        put(tag_ids.astype("<i8").tobytes())
-        put(b"".join(
+    with open(path, "wb") as fh, _SidecarWriter(fh, score_sidecar_path(path)) as sidecar:
+        sidecar.put(SIDECAR_MAGIC + struct.pack("<II", len(image_ids), len(tag_ids)))
+        sidecar.put(tag_ids.astype("<i8").tobytes())
+        sidecar.put(b"".join(
             struct.pack("<I", len(encoded)) + encoded
             for encoded in (image_id.encode("utf-8") for image_id in image_ids)
         ))
@@ -301,11 +306,9 @@ def write_predictions(
                 for image_id, body, row in zip(chunk, score_text.bodies(rounded), hits)
             ).encode("utf-8")
             fh.write(text)
-            jsonl_digest.update(text)
+            sidecar.jsonl_digest.update(text)
             # json.loads reads every NaN the text holds as float("nan")
-            put(np.where(np.isnan(rounded), np.nan, rounded).astype("<f8").tobytes())
-        put(jsonl_digest.digest())
-        sidecar.write(sidecar_digest.digest())
+            sidecar.put(np.where(np.isnan(rounded), np.nan, rounded).astype("<f8").tobytes())
 
 
 SIDECAR_MAGIC = b"SCR1"
@@ -314,6 +317,68 @@ _DIGEST_BYTES = 32  # sha256
 
 def score_sidecar_path(predictions: str | Path) -> Path:
     return Path(str(predictions) + ".scores")
+
+
+class _SidecarWriter:
+    """The SCR1 sidecar, at path, of the predictions being written to
+    `predictions`, best effort (see the module docstring). put() writes
+    sidecar bytes, jsonl_digest takes the JSONL's bytes, and a clean exit
+    ends the file with both digests; an exception drops the file."""
+
+    def __init__(self, predictions: BinaryIO, path: Path):
+        self.path, self.fh = path, None
+        self.jsonl_digest, self.digest = hashlib.sha256(), hashlib.sha256()
+        if stat.S_ISREG(os.fstat(predictions.fileno()).st_mode) and _replaceable(path):
+            with contextlib.suppress(OSError):
+                self.fh = open(path, "wb")
+
+    def put(self, data: bytes) -> None:
+        if self.fh is None:
+            return
+        self.digest.update(data)
+        try:
+            self.fh.write(data)
+        except OSError:
+            self.drop()
+
+    def drop(self) -> None:
+        """Close and delete the sidecar, if one is being written."""
+        if self.fh is None:
+            return
+        fh, self.fh = self.fh, None
+        with contextlib.suppress(OSError):
+            fh.close()
+        with contextlib.suppress(OSError):
+            self.path.unlink()
+
+    def __enter__(self) -> _SidecarWriter:
+        return self
+
+    def __exit__(self, exc_type, exc, tb) -> None:
+        if exc_type is not None:
+            self.drop()
+            return
+        self.put(self.jsonl_digest.digest())
+        self.put(self.digest.digest())
+        if self.fh is not None:
+            try:
+                self.fh.close()
+            except OSError:
+                self.drop()
+
+
+def _replaceable(path: Path) -> bool:
+    """Whether tag may write its sidecar at path: nothing is there, or an
+    SCR1 sidecar (or an empty file, one a killed run left) that it replaces."""
+    try:
+        if not stat.S_ISREG(os.stat(path).st_mode):
+            return False
+        with open(path, "rb") as fh:
+            return fh.read(len(SIDECAR_MAGIC)) in (b"", SIDECAR_MAGIC)
+    except FileNotFoundError:
+        return True
+    except OSError:
+        return False
 
 
 def read_score_sidecar(
@@ -367,8 +432,6 @@ def read_score_sidecar(
 
 def _file_sha256(path: str | Path) -> bytes:
     with open(path, "rb") as fh:
-        if hasattr(hashlib, "file_digest"):  # Python 3.11+
-            return hashlib.file_digest(fh, "sha256").digest()
         digest = hashlib.sha256()
         while block := fh.read(1 << 20):
             digest.update(block)

@@ -6,6 +6,7 @@ error message."""
 
 import hashlib
 import json
+import os
 import shutil
 import struct
 
@@ -255,3 +256,89 @@ def test_an_untrusted_sidecar_changes_no_report_or_message(tagged, damage, at, b
     assert got == _eval(work)  # the JSONL alone gives the same
     if damage is not _stale:
         assert got == trusted
+
+
+# -- the sidecar is best effort ------------------------------------------------------------
+
+
+def _tag_into(tagged, out):
+    """`tag` on the fixture's inputs, writing its predictions to out."""
+    return CliRunner().invoke(cli, [
+        "tag", "--embeddings", str(tagged / "images.emb"), "--queries", str(tagged / "queries.emb"),
+        "--vocab", str(tagged / "vocab.tsv"), "--out", str(out),
+    ])
+
+
+def _in_work_dir(tagged, name):
+    work = tagged / name
+    shutil.rmtree(work, ignore_errors=True)
+    work.mkdir()
+    shutil.copy(tagged / "gt.jsonl", work / "gt.jsonl")
+    return work
+
+
+def test_tag_writes_its_predictions_when_the_sidecar_cannot_be_created(tagged):
+    work = _in_work_dir(tagged, "blocked")
+    sidecar = score_sidecar_path(work / "pred.jsonl")
+    sidecar.mkdir()  # a directory stands where the sidecar goes
+    result = _tag_into(tagged, work / "pred.jsonl")
+    assert result.exit_code == 0, result.output
+    assert (work / "pred.jsonl").read_bytes() == (tagged / "pred-w1.jsonl").read_bytes()
+    assert sidecar.is_dir() and not any(sidecar.iterdir())
+    assert read_score_sidecar(work / "pred.jsonl") is None
+    got = _eval(work)
+    sidecar.rmdir()
+    assert got == _eval(work)
+
+
+def test_tag_writes_no_sidecar_beside_a_pipe(tagged, tmp_path):
+    fifo = tmp_path / "pred.jsonl"
+    os.mkfifo(fifo)
+    want = (tagged / "pred-w1.jsonl").read_bytes()
+    assert len(want) < 16384  # fits the pipe's buffer: tag never waits on the reader
+    reader = os.open(fifo, os.O_RDONLY | os.O_NONBLOCK)
+    try:
+        result = _tag_into(tagged, fifo)
+        assert result.exit_code == 0, result.output
+        got = b""
+        while chunk := os.read(reader, 65536):
+            got += chunk
+    finally:
+        os.close(reader)
+    assert got == want
+    assert not score_sidecar_path(fifo).exists()
+
+
+@pytest.mark.parametrize("existing, replaced", [
+    (b"not a sidecar", False),
+    (b"", True),  # a run killed before its first write leaves an empty file
+    (b"SCR1 from an earlier run", True),
+])
+def test_tag_replaces_only_a_sidecar(tagged, existing, replaced):
+    work = _in_work_dir(tagged, "existing")
+    sidecar = score_sidecar_path(work / "pred.jsonl")
+    sidecar.write_bytes(existing)
+    result = _tag_into(tagged, work / "pred.jsonl")
+    assert result.exit_code == 0, result.output
+    assert (work / "pred.jsonl").read_bytes() == (tagged / "pred-w1.jsonl").read_bytes()
+    if replaced:
+        assert sidecar.read_bytes() == score_sidecar_path(tagged / "pred-w1.jsonl").read_bytes()
+    else:
+        assert sidecar.read_bytes() == existing
+        assert read_score_sidecar(work / "pred.jsonl") is None
+
+
+def test_a_failed_write_leaves_no_sidecar(tmp_path, monkeypatch):
+    table, queries = _fixed_score_tagger(monkeypatch, np.zeros((WRITE_CHUNK_ROWS + 1, 2)), [1, 2])
+    calls = []
+
+    def score_then_fail(embedding, _):
+        calls.append(1)
+        if len(calls) > WRITE_CHUNK_ROWS:  # the second chunk
+            raise similarity_tagger.TaggerError("scoring failed")
+        return np.zeros(2)
+
+    monkeypatch.setattr(similarity_tagger, "score", score_then_fail)
+    with pytest.raises(similarity_tagger.TaggerError):
+        write_predictions(table, queries, ThresholdProfile(), tmp_path / "pred.jsonl")
+    assert not score_sidecar_path(tmp_path / "pred.jsonl").exists()
