@@ -25,6 +25,7 @@ from .config import (
     DEFAULT_MIN_REGIONS,
     SELFTEST_SEED,
     build_engine_config,
+    check_values,
     read_config_file,
     seed_and_workers,
 )
@@ -235,15 +236,12 @@ def engine_generate_cmd(
     _, workers = seed_and_workers(config_path, seed, workers)
     store = engine.load_annotations(annotations)
     vocabulary = ls.load_vocabulary(vocab)
-    lexicons = cp.load_lexicons(lexicon_dir)
-    valid = set(vocabulary.tag_ids())
-    records = [r for path in generated_tags for r in engine.load_tag_id_records(path)]
-    caption_tags, caption_rejects = engine.caption_tag_ids(
-        generated_captions, lexicon_dir, vocabulary, lexicons, workers
+    merged, audit, rejected, caption_rejects = engine.generate_stage(
+        store, vocabulary, cp.load_lexicons(lexicon_dir), generated_tags, generated_captions,
+        lexicon_dir, workers,
     )
     if generated_captions:
         _echo_rejects("generated captions", caption_rejects)
-    merged, audit, rejected = engine.generate_merge(store, records, caption_tags, valid)
     engine.write_annotations(merged, out_path)
     if audit_path:
         engine.write_audit(audit, audit_path)
@@ -281,31 +279,17 @@ def engine_clean_cmd(
 ):
     """Run outlier cleaning and the prediction filter on an annotation set."""
     from . import data_engine as engine
-    from . import similarity_tagger as st
 
+    check_values(fraction=fraction, margin=margin, min_regions=min_regions)
     seed, workers = seed_and_workers(config_path, seed, workers)
     store = engine.load_annotations(annotations)
     vocabulary = ls.load_vocabulary(vocab)
-    region_list = engine.load_regions(regions)
-    region_table = normalize(load_embeddings(region_embeddings))
-    query_matrix = st.load_label_queries(queries, vocabulary)
-    profile = st.load_threshold_profile(thresholds) if thresholds else st.ThresholdProfile()
-    profile.validate_against(query_matrix.tag_ids)
-    whole = normalize(load_embeddings(image_embeddings)) if image_embeddings else None
-    whitelist_set = ls.load_whitelist(whitelist) if whitelist else None
-
-    removals = engine.clean_stage(
-        region_list, region_table, whitelist_set,
-        fraction=fraction, seed=seed,
+    inputs, clean_events, _ = engine.outlier_stage(
+        store, regions, region_embeddings, whitelist, fraction=fraction, seed=seed,
         min_regions=min_regions, outlier_scope=outlier_scope, workers=workers,
     )
-    clean_events, _ = engine.apply_removals(store, removals, engine.STAGE_CLEAN)
-    filter_outcome = engine.prediction_filter(
-        store, region_list, region_table, whole, query_matrix, profile,
-        margin=margin, whitelist=whitelist_set,
-    )
-    filter_events, _ = engine.apply_removals(
-        store, filter_outcome.removals, engine.STAGE_FILTER
+    filter_events, _, _ = engine.filter_stage(
+        store, inputs, vocabulary, queries, thresholds, image_embeddings, margin
     )
     engine.write_annotations(store, out_path)
     if audit_path:
@@ -433,7 +417,8 @@ def selftest_cmd(seed, workers, config_path):
     """Run the built-in property suites; exits nonzero on failure."""
     from . import selftest
 
-    seed, _ = seed_and_workers(config_path, seed, workers, default_seed=SELFTEST_SEED)
+    # workers is ignored, so neither --workers nor the config's workers is read
+    seed, _ = seed_and_workers(config_path, seed, 1, default_seed=SELFTEST_SEED)
     if not selftest.run_all(seed=seed):
         raise click.ClickException("selftest failed")
 

@@ -13,10 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .config import DEFAULT_MAX_ITER, DEFAULT_TOL
 from .rng import Xoshiro256StarStar
-
-DEFAULT_TOL = 1e-4
-DEFAULT_MAX_ITER = 100
 
 # slack for the inertia monotonicity assertion; Lloyd is monotone in exact
 # arithmetic, float64 accumulation can wobble in the last ulps

@@ -26,15 +26,15 @@ unless absolute):
     min_regions         skip categories with fewer regions
                         (default DEFAULT_MIN_REGIONS)
     margin              contrary-prediction margin (default DEFAULT_MARGIN)
-    tol                 Lloyd convergence tolerance (default 1e-4)
-    max_iter            Lloyd iteration cap (default 100)
+    tol                 Lloyd convergence tolerance (default DEFAULT_TOL)
+    max_iter            Lloyd iteration cap (default DEFAULT_MAX_ITER)
     workers             parser and clean-category processes (default 1);
                         outputs are byte-identical at every count
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from functools import partial
 from pathlib import Path
 
@@ -42,10 +42,13 @@ from .errors import TagforgeError
 
 _seed = partial(int, base=0)  # a seed may be written in any base Python reads, as 0x2A
 
-# engine defaults, shared by EngineConfig, data_engine and `engine clean`
+# engine defaults, the one home of each: EngineConfig, build_engine_config,
+# the data_engine and clustering functions and `engine clean`'s flags use them
 DEFAULT_FRACTION = 0.10
 DEFAULT_MIN_REGIONS = 20
 DEFAULT_MARGIN = 0.05
+DEFAULT_TOL = 1e-4
+DEFAULT_MAX_ITER = 100
 
 SELFTEST_SEED = 20240901  # `selftest`'s seed when neither --seed nor the config sets one
 
@@ -56,24 +59,29 @@ class ConfigError(TagforgeError):
         super().__init__(f"config key {key!r}: {message}")
 
 
+# key -> (test for a bad value, message), in the order check_values applies them
+_OUT_OF_RANGE = {
+    "fraction": (lambda v: not 0.0 <= v < 1.0, "{} outside [0, 1)"),
+    "outlier_scope": (lambda v: v not in ("category", "cluster"),
+                      "{!r} is not 'category' or 'cluster'"),
+    "margin": (lambda v: v < 0, "must be >= 0"),
+    "tol": (lambda v: v <= 0, "must be > 0"),
+    "max_iter": (lambda v: v < 1, "must be >= 1"),
+    "min_regions": (lambda v: v < 0, "must be >= 0"),
+    "workers": (lambda v: v < 1, "must be >= 1"),
+}
+
+
+def check_values(**values) -> None:
+    """Raise ConfigError for the first engine value out of range. Every command
+    checks here, so a bad value fails alike from a flag or a config file."""
+    for key, value in values.items():
+        is_bad, message = _OUT_OF_RANGE[key]
+        if is_bad(value):
+            raise ConfigError(key, message.format(value))
+
+
 _REQUIRED = ("captions", "vocab", "regions", "region_embeddings", "queries", "out_dir")
-_OPTIONAL = (
-    "seed",
-    "lexicon_dir",
-    "generated_tags",
-    "generated_captions",
-    "seed_annotations",
-    "image_embeddings",
-    "thresholds",
-    "whitelist",
-    "fraction",
-    "outlier_scope",
-    "min_regions",
-    "margin",
-    "tol",
-    "max_iter",
-    "workers",
-)
 
 
 @dataclass
@@ -96,25 +104,12 @@ class EngineConfig:
     outlier_scope: str = "category"
     min_regions: int = DEFAULT_MIN_REGIONS
     margin: float = DEFAULT_MARGIN
-    tol: float = 1e-4
-    max_iter: int = 100
+    tol: float = DEFAULT_TOL
+    max_iter: int = DEFAULT_MAX_ITER
     workers: int = 1
 
     def validate(self) -> None:
-        if not 0.0 <= self.fraction < 1.0:
-            raise ConfigError("fraction", f"{self.fraction} outside [0, 1)")
-        if self.outlier_scope not in ("category", "cluster"):
-            raise ConfigError("outlier_scope", f"{self.outlier_scope!r} is not 'category' or 'cluster'")
-        if self.margin < 0:
-            raise ConfigError("margin", "must be >= 0")
-        if self.tol <= 0:
-            raise ConfigError("tol", "must be > 0")
-        if self.max_iter < 1:
-            raise ConfigError("max_iter", "must be >= 1")
-        if self.min_regions < 0:
-            raise ConfigError("min_regions", "must be >= 0")
-        if self.workers < 1:
-            raise ConfigError("workers", "must be >= 1")
+        check_values(**{key: getattr(self, key) for key in _OUT_OF_RANGE})
         for key in ("captions", "vocab", "regions", "region_embeddings", "queries"):
             path = getattr(self, key)
             if not Path(path).is_file():
@@ -161,13 +156,14 @@ def seed_and_workers(
     config_path: str | Path | None, seed: int | None, workers: int | None, default_seed: int = 0
 ) -> tuple[int, int]:
     """A command's --seed and --workers, each falling back to the config
-    file's key, then to default_seed and 1."""
+    file's key, then to default_seed and 1; workers must be >= 1."""
     values = read_config_file(config_path) if config_path is not None else {}
     if seed is None:
         seed = _number(values, "seed", _seed, default_seed)
     if workers is None:
         workers = _number(values, "workers", int, 1)
-    return seed, workers or 1
+    check_values(workers=workers)
+    return seed, workers
 
 
 def build_engine_config(
@@ -180,7 +176,7 @@ def build_engine_config(
         if value is not None:
             merged[key] = value
 
-    unknown = sorted(set(merged) - set(_REQUIRED) - set(_OPTIONAL))
+    unknown = sorted(set(merged) - {f.name for f in fields(EngineConfig)})
     if unknown:
         raise ConfigError(unknown[0], "unknown config key")
     missing = [key for key in _REQUIRED if key not in merged]
@@ -216,8 +212,8 @@ def build_engine_config(
         outlier_scope=str(merged.get("outlier_scope", "category")),
         min_regions=_number(merged, "min_regions", int, DEFAULT_MIN_REGIONS),
         margin=_number(merged, "margin", float, DEFAULT_MARGIN),
-        tol=_number(merged, "tol", float, 1e-4),
-        max_iter=_number(merged, "max_iter", int, 100),
+        tol=_number(merged, "tol", float, DEFAULT_TOL),
+        max_iter=_number(merged, "max_iter", int, DEFAULT_MAX_ITER),
         workers=_number(merged, "workers", int, 1),
     )
     config.validate()

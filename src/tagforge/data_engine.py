@@ -14,6 +14,7 @@ from __future__ import annotations
 import json
 import math
 import multiprocessing
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from itertools import groupby
 from operator import attrgetter
@@ -24,8 +25,8 @@ import numpy as np
 
 from . import jsonl
 from .caption_parser import LexiconBundle, RejectSummary, load_lexicons, parse_corpus_file
-from .clustering import DEFAULT_MAX_ITER, DEFAULT_TOL, distinct_rows, kmeanspp_init, lloyd
-from .config import DEFAULT_FRACTION, DEFAULT_MARGIN, DEFAULT_MIN_REGIONS, EngineConfig
+from .clustering import distinct_rows, kmeanspp_init, lloyd
+from .config import DEFAULT_MARGIN, DEFAULT_MAX_ITER, DEFAULT_MIN_REGIONS, DEFAULT_TOL, EngineConfig
 from .embedding_store import EmbeddingTable, load_embeddings, normalize
 from .errors import TagforgeError
 from .label_system import TagVocabulary, load_vocabulary, load_whitelist, map_tag
@@ -322,16 +323,12 @@ def clean_stage(
     regions: Sequence[RegionRecord],
     region_embeddings: EmbeddingTable,
     whitelist: set[int] | None,
-    fraction: float,
-    seed: int,
-    min_regions: int = DEFAULT_MIN_REGIONS,
-    tol: float = DEFAULT_TOL,
-    max_iter: int = DEFAULT_MAX_ITER,
-    outlier_scope: str = OUTLIER_SCOPE_CATEGORY,
     workers: int = 1,
+    **params,
 ) -> list[tuple[str, int, str]]:
     """Clean every category that has regions (only whitelisted ones when a
-    whitelist is given) and return the outlier removals.
+    whitelist is given) with clean_category's keyword params, and return the
+    outlier removals.
 
     With workers > 1 the categories are spread over a process pool, largest
     first. The pool uses multiprocessing's default start method, like the
@@ -344,10 +341,6 @@ def clean_stage(
     for r in regions:
         by_tag.setdefault(r.tag_id, []).append(r)
     category_ids = sorted(by_tag) if whitelist is None else sorted(set(by_tag) & whitelist)
-    params = dict(
-        fraction=fraction, seed=seed, min_regions=min_regions, tol=tol, max_iter=max_iter,
-        outlier_scope=outlier_scope,
-    )
     if workers > 1 and len(category_ids) > 1:
         largest_first = sorted(category_ids, key=lambda t: (-len(by_tag[t]), t))
         with multiprocessing.Pool(
@@ -575,20 +568,29 @@ def _parse_stage(
     return store, unmapped, corpus.rejects
 
 
-def caption_tag_ids(
-    paths: Sequence[str | Path],
-    lexicon_dir: str | Path | None,
+# The generate, clean and filter stages, written once: run_engine calls them
+# in order, and `engine generate` and `engine clean` call them on their own.
+
+
+def generate_stage(
+    store: AnnotationStore,
     vocab: TagVocabulary,
     lexicons: LexiconBundle,
-    workers: int = 1,
-) -> tuple[dict[str, set[int]], RejectSummary]:
-    """Parse generated caption files into the tag ids they name per image,
-    with the records the parser skipped."""
+    generated_tags: Sequence[str | Path],
+    generated_captions: Sequence[str | Path],
+    lexicon_dir: str | Path | None,
+    workers: int,
+) -> tuple[AnnotationStore, list[AuditEvent], int, RejectSummary]:
+    """Merge the generated tag-id files and the tags parsed from the
+    generated caption files into a copy of store. Returns the merged store,
+    its additions, the rejected tag-id records and the caption records the
+    parser skipped."""
+    records = [r for path in generated_tags for r in load_tag_id_records(path)]
     caption_tags: dict[str, set[int]] = {}
-    rejects = RejectSummary()
-    for path in paths:
+    caption_rejects = RejectSummary()
+    for path in generated_captions:
         corpus = parse_corpus_file(path, lexicon_dir, workers=workers)
-        rejects.merge(corpus.rejects)
+        caption_rejects.merge(corpus.rejects)
         for image_id, tags in corpus.image_tags.items():
             ids = {
                 tid
@@ -597,118 +599,124 @@ def caption_tag_ids(
             }
             if ids:
                 caption_tags.setdefault(image_id, set()).update(ids)
-    return caption_tags, rejects
+    merged, events, rejected = generate_merge(store, records, caption_tags, set(vocab.tag_ids()))
+    return merged, events, rejected, caption_rejects
 
 
-def run_engine(config: EngineConfig, write_outputs: bool = True) -> EngineResult:
-    """Execute parse -> generate -> clean -> filter and collect accounting.
+class RegionInputs(NamedTuple):
+    """The clean stage's loaded inputs, which the filter stage reuses."""
 
-    Writes parsed/merged/final annotation JSONL, the audit log, and the stats
-    table into config.out_dir unless write_outputs is False. Any stage error
-    aborts with the stage name and the stats accumulated so far.
-    """
+    regions: list[RegionRecord]
+    table: EmbeddingTable
+    whitelist: set[int] | None
+
+
+def outlier_stage(
+    store: AnnotationStore,
+    regions: str | Path,
+    region_embeddings: str | Path,
+    whitelist: str | Path | None,
+    **params,
+) -> tuple[RegionInputs, list[AuditEvent], dict[str, int]]:
+    """The clean stage: load the regions, their embeddings and the
+    whitelist, find the outlier pairs (clean_stage with params) and mark them
+    removed in store. Returns the loaded inputs, the removals and their
+    counts."""
+    inputs = RegionInputs(
+        load_regions(regions),
+        normalize(load_embeddings(region_embeddings)),
+        load_whitelist(whitelist) if whitelist else None,
+    )
+    removals = clean_stage(inputs.regions, inputs.table, inputs.whitelist, **params)
+    return (inputs, *apply_removals(store, removals, STAGE_CLEAN))
+
+
+def filter_stage(
+    store: AnnotationStore,
+    inputs: RegionInputs,
+    vocab: TagVocabulary,
+    queries: str | Path,
+    thresholds: str | Path | None,
+    image_embeddings: str | Path | None,
+    margin: float,
+) -> tuple[list[AuditEvent], dict[str, int], list[tuple[str, int, str]]]:
+    """Load the label queries, the threshold profile (default flat) and the
+    whole-image embeddings, run the prediction filter and mark its removals
+    in store. Returns the removals, their counts and the skipped pairs."""
+    query_matrix = load_label_queries(queries, vocab)
+    profile = load_threshold_profile(thresholds) if thresholds else ThresholdProfile()
+    profile.validate_against(query_matrix.tag_ids)
+    whole = normalize(load_embeddings(image_embeddings)) if image_embeddings else None
+    outcome = prediction_filter(
+        store, inputs.regions, inputs.table, whole, query_matrix, profile,
+        margin=margin, whitelist=inputs.whitelist,
+    )
+    return (*apply_removals(store, outcome.removals, STAGE_FILTER), outcome.skipped_pairs)
+
+
+def run_engine(config: EngineConfig) -> EngineResult:
+    """Execute parse -> generate -> clean -> filter, collect the accounting
+    and write parsed/final annotation JSONL, the audit log and the stats
+    table into config.out_dir. Any stage error aborts with the stage name
+    and the stats accumulated so far."""
     stats = EngineStats()
-    audit: list[AuditEvent] = []
 
-    def fail(stage: str, exc: Exception) -> EngineError:
-        if isinstance(exc, EngineError):
+    @contextmanager
+    def stage(name: str):
+        try:
+            yield
+        except EngineError as exc:
             exc.partial_stats = stats
-            return exc
-        return EngineError(stage, str(exc), partial_stats=stats)
+            raise
+        except Exception as exc:
+            raise EngineError(name, str(exc), partial_stats=stats) from exc
 
-    # stage: parse
-    try:
+    with stage(STAGE_PARSE):
         vocab = load_vocabulary(config.vocab)
         lexicons = load_lexicons(config.lexicon_dir)
         parsed, unmapped, parse_rejects = _parse_stage(config, vocab, lexicons)
         stats.rows.append(_stage_row(STAGE_PARSE, parsed, added=count_kept(parsed)))
-    except EngineError:
-        raise
-    except Exception as exc:
-        raise fail(STAGE_PARSE, exc) from exc
-
-    # stage: generate
-    try:
-        valid = set(vocab.tag_ids())
-        generated_records = [r for p in config.generated_tags for r in load_tag_id_records(p)]
-        generated_caption_tags, generated_rejects = caption_tag_ids(
-            config.generated_captions, config.lexicon_dir, vocab, lexicons, config.workers
+    with stage(STAGE_GENERATE):
+        merged, audit, rejected, generated_rejects = generate_stage(
+            parsed, vocab, lexicons, config.generated_tags, config.generated_captions,
+            config.lexicon_dir, config.workers,
         )
-        merged, gen_audit, rejected = generate_merge(
-            parsed, generated_records, generated_caption_tags, valid
-        )
-        audit.extend(gen_audit)
-        stats.rows.append(_stage_row(STAGE_GENERATE, merged, added=len(gen_audit)))
-    except Exception as exc:
-        raise fail(STAGE_GENERATE, exc) from exc
-
-    # stage: clean
-    try:
-        regions = load_regions(config.regions)
-        region_table = normalize(load_embeddings(config.region_embeddings))
-        whitelist = load_whitelist(config.whitelist) if config.whitelist else None
-        removals = clean_stage(
-            regions,
-            region_table,
-            whitelist,
-            fraction=config.fraction,
-            seed=config.seed,
-            min_regions=config.min_regions,
-            tol=config.tol,
-            max_iter=config.max_iter,
-            outlier_scope=config.outlier_scope,
+        stats.rows.append(_stage_row(STAGE_GENERATE, merged, added=len(audit)))
+    with stage(STAGE_CLEAN):
+        inputs, events, counts = outlier_stage(
+            merged, config.regions, config.region_embeddings, config.whitelist,
+            fraction=config.fraction, seed=config.seed, min_regions=config.min_regions,
+            tol=config.tol, max_iter=config.max_iter, outlier_scope=config.outlier_scope,
             workers=config.workers,
         )
-        clean_events, clean_counts = apply_removals(merged, removals, STAGE_CLEAN)
-        audit.extend(clean_events)
-        stats.rows.append(_stage_row(STAGE_CLEAN, merged, removed=clean_counts))
-    except Exception as exc:
-        raise fail(STAGE_CLEAN, exc) from exc
-
-    # stage: filter
-    try:
-        queries = load_label_queries(config.queries, vocab)
-        profile = (
-            load_threshold_profile(config.thresholds)
-            if config.thresholds
-            else ThresholdProfile()
+        audit += events
+        stats.rows.append(_stage_row(STAGE_CLEAN, merged, removed=counts))
+    with stage(STAGE_FILTER):
+        events, counts, filter_skipped = filter_stage(
+            merged, inputs, vocab, config.queries, config.thresholds, config.image_embeddings,
+            config.margin,
         )
-        profile.validate_against(queries.tag_ids)
-        whole = (
-            normalize(load_embeddings(config.image_embeddings))
-            if config.image_embeddings
-            else None
-        )
-        outcome = prediction_filter(
-            merged, regions, region_table, whole, queries, profile,
-            margin=config.margin, whitelist=whitelist,
-        )
-        filter_events, filter_counts = apply_removals(merged, outcome.removals, STAGE_FILTER)
-        audit.extend(filter_events)
-        stats.rows.append(_stage_row(STAGE_FILTER, merged, removed=filter_counts))
-    except Exception as exc:
-        raise fail(STAGE_FILTER, exc) from exc
+        audit += events
+        stats.rows.append(_stage_row(STAGE_FILTER, merged, removed=counts))
 
     stats.validate_conservation()
-    result = EngineResult(
+    out_dir = Path(config.out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    write_annotations(parsed, out_dir / "parsed.jsonl")
+    write_annotations(merged, out_dir / "final.jsonl")
+    write_audit(audit, out_dir / "audit.jsonl")
+    write_stats(stats, out_dir / "stats.tsv")
+    return EngineResult(
         parsed=parsed,
         final=merged,
         stats=stats,
         audit=audit,
         unmapped_surfaces=unmapped,
         rejected_generated=rejected,
-        filter_skipped=outcome.skipped_pairs,
+        filter_skipped=filter_skipped,
         parse_rejects=parse_rejects,
         generated_rejects=generated_rejects,
     )
-    if write_outputs:
-        out_dir = Path(config.out_dir)
-        out_dir.mkdir(parents=True, exist_ok=True)
-        write_annotations(parsed, out_dir / "parsed.jsonl")
-        write_annotations(merged, out_dir / "final.jsonl")
-        write_audit(audit, out_dir / "audit.jsonl")
-        write_stats(stats, out_dir / "stats.tsv")
-    return result
 
 
 # -- file formats ---------------------------------------------------------------

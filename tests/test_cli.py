@@ -274,6 +274,107 @@ def test_engine_run_matches_staged_commands(runner, tmp_path):
     assert result.exit_code == 0, result.output
 
 
+def test_staged_commands_audit_equals_engine_run_audit(runner, tmp_path):
+    """`engine generate --audit` followed by `engine clean --audit` is, byte
+    for byte, the audit.jsonl of `engine run` on the same inputs."""
+    corpus = build_synthetic_corpus(tmp_path / "c", n_images=80, seed=57)
+    cfg = corpus.config
+    out_dir = tmp_path / "out"
+    config_file = tmp_path / "engine.cfg"
+    config_file.write_text(
+        f"captions = {cfg.captions}\nvocab = {cfg.vocab}\nregions = {cfg.regions}\n"
+        f"region_embeddings = {cfg.region_embeddings}\nqueries = {cfg.queries}\n"
+        f"image_embeddings = {cfg.image_embeddings}\ngenerated_tags = {cfg.generated_tags[0]}\n"
+        f"outlier_scope = cluster\nout_dir = {out_dir}\nseed = {cfg.seed}\n"
+    )
+    result = runner.invoke(cli, ["engine", "run", "--config", str(config_file), "--workers", "2"])
+    assert result.exit_code == 0, result.output
+
+    merged, cleaned = tmp_path / "merged.jsonl", tmp_path / "cleaned.jsonl"
+    generate_audit, clean_audit = tmp_path / "generate.audit.jsonl", tmp_path / "clean.audit.jsonl"
+    result = runner.invoke(cli, [
+        "engine", "generate", "--annotations", str(out_dir / "parsed.jsonl"),
+        "--vocab", str(cfg.vocab), "--generated-tags", str(cfg.generated_tags[0]),
+        "--workers", "2", "--out", str(merged), "--audit", str(generate_audit),
+    ])
+    assert result.exit_code == 0, result.output
+    result = runner.invoke(cli, [
+        "engine", "clean", "--annotations", str(merged), "--vocab", str(cfg.vocab),
+        "--regions", str(cfg.regions), "--region-embeddings", str(cfg.region_embeddings),
+        "--queries", str(cfg.queries), "--image-embeddings", str(cfg.image_embeddings),
+        "--outlier-scope", "cluster", "--seed", str(cfg.seed), "--workers", "2",
+        "--out", str(cleaned), "--audit", str(clean_audit),
+    ])
+    assert result.exit_code == 0, result.output
+
+    audit = (out_dir / "audit.jsonl").read_bytes()
+    assert generate_audit.read_bytes() + clean_audit.read_bytes() == audit
+    assert cleaned.read_bytes() == (out_dir / "final.jsonl").read_bytes()
+    for reason in ("generated", "outlier", "no_prediction", "contrary"):
+        assert f'"reason": "{reason}"'.encode() in audit, reason
+
+
+def _engine_inputs(corpus, tmp_path: Path) -> dict[str, list[str]]:
+    """Valid inputs of each command that takes engine values."""
+    cfg = corpus.config
+    return {
+        "parse": [
+            "parse", "--captions", str(cfg.captions), "--out-tags", str(tmp_path / "tags.jsonl"),
+            "--out-freq", str(tmp_path / "freq.tsv"),
+        ],
+        "engine generate": [
+            "engine", "generate", "--annotations", str(_planted_annotations(corpus, tmp_path)),
+            "--vocab", str(cfg.vocab), "--generated-tags", str(cfg.generated_tags[0]),
+            "--out", str(tmp_path / "merged.jsonl"),
+        ],
+        "engine clean": [
+            "engine", "clean", "--annotations", str(_planted_annotations(corpus, tmp_path)),
+            "--vocab", str(cfg.vocab), "--regions", str(cfg.regions),
+            "--region-embeddings", str(cfg.region_embeddings), "--queries", str(cfg.queries),
+            "--out", str(tmp_path / "cleaned.jsonl"),
+        ],
+    }
+
+
+@pytest.mark.parametrize("command, key, value, source", [
+    ("parse", "workers", "0", "flag"),
+    ("parse", "workers", "-3", "flag"),
+    ("parse", "workers", "0", "config"),
+    ("engine generate", "workers", "0", "flag"),
+    ("engine generate", "workers", "-3", "flag"),
+    ("engine clean", "workers", "0", "flag"),
+    ("engine clean", "workers", "-3", "flag"),
+    ("engine clean", "workers", "0", "config"),
+    ("engine clean", "margin", "-1", "flag"),
+    ("engine clean", "min_regions", "-5", "flag"),
+    ("engine clean", "fraction", "1.0", "flag"),
+])
+def test_subcommands_reject_engine_values_as_engine_run_does(
+    runner, tmp_path, command, key, value, source
+):
+    corpus = build_synthetic_corpus(tmp_path / "c", n_images=20, seed=59)
+    cfg = corpus.config
+    engine_config = tmp_path / "engine.cfg"
+    engine_config.write_text(
+        f"captions = {cfg.captions}\nvocab = {cfg.vocab}\nregions = {cfg.regions}\n"
+        f"region_embeddings = {cfg.region_embeddings}\nqueries = {cfg.queries}\n"
+        f"out_dir = {tmp_path / 'run'}\n{key} = {value}\n"
+    )
+    expected = runner.invoke(cli, ["engine", "run", "--config", str(engine_config)])
+    assert expected.exit_code == 1
+    assert expected.stderr.startswith(f"Error: config key {key!r}: ")
+
+    command_config = tmp_path / "command.cfg"
+    command_config.write_text(f"{key} = {value}\n")
+    flag = ["--" + key.replace("_", "-"), value]
+    argv = _engine_inputs(corpus, tmp_path)[command]
+    result = runner.invoke(cli, argv + (flag if source == "flag" else ["--config", str(command_config)]))
+    assert result.exit_code == 1, result.output
+    assert result.stderr == expected.stderr
+    assert not any(tmp_path.glob("*.tsv")) and not (tmp_path / "cleaned.jsonl").exists()
+    assert not (tmp_path / "merged.jsonl").exists() and not (tmp_path / "run").exists()
+
+
 def test_engine_run_reports_parse_rejects(runner, tmp_path):
     corpus = build_synthetic_corpus(tmp_path / "c", n_images=40, seed=56)
     cfg = corpus.config

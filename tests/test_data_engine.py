@@ -440,6 +440,21 @@ def test_run_engine_stage_error_names_stage(small_corpus, tmp_path):
         assert [r.stage for r in exc.value.partial_stats.rows] == ["parse", "generate"]
 
 
+def test_run_engine_filter_error_names_stage(small_corpus, tmp_path):
+    import dataclasses
+
+    bad = dataclasses.replace(
+        small_corpus.config,
+        queries=small_corpus.config.captions,  # captions are not a label-query file
+        out_dir=tmp_path / "bad",
+    )
+    with pytest.raises(EngineError, match="sidecar") as exc:
+        run_engine(bad)
+    assert exc.value.stage == "filter"
+    assert [r.stage for r in exc.value.partial_stats.rows] == ["parse", "generate", "clean"]
+    assert not (tmp_path / "bad").exists()
+
+
 def test_run_engine_clean_worker_error_names_stage(small_corpus, tmp_path):
     # a region whose embedding key is missing fails inside a clean worker;
     # the error must survive pickling, or the pool could never report it
