@@ -30,7 +30,7 @@ from functools import cached_property
 from pathlib import Path
 from typing import Iterable, Mapping, NamedTuple
 
-from . import jsonl
+from . import jsonl, textfile
 from .errors import TagforgeError
 
 KIND_OBJECT = "object"
@@ -108,9 +108,7 @@ def load_lexicons(directory: str | Path | None = None) -> LexiconBundle:
             raise LexiconError(f"missing lexicon file: {path}")
 
     pos_lexicon: dict[str, str] = {}
-    for lineno, line in enumerate(pos_path.read_text(encoding="utf-8").splitlines(), 1):
-        if not line.strip() or line.startswith("#"):
-            continue
+    for lineno, line in textfile.rows(textfile.lines(pos_path, LexiconError)):
         try:
             word, pos = line.split("\t")
         except ValueError:
@@ -120,9 +118,7 @@ def load_lexicons(directory: str | Path | None = None) -> LexiconBundle:
         pos_lexicon[word.lower()] = pos
 
     lemma_exceptions: dict[str, str] = {}
-    for lineno, line in enumerate(exc_path.read_text(encoding="utf-8").splitlines(), 1):
-        if not line.strip() or line.startswith("#"):
-            continue
+    for lineno, line in textfile.rows(textfile.lines(exc_path, LexiconError)):
         try:
             inflected, lemma = line.split("\t")
         except ValueError:
@@ -130,9 +126,7 @@ def load_lexicons(directory: str | Path | None = None) -> LexiconBundle:
         lemma_exceptions[inflected.lower()] = lemma.lower()
 
     stopwords = frozenset(
-        line.strip().lower()
-        for line in stop_path.read_text(encoding="utf-8").splitlines()
-        if line.strip() and not line.startswith("#")
+        line.strip().lower() for _, line in textfile.rows(textfile.lines(stop_path, LexiconError))
     )
 
     bundle = LexiconBundle(pos_lexicon, lemma_exceptions, stopwords)
@@ -424,7 +418,7 @@ def parse_corpus_file(
         return _parse_shards(path, lexicon_dir, workers)
     except UnicodeDecodeError:
         # named from the whole file, so every worker count gives one message
-        raise jsonl.invalid_utf8(path) from None
+        raise textfile.invalid_utf8(path) from None
 
 
 def _parse_shards(path: Path, lexicon_dir: Path, workers: int) -> CorpusParse:
@@ -468,9 +462,7 @@ def write_frequency_table(corpus: CorpusParse, path: str | Path) -> None:
 
 def read_frequency_table(path: str | Path) -> dict[str, int]:
     freq: dict[str, int] = {}
-    for lineno, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
-        if not line.strip():
-            continue
+    for lineno, line in textfile.rows(textfile.lines(path, TagforgeError)):
         try:
             surface, count = line.split("\t")
             freq[surface] = int(count)

@@ -38,6 +38,7 @@ from dataclasses import dataclass, field, fields
 from functools import partial
 from pathlib import Path
 
+from . import textfile
 from .errors import TagforgeError
 
 _seed = partial(int, base=0)  # a seed may be written in any base Python reads, as 0x2A
@@ -54,9 +55,12 @@ SELFTEST_SEED = 20240901  # `selftest`'s seed when neither --seed nor the config
 
 
 class ConfigError(TagforgeError):
-    def __init__(self, key: str, message: str):
+    """An error in config key `key`; with key None, the message names the
+    config file and line."""
+
+    def __init__(self, key: str | None, message: str):
         self.key = key
-        super().__init__(f"config key {key!r}: {message}")
+        super().__init__(message if key is None else f"config key {key!r}: {message}")
 
 
 # key -> (test for a bad value, message), in the order check_values applies them
@@ -127,19 +131,15 @@ class EngineConfig:
 
 
 def read_config_file(path: str | Path) -> dict[str, str]:
-    """Parse 'key = value' lines; '#' starts a comment, blank lines ignored."""
+    """Parse the 'key = value' rows of a text table."""
     values: dict[str, str] = {}
-    for lineno, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
-        stripped = line.strip()
-        if not stripped or stripped.startswith("#"):
-            continue
-        if "=" not in stripped:
-            raise ConfigError(stripped.split()[0], f"line {lineno} is not 'key = value'")
-        key, value = stripped.split("=", 1)
-        key = key.strip()
+    for lineno, line in textfile.rows(textfile.lines(path, partial(ConfigError, None))):
+        key, equals, value = (part.strip() for part in line.partition("="))
+        if not equals:
+            raise ConfigError(key.split()[0], f"line {lineno} is not 'key = value'")
         if key in values:
             raise ConfigError(key, f"duplicated on line {lineno}")
-        values[key] = value.strip()
+        values[key] = value
     return values
 
 

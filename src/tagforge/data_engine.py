@@ -16,14 +16,14 @@ import math
 import multiprocessing
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from itertools import groupby
+from itertools import groupby, islice
 from operator import attrgetter
 from pathlib import Path
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
-from . import jsonl
+from . import jsonl, textfile
 from .caption_parser import LexiconBundle, RejectSummary, load_lexicons, parse_corpus_file
 from .clustering import distinct_rows, kmeanspp_init, lloyd
 from .config import DEFAULT_MARGIN, DEFAULT_MAX_ITER, DEFAULT_MIN_REGIONS, DEFAULT_TOL, EngineConfig
@@ -700,6 +700,11 @@ def run_engine(config: EngineConfig) -> EngineResult:
         stats.rows.append(_stage_row(STAGE_FILTER, merged, removed=counts))
 
     stats.validate_conservation()
+    if replay_audit(parsed, audit) != kept_pairs(merged):
+        raise EngineError(
+            "audit", "replaying the audit over the parsed annotations does not give the final "
+            "ones", partial_stats=stats,
+        )
     out_dir = Path(config.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     write_annotations(parsed, out_dir / "parsed.jsonl")
@@ -789,15 +794,8 @@ def replay_audit(parsed: AnnotationStore, events: Sequence[AuditEvent]) -> set[t
 
 
 STATS_HEADER = "#tagforge-engine-stats v1"
-_STATS_COLUMNS = (
-    "stage",
-    "images",
-    "tags",
-    "added",
-    "removed_outlier",
-    "removed_no_prediction",
-    "removed_contrary",
-)
+_STATS_REASONS = (REASON_OUTLIER, REASON_NO_PREDICTION, REASON_CONTRARY)
+_STATS_COLUMNS = ("stage", "images", "tags", "added", *(f"removed_{r}" for r in _STATS_REASONS))
 
 
 def write_stats(stats: EngineStats, path: str | Path) -> None:
@@ -805,46 +803,27 @@ def write_stats(stats: EngineStats, path: str | Path) -> None:
         fh.write(STATS_HEADER + "\n")
         fh.write("\t".join(_STATS_COLUMNS) + "\n")
         for row in stats.rows:
-            fh.write(
-                "\t".join(
-                    str(v)
-                    for v in (
-                        row.stage,
-                        row.images,
-                        row.tags,
-                        row.added,
-                        row.removed.get(REASON_OUTLIER, 0),
-                        row.removed.get(REASON_NO_PREDICTION, 0),
-                        row.removed.get(REASON_CONTRARY, 0),
-                    )
-                )
-                + "\n"
-            )
+            removed = (row.removed.get(reason, 0) for reason in _STATS_REASONS)
+            fh.write("\t".join(map(str, (row.stage, row.images, row.tags, row.added, *removed))))
+            fh.write("\n")
 
 
 def load_stats(path: str | Path) -> EngineStats:
-    lines = Path(path).read_text(encoding="utf-8").splitlines()
-    if not lines or lines[0] != STATS_HEADER:
+    numbered = textfile.lines(path, TagforgeError)
+    header = [line for _, line in islice(numbered, 2)]
+    if header[:1] != [STATS_HEADER]:
         raise TagforgeError(f"{path}: missing header {STATS_HEADER!r}")
-    if len(lines) < 2 or lines[1] != "\t".join(_STATS_COLUMNS):
+    if header[1:] != ["\t".join(_STATS_COLUMNS)]:
         raise TagforgeError(f"{path}: missing column header")
     stats = EngineStats()
-    for lineno, line in enumerate(lines[2:], 3):
-        if not line.strip():
-            continue
-        parts = line.split("\t")
-        if len(parts) != len(_STATS_COLUMNS):
+    for lineno, line in textfile.rows(numbered):
+        stage, *fields = line.split("\t")
+        if len(fields) != len(_STATS_COLUMNS) - 1:
             raise TagforgeError(f"{path}:{lineno}: expected {len(_STATS_COLUMNS)} columns")
         try:
-            removed = {
-                REASON_OUTLIER: int(parts[4]),
-                REASON_NO_PREDICTION: int(parts[5]),
-                REASON_CONTRARY: int(parts[6]),
-            }
-            removed = {k: v for k, v in removed.items() if v}
-            stats.rows.append(
-                StageStats(parts[0], int(parts[1]), int(parts[2]), int(parts[3]), removed)
-            )
+            images, tags, added, *counts = map(int, fields)
         except ValueError:
             raise TagforgeError(f"{path}:{lineno}: bad integer field") from None
+        removed = {reason: n for reason, n in zip(_STATS_REASONS, counts) if n}
+        stats.rows.append(StageStats(stage, images, tags, added, removed))
     return stats

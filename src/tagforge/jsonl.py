@@ -1,28 +1,24 @@
 """JSON Lines, the format of every tagforge record file.
 
-A line ends at "\\n", "\\r\\n" or "\\r", as in a text-mode file; U+0085,
-U+2028 and U+2029, which JSON strings may hold, never end one. Blank lines
-are skipped but counted. Lines are read lazily, BATCH_LINES at a time.
+Lines end as textfile states: U+0085, U+2028 and U+2029, which JSON strings
+may hold, never end one. Blank lines are skipped but counted. Lines are read
+lazily, BATCH_LINES at a time.
 """
 
 from __future__ import annotations
 
 import json
-import re
 from itertools import islice
 from pathlib import Path
 from typing import Any, Callable, Iterable, Iterator
 
 from .errors import TagforgeError
+from .textfile import invalid_utf8, open_text, undecodable
 
 BATCH_LINES = 8192
 
 INVALID = object()  # the value of a line that is not one JSON value
 NOT_UTF8 = object()  # the value of a line holding a byte that is not UTF-8
-
-# a byte that is not UTF-8, as a file opened with errors="surrogateescape"
-# reads it; valid UTF-8 never decodes to a lone surrogate
-_UNDECODABLE = re.compile("[\udc80-\udcff]")
 
 
 class RecordError(ValueError):
@@ -49,10 +45,6 @@ def _decode_batch(lines: list[str]) -> list | None:
         return None
 
 
-def _undecodable(line: str) -> bool:
-    return not line.isascii() and _UNDECODABLE.search(line) is not None
-
-
 def decode(lines: Iterable[str]) -> Iterator[tuple[int, Any]]:
     """(line number, value) of each non-blank line; INVALID if not JSON,
     NOT_UTF8 if it holds a byte that a surrogateescape reader escaped."""
@@ -64,13 +56,13 @@ def decode(lines: Iterable[str]) -> Iterator[tuple[int, Any]]:
         numbers = [lineno for lineno, line in enumerate(chunk, done + 1) if line.strip()]
         batch = [chunk[lineno - done - 1] for lineno in numbers]
         done += len(chunk)
-        decoded = None if any(map(_undecodable, batch)) else _decode_batch(batch)
+        decoded = None if any(map(undecodable, batch)) else _decode_batch(batch)
         if decoded is not None:
             yield from zip(numbers, decoded)
             continue
         for lineno, line in zip(numbers, batch):
             try:
-                value = NOT_UTF8 if _undecodable(line) else json.loads(line)
+                value = NOT_UTF8 if undecodable(line) else json.loads(line)
             except (ValueError, RecursionError):
                 value = INVALID
             yield lineno, value
@@ -92,10 +84,10 @@ def read(
     is not UTF-8 error("{path}:{lineno}: invalid UTF-8"): the first bad line
     of the file is the one named, whichever way it is bad.
     """
-    with open(path, encoding="utf-8", errors="surrogateescape") as fh:
+    with open_text(path) as fh:
         for lineno, value in decode(fh):
             if value is NOT_UTF8:
-                raise error(f"{path}:{lineno}: invalid UTF-8")
+                raise invalid_utf8(path, error, lineno)
             try:
                 if value is INVALID:
                     raise ValueError("not JSON")
@@ -105,17 +97,3 @@ def read(
             except (ValueError, KeyError, TypeError, OverflowError, RecursionError):
                 raise error(f"{path}:{lineno}: malformed {what} record") from None
             yield record
-
-
-def invalid_utf8(path: str | Path) -> TagforgeError:
-    """TagforgeError("{path}:{lineno}: invalid UTF-8") naming the line that
-    holds the file's first byte that is not UTF-8, whichever part of the file
-    failed to decode first (`parse` decodes shards in worker processes);
-    lines end as in decode."""
-    head = Path(path).read_bytes()
-    try:
-        head.decode("utf-8")
-    except UnicodeDecodeError as exc:
-        head = head[: exc.start]
-    lineno = head.count(b"\n") + head.count(b"\r") - head.count(b"\r\n") + 1
-    return TagforgeError(f"{path}:{lineno}: invalid UTF-8")

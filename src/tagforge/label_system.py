@@ -13,9 +13,11 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
+from itertools import islice
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
+from . import textfile
 from .caption_parser import LexiconBundle, lemmatize
 from .errors import TagforgeError
 
@@ -223,19 +225,16 @@ def load_vocabulary(path: str | Path) -> TagVocabulary:
     The file stores group-level frequency and origin, so every member entry
     of a loaded group carries the group's values.
     """
-    lines = Path(path).read_text(encoding="utf-8").splitlines()
-    if not lines or lines[0] != VOCAB_HEADER:
+    numbered = textfile.lines(path, VocabularyError)
+    header = [line for _, line in islice(numbered, 2)]
+    if header[:1] != [VOCAB_HEADER]:
         raise VocabularyError(f"{path}: missing header {VOCAB_HEADER!r}")
-    version = ""
+    prefix = "#version="
+    version = header[1][len(prefix):] if header[1:] and header[1].startswith(prefix) else ""
+    if not version:
+        raise VocabularyError(f"{path}: missing #version line")
     entries: list[VocabEntry] = []
-    for lineno, line in enumerate(lines[1:], 2):
-        if not line.strip():
-            continue
-        if line.startswith("#version="):
-            version = line.split("=", 1)[1]
-            continue
-        if line.startswith("#"):
-            continue
+    for lineno, line in textfile.rows(numbered):
         parts = line.split("\t")
         if len(parts) != 5:
             raise VocabularyError(f"{path}:{lineno}: expected 5 tab-separated fields")
@@ -250,18 +249,7 @@ def load_vocabulary(path: str | Path) -> TagVocabulary:
         members = members_s.split("|")
         if canonical not in members:
             raise VocabularyError(f"{path}:{lineno}: canonical not among members")
-        for surface in members:
-            entries.append(
-                VocabEntry(
-                    surface=surface,
-                    tag_id=tag_id,
-                    frequency=frequency,
-                    is_canonical=surface == canonical,
-                    origin=origin,
-                )
-            )
-    if not version:
-        raise VocabularyError(f"{path}: missing #version line")
+        entries += (VocabEntry(s, tag_id, frequency, s == canonical, origin) for s in members)
     return TagVocabulary(entries, version)
 
 
@@ -273,34 +261,23 @@ def map_tag(surface: str, vocab: TagVocabulary, lexicons: LexiconBundle) -> int 
 
 def load_surface_list(path: str | Path) -> list[str]:
     """One surface per line, used for seed and exclude lists."""
-    out = []
-    for line in Path(path).read_text(encoding="utf-8").splitlines():
-        word = line.strip()
-        if word and not word.startswith("#"):
-            out.append(word)
-    return out
+    return [line.strip() for _, line in textfile.rows(textfile.lines(path, VocabularyError))]
 
 
 def load_whitelist(path: str | Path) -> set[int]:
-    """Tag ids, one per line ('#' starts a comment): the engine's whitelist
-    or eval's class filter."""
+    """Tag ids, one per line: the engine's whitelist or eval's class filter."""
     out = set()
-    for lineno, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
-        text = line.strip()
-        if not text or text.startswith("#"):
-            continue
+    for lineno, line in textfile.rows(textfile.lines(path, TagforgeError)):
         try:
-            out.add(int(text))
+            out.add(int(line))
         except ValueError:
-            raise TagforgeError(f"{path}:{lineno}: bad tag_id {text!r}") from None
+            raise TagforgeError(f"{path}:{lineno}: bad tag_id {line.strip()!r}") from None
     return out
 
 
 def load_synonyms(path: str | Path) -> SynonymLexicon:
     pairs: list[tuple[str, str]] = []
-    for lineno, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
-        if not line.strip() or line.startswith("#"):
-            continue
+    for lineno, line in textfile.rows(textfile.lines(path, VocabularyError)):
         parts = line.split("\t")
         if len(parts) != 2:
             raise VocabularyError(f"{path}:{lineno}: expected 'a<TAB>b'")

@@ -47,6 +47,7 @@ from typing import BinaryIO, Sequence
 
 import numpy as np
 
+from . import textfile
 from .embedding_store import EmbeddingTable, load_embeddings, save_embeddings
 from .errors import TagforgeError
 from .label_system import TagVocabulary
@@ -519,7 +520,7 @@ def load_label_queries(path: str | Path, vocab: TagVocabulary) -> LabelQueryMatr
     sidecar_path = Path(str(path) + ".meta.json")
     if not sidecar_path.is_file():
         raise TaggerError(f"missing sidecar header {sidecar_path}")
-    sidecar = json.loads(sidecar_path.read_text(encoding="utf-8"))
+    sidecar = _query_header(sidecar_path)
     if sidecar.get("vocab_version") != vocab.version:
         raise TaggerError(
             f"label queries were built for vocabulary version {sidecar.get('vocab_version')!r}, "
@@ -533,6 +534,18 @@ def load_label_queries(path: str | Path, vocab: TagVocabulary) -> LabelQueryMatr
     return LabelQueryMatrix(vocab.version, tuple(vocab.tag_ids()), tuple(canonicals), rows)
 
 
+def _query_header(path: Path) -> dict:
+    """The JSON object that save_label_queries wrote to path."""
+    text = "\n".join(line for _, line in textfile.lines(path, TaggerError))
+    try:
+        header = json.loads(text)
+    except (ValueError, RecursionError):
+        raise TaggerError(f"{path}: not JSON") from None
+    if not isinstance(header, dict):
+        raise TaggerError(f"{path}: not a JSON object")
+    return header
+
+
 def save_threshold_profile(profile: ThresholdProfile, path: str | Path) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(f"*\t{profile.default_threshold!r}\n")
@@ -543,9 +556,7 @@ def save_threshold_profile(profile: ThresholdProfile, path: str | Path) -> None:
 def load_threshold_profile(path: str | Path) -> ThresholdProfile:
     default: float | None = None
     overrides: dict[int, float] = {}
-    for lineno, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
-        if not line.strip() or line.startswith("#"):
-            continue
+    for lineno, line in textfile.rows(textfile.lines(path, TaggerError)):
         parts = line.split("\t")
         if len(parts) != 2:
             raise TaggerError(f"{path}:{lineno}: expected 'tag_id<TAB>threshold'")
@@ -569,11 +580,7 @@ def load_threshold_profile(path: str | Path) -> ThresholdProfile:
 
 def load_templates(path: str | Path) -> list[str]:
     """Prompt templates, one per line; '{tag}' marks the canonical slot."""
-    templates = []
-    for line in Path(path).read_text(encoding="utf-8").splitlines():
-        text = line.strip()
-        if text and not text.startswith("#"):
-            templates.append(text)
+    templates = [line.strip() for _, line in textfile.rows(textfile.lines(path, TaggerError))]
     if not templates:
         raise TaggerError(f"{path}: no templates found")
     return templates

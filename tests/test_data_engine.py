@@ -455,6 +455,31 @@ def test_run_engine_filter_error_names_stage(small_corpus, tmp_path):
     assert not (tmp_path / "bad").exists()
 
 
+def test_run_engine_refuses_an_audit_that_does_not_replay_to_final(
+    small_corpus, tmp_path, monkeypatch
+):
+    import dataclasses
+
+    from tagforge import data_engine
+
+    filter_stage = data_engine.filter_stage
+
+    def drop_first_event(*args, **kwargs):
+        events, counts, skipped = filter_stage(*args, **kwargs)
+        assert events
+        return events[1:], counts, skipped  # the counts still balance
+
+    monkeypatch.setattr(data_engine, "filter_stage", drop_first_event)
+    out = tmp_path / "out"
+    with pytest.raises(EngineError, match="replaying the audit") as exc:
+        run_engine(dataclasses.replace(small_corpus.config, out_dir=out))
+    assert exc.value.stage == "audit"
+    assert [r.stage for r in exc.value.partial_stats.rows] == [
+        "parse", "generate", "clean", "filter",
+    ]
+    assert not out.exists()
+
+
 def test_run_engine_clean_worker_error_names_stage(small_corpus, tmp_path):
     # a region whose embedding key is missing fails inside a clean worker;
     # the error must survive pickling, or the pool could never report it
