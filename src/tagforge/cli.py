@@ -23,7 +23,6 @@ from .config import (
     DEFAULT_FRACTION,
     DEFAULT_MARGIN,
     DEFAULT_MIN_REGIONS,
-    SELFTEST_SEED,
     build_engine_config,
     check_values,
     read_config_file,
@@ -61,34 +60,33 @@ def _data_errors(fn):
     return wrapper
 
 
-def common_options(fn, default_seed: int | None = 0, workers: bool = True):
+def common_options(fn, ignored: bool = False):
     """--seed, --workers and --config. A command that draws no random
-    numbers (default_seed None) or runs in one process (workers False)
-    accepts the option it does not use and ignores it, and --config too when
-    it uses neither."""
+    numbers and runs in one process (ignored True) accepts all three and
+    ignores them."""
     fn = click.option(
         "--seed", type=int, default=None,
-        help=f"Random seed [default: {default_seed}, or the config file's seed]."
-        if default_seed is not None else "Ignored: this command draws no random numbers.",
+        help="Ignored: this command draws no random numbers."
+        if ignored else "Random seed [default: 0, or the config file's seed].",
     )(fn)
     fn = click.option(
         "--workers", type=int, default=None,
-        help="Worker processes [default: 1, or the config file's workers]."
-        if workers else "Ignored: this command runs in one process.",
+        help="Ignored: this command runs in one process."
+        if ignored else "Worker processes [default: 1, or the config file's workers].",
     )(fn)
     fn = click.option(
         "--config",
         "config_path",
         type=click.Path(exists=True, dir_okay=False),
         default=None,
-        help="Key=value config file supplying defaults."
-        if default_seed is not None or workers else "Ignored: this command reads no config keys.",
+        help="Ignored: this command reads no config keys."
+        if ignored else "Key=value config file supplying defaults.",
     )(fn)
     return fn
 
 
 def single_process_options(fn):
-    return common_options(fn, default_seed=None, workers=False)
+    return common_options(fn, ignored=True)
 
 
 def _echo_rejects(prefix: str, rejects: cp.RejectSummary) -> None:
@@ -408,19 +406,6 @@ def stats_cmd(stats_file, seed, workers, config_path):
             f"{row.stage:<{width}}  {row.images:>8}  {row.tags:>10}  {row.added:>8}  {removed}"
         )
     click.echo("conservation: ok", err=True)
-
-
-@cli.command("selftest")
-@functools.partial(common_options, default_seed=SELFTEST_SEED, workers=False)
-@_data_errors
-def selftest_cmd(seed, workers, config_path):
-    """Run the built-in property suites; exits nonzero on failure."""
-    from . import selftest
-
-    # workers is ignored, so neither --workers nor the config's workers is read
-    seed, _ = seed_and_workers(config_path, seed, 1, default_seed=SELFTEST_SEED)
-    if not selftest.run_all(seed=seed):
-        raise click.ClickException("selftest failed")
 
 
 def main(argv=None):

@@ -51,8 +51,6 @@ DEFAULT_MARGIN = 0.05
 DEFAULT_TOL = 1e-4
 DEFAULT_MAX_ITER = 100
 
-SELFTEST_SEED = 20240901  # `selftest`'s seed when neither --seed nor the config sets one
-
 
 class ConfigError(TagforgeError):
     """An error in config key `key`; with key None, the message names the
@@ -153,13 +151,13 @@ def _number(values: dict, key: str, cast, default=None):
 
 
 def seed_and_workers(
-    config_path: str | Path | None, seed: int | None, workers: int | None, default_seed: int = 0
+    config_path: str | Path | None, seed: int | None, workers: int | None
 ) -> tuple[int, int]:
     """A command's --seed and --workers, each falling back to the config
-    file's key, then to default_seed and 1; workers must be >= 1."""
+    file's key, then to 0 and 1; workers must be >= 1."""
     values = read_config_file(config_path) if config_path is not None else {}
     if seed is None:
-        seed = _number(values, "seed", _seed, default_seed)
+        seed = _number(values, "seed", _seed, 0)
     if workers is None:
         workers = _number(values, "workers", int, 1)
     check_values(workers=workers)

@@ -250,7 +250,10 @@ def load_vocabulary(path: str | Path) -> TagVocabulary:
         if canonical not in members:
             raise VocabularyError(f"{path}:{lineno}: canonical not among members")
         entries += (VocabEntry(s, tag_id, frequency, s == canonical, origin) for s in members)
-    return TagVocabulary(entries, version)
+    try:
+        return TagVocabulary(entries, version)
+    except VocabularyError as exc:
+        raise VocabularyError(f"{path}: {exc}") from None
 
 
 def map_tag(surface: str, vocab: TagVocabulary, lexicons: LexiconBundle) -> int | None:

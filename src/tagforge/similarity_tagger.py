@@ -567,12 +567,17 @@ def load_threshold_profile(path: str | Path) -> ThresholdProfile:
         if not -1.0 <= value <= 1.0:
             raise TaggerError(f"{path}:{lineno}: threshold {value} outside [-1, 1]")
         if parts[0] == "*":
+            if default is not None:
+                raise TaggerError(f"{path}:{lineno}: repeated '*' default row")
             default = value
         else:
             try:
-                overrides[int(parts[0])] = value
+                tag_id = int(parts[0])
             except ValueError:
                 raise TaggerError(f"{path}:{lineno}: bad tag_id {parts[0]!r}") from None
+            if tag_id in overrides:
+                raise TaggerError(f"{path}:{lineno}: repeated tag_id {tag_id}")
+            overrides[tag_id] = value
     if default is None:
         raise TaggerError(f"{path}: missing '*' default threshold row")
     return ThresholdProfile(default_threshold=default, overrides=overrides)

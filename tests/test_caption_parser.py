@@ -151,7 +151,7 @@ def test_parse_corpus_matches_bruteforce_recount(lexicons, golden_corpus):
 def test_parse_corpus_order_independent(lexicons, golden_corpus):
     records = [CaptionRecord(e["image_id"], e["caption"]) for e in golden_corpus]
     forward = parse_corpus(records, lexicons)
-    backward = parse_corpus(list(reversed(records)), lexicons)
+    backward = parse_corpus(reversed(records), lexicons)  # an iterator, not a list
     assert forward.image_tags == backward.image_tags
     assert forward.frequencies == backward.frequencies
 

@@ -5,9 +5,7 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from tagforge import selftest
 from tagforge.cli import cli
-from tagforge.config import SELFTEST_SEED
 from tagforge.embedding_store import EmbeddingTable, save_embeddings
 from tagforge.similarity_tagger import prompt_key
 
@@ -119,7 +117,6 @@ def test_help_lists_flags_with_defaults(runner):
         ["engine", "run", "--help"],
         ["eval", "--help"],
         ["stats", "--help"],
-        ["selftest", "--help"],
     ):
         result = runner.invoke(cli, args)
         assert result.exit_code == 0, args
@@ -549,23 +546,15 @@ def test_stats_command_renders_and_validates(runner, tmp_path):
     assert "conservation" in result.output
 
 
-def test_selftest_command(runner):
+def test_selftest_is_not_a_command(runner):
     result = runner.invoke(cli, ["selftest"])
-    assert result.exit_code == 0, result.output
-    assert "PASS" in result.output and "FAIL" not in result.output
+    assert result.exit_code == 2
+    assert "No such command 'selftest'" in result.output
 
 
-def test_seed_help_states_the_seed_each_command_uses(runner, monkeypatch):
+def test_seed_help_states_the_seed_each_command_uses(runner):
     def help_text(*args):
         return " ".join(runner.invoke(cli, [*args, "--help"]).output.split())
 
-    seeds = []
-    monkeypatch.setattr(selftest, "run_all", lambda seed: seeds.append(seed) or True)
-    assert runner.invoke(cli, ["selftest"]).exit_code == 0
-    assert seeds == [SELFTEST_SEED]
-    selftest_help = help_text("selftest")
-    assert f"Random seed [default: {SELFTEST_SEED}, or the config file's seed]" in selftest_help
-    assert "--workers INTEGER Ignored: this command runs in one process." in selftest_help
-    assert "--perf" not in selftest_help
     for args in (["parse"], ["engine", "generate"], ["engine", "clean"]):
         assert "Random seed [default: 0, or the config file's seed]" in help_text(*args)

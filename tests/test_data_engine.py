@@ -1,10 +1,15 @@
 import hashlib
 import json
+import os
 import pickle
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import tagforge
 from tagforge.data_engine import (
     PROV_GENERATED,
     PROV_PARSED,
@@ -548,6 +553,65 @@ def test_run_engine_worker_counts_byte_identical_to_golden(small_corpus, tmp_pat
             for name in ENGINE_GOLDEN_SHA256[variant]
         }
         assert digests == ENGINE_GOLDEN_SHA256[variant], f"workers={workers}"
+
+
+# sets the start method before tagforge runs, so the CLI needs no flag for it
+_CLI_UNDER_START_METHOD = (
+    "import multiprocessing, sys\n"
+    "multiprocessing.set_start_method(sys.argv[1])\n"
+    "from tagforge.cli import main\n"
+    "main(sys.argv[2:])\n"
+)
+
+
+def test_outputs_identical_across_start_methods_and_blas_threads(small_corpus, tmp_path):
+    """`engine run --workers 2` writes the golden bytes under every start
+    method at 1 and 2 BLAS threads, and `tag` writes the same bytes at both."""
+    cfg = small_corpus.config
+    config_file = tmp_path / "engine.cfg"
+    config_file.write_text(
+        f"captions = {cfg.captions}\nvocab = {cfg.vocab}\nregions = {cfg.regions}\n"
+        f"region_embeddings = {cfg.region_embeddings}\nqueries = {cfg.queries}\n"
+        f"image_embeddings = {cfg.image_embeddings}\ngenerated_tags = {cfg.generated_tags[0]}\n"
+        f"seed = {cfg.seed}\n"
+    )
+    source = str(Path(tagforge.__file__).parents[1])
+    path = os.pathsep.join(p for p in (source, os.environ.get("PYTHONPATH")) if p)
+
+    def run(threads, *argv):
+        env = dict(
+            os.environ, PYTHONPATH=path, OMP_NUM_THREADS=str(threads),
+            OPENBLAS_NUM_THREADS=str(threads),
+        )
+        result = subprocess.run(
+            [sys.executable, *argv], env=env, capture_output=True, text=True, timeout=120
+        )
+        assert result.returncode == 0, (argv, threads, result.stderr)
+
+    for method in ("fork", "spawn", "forkserver"):
+        for threads in (1, 2):
+            out = tmp_path / f"{method}-{threads}"
+            run(
+                threads, "-c", _CLI_UNDER_START_METHOD, method,
+                "engine", "run", "--config", str(config_file), "--workers", "2",
+                "--out-dir", str(out),
+            )
+            digests = {
+                name: hashlib.sha256((out / name).read_bytes()).hexdigest()
+                for name in ENGINE_GOLDEN_SHA256["category"]
+            }
+            assert digests == ENGINE_GOLDEN_SHA256["category"], (method, threads)
+
+    written = []
+    for threads in (1, 2):
+        predictions = tmp_path / f"predictions-{threads}.jsonl"
+        run(
+            threads, "-m", "tagforge.cli", "tag", "--embeddings", str(cfg.image_embeddings),
+            "--queries", str(cfg.queries), "--vocab", str(cfg.vocab), "--out", str(predictions),
+        )
+        scores = predictions.with_name(predictions.name + ".scores")
+        written.append((predictions.read_bytes(), scores.read_bytes()))
+    assert written[0] == written[1]
 
 
 def test_run_engine_empty_whitelist_cleans_nothing(small_corpus, tmp_path):

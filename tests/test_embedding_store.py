@@ -38,18 +38,22 @@ def test_round_trip_bitwise(tmp_path):
     rng = np.random.default_rng(11)
     raw = rng.normal(size=(100, 16))
     raw /= np.linalg.norm(raw, axis=1)[:, None]
-    table = EmbeddingTable([f"k{i}" for i in range(100)], raw, normalized=True)
-    path = tmp_path / "t.emb"
-    save_embeddings(table, path)
-    loaded = load_embeddings(path)
-    # f32 on disk, widened to f64 in memory: compare at f32 exactly
-    assert np.array_equal(table.matrix.astype("<f4"), loaded.matrix.astype("<f4"))
-    assert loaded.keys == table.keys
-    assert loaded.normalized
+    built = EmbeddingTable([f"k{i}" for i in range(100)], raw, normalized=True)
+    # a table normalized in f64 from raw vectors round-trips the same way
+    vectors = {f"k{n}": rng.normal(size=8) for n in range(30)}
+    from_raw = normalize(EmbeddingTable.from_vectors(vectors))
+    for table in (built, from_raw):
+        path = tmp_path / "t.emb"
+        save_embeddings(table, path)
+        loaded = load_embeddings(path)
+        # f32 on disk, widened to f64 in memory: compare at f32 exactly
+        assert np.array_equal(table.matrix.astype("<f4"), loaded.matrix.astype("<f4"))
+        assert loaded.keys == table.keys
+        assert loaded.normalized
 
-    path2 = tmp_path / "t2.emb"
-    save_embeddings(loaded, path2)
-    assert path.read_bytes() == path2.read_bytes()
+        path2 = tmp_path / "t2.emb"
+        save_embeddings(loaded, path2)
+        assert path.read_bytes() == path2.read_bytes()
 
 
 def test_duplicate_key_error(tmp_path):

@@ -167,6 +167,24 @@ def test_load_rejects_bad_header(tmp_path):
         load_vocabulary(path)
 
 
+@pytest.mark.parametrize(
+    "rows, message",
+    [
+        (["0\tdog\tdog\t3\tcorpus", "1\tcat\tcat|dog\t2\tcorpus"], "duplicate surface 'dog'"),
+        (["0\tdog\tdog\t3\tcorpus", "0\tpup\tpup\t2\tcorpus"], "tag_id 0 has two canonicals"),
+        (["0\tdog\tdog\t3\tcorpus", "2\tcat\tcat\t2\tcorpus"], "tag_ids are not dense"),
+    ],
+    ids=["duplicate-surface", "two-canonicals", "not-dense"],
+)
+def test_load_names_the_file_in_structure_errors(tmp_path, rows, message):
+    # a group without a canonical cannot be written: every row names its canonical
+    path = tmp_path / "vocab.tsv"
+    path.write_text("\n".join(["#tagforge-vocab v1", "#version=v", *rows]) + "\n")
+    with pytest.raises(VocabularyError) as exc:
+        load_vocabulary(path)
+    assert str(exc.value).startswith(f"{path}: {message}")
+
+
 def test_map_tag(lexicons):
     vocab = build_label_system(
         {"cat": 9, "kitten": 4, "dog": 7}, k=3, synonyms=SynonymLexicon((("cat", "kitten"),))

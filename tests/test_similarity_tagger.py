@@ -150,9 +150,9 @@ def test_tag_image_thresholds():
 
 def test_argmax_invariant_under_positive_scaling():
     rng = np.random.default_rng(17)
-    queries = _random_queries(rng)
     profile = ThresholdProfile(0.15)
     for _ in range(50):
+        queries = _random_queries(rng)
         v = rng.normal(size=8)
         base = _unit(v)
         scaled = _unit(float(rng.uniform(0.01, 100.0)) * v)
@@ -283,6 +283,23 @@ def test_threshold_profile_requires_default(tmp_path):
     path.write_text("3\t0.5\n")
     with pytest.raises(TaggerError, match="default"):
         load_threshold_profile(path)
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("*\t0.2\n0\t0.3\n0\t0.9\n*\t0.5\n", ":3: repeated tag_id 0"),
+        ("*\t0.2\n7\t0.3\n07\t0.9\n", ":3: repeated tag_id 7"),
+        ("*\t0.2\n0\t0.3\n*\t0.5\n", ":3: repeated '*' default row"),
+    ],
+    ids=["tag-id", "tag-id-spelled-apart", "default"],
+)
+def test_threshold_profile_rejects_repeated_rows(tmp_path, text, message):
+    path = tmp_path / "thr.tsv"
+    path.write_text(text)
+    with pytest.raises(TaggerError) as exc:
+        load_threshold_profile(path)
+    assert str(exc.value) == f"{path}{message}"
 
 
 def test_threshold_profile_validates_tag_ids():
