@@ -32,6 +32,7 @@ from typing import Iterable, Mapping, NamedTuple
 
 from . import jsonl, textfile
 from .errors import TagforgeError
+from .pool import run_tasks
 
 KIND_OBJECT = "object"
 KIND_ATTRIBUTE = "attribute"
@@ -359,21 +360,15 @@ def parse_corpus(records: Iterable, lexicons: LexiconBundle) -> CorpusParse:
     return CorpusParse(image_tags, rejects)
 
 
-# -- parallel corpus file parsing -------------------------------------------
-
-_WORKER_LEXICONS: LexiconBundle | None = None
+# -- corpus file parsing ----------------------------------------------------
 
 
-def _worker_init(lexicon_dir: str) -> None:
-    global _WORKER_LEXICONS
-    _WORKER_LEXICONS = load_lexicons(lexicon_dir)
-
-
-def _shard_boundaries(path: Path, shards: int) -> list[tuple[int, int]]:
-    """Byte ranges splitting the file at line boundaries."""
+def _shard_boundaries(path: Path, shards: int) -> list[tuple[int, int | None]]:
+    """Byte ranges splitting the file at line boundaries; a pipe, or any
+    path that is not a regular file, is one range (0, None): its whole stream."""
+    if not path.is_file():
+        return [(0, None)]
     size = path.stat().st_size
-    if size == 0:
-        return []
     cuts = [0]
     with open(path, "rb") as fh:
         for i in range(1, shards):
@@ -384,15 +379,20 @@ def _shard_boundaries(path: Path, shards: int) -> list[tuple[int, int]]:
     return [(a, b) for a, b in zip(cuts, cuts[1:]) if b > a]
 
 
-def _worker_parse_range(args):
-    path, start, end = args
-    assert _WORKER_LEXICONS is not None
+def _parse_range(lexicons: LexiconBundle, task: tuple[str, int, int | None]) -> CorpusParse:
+    path, start, end = task
     with open(path, "rb") as fh:
-        fh.seek(start)
-        blob = fh.read(end - start)
-    # newline=None reads the shard's lines as a text-mode file reads them
-    lines = io.StringIO(blob.decode("utf-8"), newline=None)
-    return parse_corpus(jsonl.values(lines), _WORKER_LEXICONS)
+        if start:  # a pipe, one range from 0, cannot seek
+            fh.seek(start)
+        blob = fh.read(-1 if end is None else end - start)
+    # decoded lazily; newline=None reads lines as a text-mode file does
+    lines = io.TextIOWrapper(io.BytesIO(blob), encoding="utf-8", newline=None)
+    try:
+        return parse_corpus(jsonl.values(lines), lexicons)
+    except UnicodeDecodeError:
+        # named from the whole stream, so every range gives one message; a
+        # pipe cannot be read again, so what was read names its line
+        raise textfile.invalid_utf8(path, data=blob if end is None else None) from None
 
 
 def parse_corpus_file(
@@ -400,43 +400,24 @@ def parse_corpus_file(
     lexicon_dir: str | Path | None = None,
     workers: int = 1,
 ) -> CorpusParse:
-    """Parse a JSONL caption file, optionally sharded over worker processes.
+    """Parse a JSONL caption file through pool.run_tasks, one byte range per
+    worker, split at line boundaries; a pipe is one range.
 
-    Workers read disjoint byte ranges split at line boundaries and return
-    canonical per-image tag lists; images whose captions straddle a shard
-    boundary are re-merged here, so the result is identical for every worker
-    count and shard boundary.
+    Each range returns canonical per-image tag lists, and images whose
+    captions straddle a range boundary are re-merged here, so the result is
+    identical for every worker count and range boundary.
     """
     path = Path(path)
-    lexicon_dir = Path(lexicon_dir) if lexicon_dir is not None else default_lexicon_dir()
     lexicons = load_lexicons(lexicon_dir)
-
-    try:
-        if workers <= 1:
-            with open(path, encoding="utf-8") as fh:
-                return parse_corpus(jsonl.values(fh), lexicons)
-        return _parse_shards(path, lexicon_dir, workers)
-    except UnicodeDecodeError:
-        # named from the whole file, so every worker count gives one message
-        raise textfile.invalid_utf8(path) from None
-
-
-def _parse_shards(path: Path, lexicon_dir: Path, workers: int) -> CorpusParse:
-    import multiprocessing  # here, so that commands that never fork skip it
-
+    tasks = [(str(path), a, b) for a, b in _shard_boundaries(path, workers)]
     image_tags: dict[str, list[ParsedTag]] = {}
     rejects = RejectSummary()
-    shards = _shard_boundaries(path, workers)
-    with multiprocessing.Pool(
-        processes=workers, initializer=_worker_init, initargs=(str(lexicon_dir),)
-    ) as pool:
-        tasks = [(str(path), a, b) for a, b in shards]
-        for partial in pool.imap_unordered(_worker_parse_range, tasks):
-            for img, tags in partial.image_tags.items():
-                if img in image_tags:
-                    tags = _canonical_tag_order(image_tags[img] + tags)
-                image_tags[img] = tags
-            rejects.merge(partial.rejects)
+    for partial in run_tasks(_parse_range, tasks, lexicons, workers):
+        for img, tags in partial.image_tags.items():
+            if img in image_tags:
+                tags = _canonical_tag_order(image_tags[img] + tags)
+            image_tags[img] = tags
+        rejects.merge(partial.rejects)
     return CorpusParse(image_tags, rejects)
 
 

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import json
 import math
-import multiprocessing
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from itertools import groupby, islice
@@ -30,6 +29,7 @@ from .config import DEFAULT_MARGIN, DEFAULT_MAX_ITER, DEFAULT_MIN_REGIONS, DEFAU
 from .embedding_store import EmbeddingTable, load_embeddings, normalize
 from .errors import TagforgeError
 from .label_system import TagVocabulary, load_vocabulary, load_whitelist, map_tag
+from .pool import run_tasks
 from .rng import derive_seed
 from .similarity_tagger import (
     LabelQueryMatrix,
@@ -304,18 +304,8 @@ def clean_category(
     )
 
 
-# clean-worker state, set once per pool process by _clean_worker_init
-_WORKER_CLEAN: tuple | None = None
-
-
-def _clean_worker_init(by_tag, region_embeddings, params) -> None:
-    global _WORKER_CLEAN
-    _WORKER_CLEAN = (by_tag, region_embeddings, params)
-
-
-def _clean_worker(tag_id: int) -> CategoryCleanResult:
-    assert _WORKER_CLEAN is not None
-    by_tag, region_embeddings, params = _WORKER_CLEAN
+def _clean_one(shared: tuple, tag_id: int) -> CategoryCleanResult:
+    by_tag, region_embeddings, params = shared
     return clean_category(tag_id, by_tag[tag_id], region_embeddings, **params)
 
 
@@ -330,32 +320,20 @@ def clean_stage(
     whitelist is given) with clean_category's keyword params, and return the
     outlier removals.
 
-    With workers > 1 the categories are spread over a process pool, largest
-    first. The pool uses multiprocessing's default start method, like the
-    caption parser's: under fork the workers inherit the regions and the
-    embedding table, elsewhere the initializer sends them once per worker,
-    never per category. Results merge in ascending tag_id order, so the
-    removals are the same at every worker count.
+    The categories go to pool.run_tasks largest first, one task each, with
+    the regions and the embedding table shared. Results merge in ascending
+    tag_id order, so the removals are the same at every worker count. When
+    several categories fail, the first failure met is raised: at one worker,
+    the largest failing category's.
     """
     by_tag: dict[int, list[RegionRecord]] = {}
     for r in regions:
         by_tag.setdefault(r.tag_id, []).append(r)
     category_ids = sorted(by_tag) if whitelist is None else sorted(set(by_tag) & whitelist)
-    if workers > 1 and len(category_ids) > 1:
-        largest_first = sorted(category_ids, key=lambda t: (-len(by_tag[t]), t))
-        with multiprocessing.Pool(
-            processes=min(workers, len(category_ids)),
-            initializer=_clean_worker_init,
-            initargs=(by_tag, region_embeddings, params),
-        ) as pool:
-            done = {r.tag_id: r for r in pool.imap_unordered(_clean_worker, largest_first)}
-        results = [done[tag_id] for tag_id in category_ids]
-    else:
-        results = [
-            clean_category(tag_id, by_tag[tag_id], region_embeddings, **params)
-            for tag_id in category_ids
-        ]
-    return [(img, tid, REASON_OUTLIER) for r in results for img, tid in r.removed_pairs]
+    largest_first = sorted(category_ids, key=lambda t: (-len(by_tag[t]), t))
+    shared = (by_tag, region_embeddings, params)
+    done = {r.tag_id: r for r in run_tasks(_clean_one, largest_first, shared, workers)}
+    return [(img, tid, REASON_OUTLIER) for t in category_ids for img, tid in done[t].removed_pairs]
 
 
 # -- prediction filter ---------------------------------------------------------

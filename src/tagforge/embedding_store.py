@@ -98,7 +98,7 @@ class EmbeddingTable:
         return len(self.keys)
 
 
-def load_embeddings(path: str | Path, expected_dim: int | None = None) -> EmbeddingTable:
+def load_embeddings(path: str | Path) -> EmbeddingTable:
     """Parse an EMB1 file, validating structure and values.
 
     Every failure mode is a distinct error naming the byte offset and, where
@@ -113,10 +113,6 @@ def load_embeddings(path: str | Path, expected_dim: int | None = None) -> Embedd
     normalized = data[12] != 0
     if dim < 1:
         raise EmbeddingFormatError(f"{path}: dimension 0 at offset 8")
-    if expected_dim is not None and dim != expected_dim:
-        raise EmbeddingFormatError(
-            f"{path}: dimension mismatch at offset 8: file has {dim}, expected {expected_dim}"
-        )
 
     # one pass over the key lengths proves the structure; a structural error
     # is raised only after the finiteness check of the records before it, so

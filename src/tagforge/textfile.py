@@ -32,12 +32,16 @@ def undecodable(line: str) -> bool:
     return not line.isascii() and _UNDECODABLE.search(line) is not None
 
 
-def invalid_utf8(path: str | Path, error: Callable = TagforgeError, lineno: int | None = None):
+def invalid_utf8(
+    path: str | Path, error: Callable = TagforgeError,
+    lineno: int | None = None, data: bytes | None = None,
+):
     """error("{path}:{lineno}: invalid UTF-8"); lineno defaults to the line of
-    the file's first byte that is not UTF-8, whichever part of the file failed
-    to decode first (`parse` decodes shards in worker processes)."""
+    the first byte of data (a pipe's bytes as read; by default the file's) that
+    is not UTF-8, whichever part failed to decode first (`parse` decodes byte
+    ranges in worker processes)."""
     if lineno is None:
-        head = Path(path).read_bytes()
+        head = Path(path).read_bytes() if data is None else data
         try:
             head.decode("utf-8")
         except UnicodeDecodeError as exc:

@@ -1,4 +1,7 @@
 import json
+import os
+import re
+import threading
 from collections import Counter
 
 import pytest
@@ -15,6 +18,7 @@ from tagforge.caption_parser import (
     parse_corpus_file,
     tokenize,
 )
+from tagforge.errors import TagforgeError
 
 
 @pytest.mark.parametrize(
@@ -181,6 +185,51 @@ def test_parse_corpus_file_worker_invariance(tmp_path, lexicons, golden_corpus):
     assert single.image_tags == multi.image_tags
     assert single.frequencies == multi.frequencies
     assert single.rejects.count == multi.rejects.count == 1
+
+
+def _parse_through_pipe(fifo, data: bytes, workers: int):
+    os.mkfifo(fifo)
+
+    def write():
+        try:
+            with open(fifo, "wb") as fh:
+                fh.write(data)
+        except BrokenPipeError:  # the finally below read nothing
+            pass
+
+    writer = threading.Thread(target=write, daemon=True)
+    writer.start()
+    try:
+        return parse_corpus_file(fifo, workers=workers)
+    finally:
+        # frees a writer still waiting for a reader if the parse never opened the pipe
+        os.close(os.open(fifo, os.O_RDONLY | os.O_NONBLOCK))
+        writer.join(timeout=10)
+        assert not writer.is_alive()
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_parse_corpus_file_reads_a_pipe_whole(tmp_path, golden_corpus, workers):
+    # a pipe has no size to split by, so it is one range at every worker count
+    lines = [json.dumps({"image_id": e["image_id"], "caption": e["caption"]}) for e in golden_corpus]
+    data = ("\n".join(lines) + "\nnot json\n").encode()
+    path = tmp_path / "captions.jsonl"
+    path.write_bytes(data)
+    expected = parse_corpus_file(path, workers=workers)
+    got = _parse_through_pipe(tmp_path / "captions.fifo", data, workers)
+    assert len(got.image_tags) == len({e["image_id"] for e in golden_corpus})
+    assert got.image_tags == expected.image_tags
+    assert got.frequencies == expected.frequencies
+    assert got.rejects.count == 1
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_invalid_utf8_in_a_pipe_names_its_line(tmp_path, workers):
+    # the pipe cannot be read again to find the line, so what was read names it
+    data = b'{"image_id": "a", "caption": "a dog"}\r\n\n{"image_id": "b", "caption": "\xff"}\n'
+    fifo = tmp_path / "captions.fifo"
+    with pytest.raises(TagforgeError, match=f"^{re.escape(str(fifo))}:3: invalid UTF-8$"):
+        _parse_through_pipe(fifo, data, workers)
 
 
 def test_per_image_output_is_canonically_ordered(lexicons):

@@ -103,13 +103,6 @@ def test_non_finite_value(tmp_path):
         load_embeddings(path)
 
 
-def test_dimension_mismatch(tmp_path):
-    path = tmp_path / "dim.emb"
-    _write_raw(path, 1, 4, False, [("key", [1, 2, 3, 4])])
-    with pytest.raises(EmbeddingFormatError, match="dimension mismatch"):
-        load_embeddings(path, expected_dim=8)
-
-
 def test_normalized_flag_validated(tmp_path):
     path = tmp_path / "flag.emb"
     _write_raw(path, 1, 2, True, [("key", [3.0, 4.0])])

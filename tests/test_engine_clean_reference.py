@@ -36,7 +36,7 @@ from tagforge.similarity_tagger import LabelQueryMatrix, ThresholdProfile
 # -- the per-record references ----------------------------------------------------
 
 
-def reference_load_embeddings(path, expected_dim=None):
+def reference_load_embeddings(path):
     data = Path(path).read_bytes()
     if len(data) < 4 or data[:4] != b"EMB1":
         raise EmbeddingFormatError(f"{path}: bad magic at offset 0, expected {b'EMB1'!r}")
@@ -46,10 +46,6 @@ def reference_load_embeddings(path, expected_dim=None):
     normalized = data[12] != 0
     if dim < 1:
         raise EmbeddingFormatError(f"{path}: dimension 0 at offset 8")
-    if expected_dim is not None and dim != expected_dim:
-        raise EmbeddingFormatError(
-            f"{path}: dimension mismatch at offset 8: file has {dim}, expected {expected_dim}"
-        )
     offset = 13
     keys = []
     rows = np.empty((count, dim), dtype=np.float64)
@@ -188,17 +184,17 @@ def _vec(values) -> bytes:
     return np.asarray(values, dtype="<f4").tobytes()
 
 
-def _outcome(loader, path, **kwargs):
+def _outcome(loader, path):
     try:
-        table = loader(path, **kwargs)
+        table = loader(path)
     except Exception as exc:  # the error's type and message are the outcome
         return ("error", type(exc).__name__, str(exc))
     return ("table", table.keys, table.matrix.tobytes(), table.matrix.shape, table.normalized)
 
 
-def _assert_same_load(path, **kwargs):
-    got = _outcome(load_embeddings, path, **kwargs)
-    assert got == _outcome(reference_load_embeddings, path, **kwargs)
+def _assert_same_load(path):
+    got = _outcome(load_embeddings, path)
+    assert got == _outcome(reference_load_embeddings, path)
     return got
 
 
@@ -269,13 +265,6 @@ def test_emb1_errors_match_reference(tmp_path, case):
     path.write_bytes(BAD_EMB1[case])
     outcome = _assert_same_load(path)
     assert outcome[:2] == ("error", "EmbeddingFormatError")
-
-
-def test_emb1_dimension_mismatch_matches_reference(tmp_path):
-    path = tmp_path / "d.emb"
-    path.write_bytes(_emb1([(b"a", _vec([1, 2]))], 2))
-    assert "dimension mismatch" in _assert_same_load(path, expected_dim=3)[2]
-    assert _assert_same_load(path, expected_dim=2)[0] == "table"
 
 
 def test_emb1_header_claiming_more_records_than_the_file_allocates_nothing(tmp_path):
