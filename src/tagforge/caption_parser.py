@@ -21,7 +21,6 @@ chunks.
 from __future__ import annotations
 
 import io
-import json
 import os
 import re
 from collections import Counter
@@ -425,12 +424,19 @@ def parse_corpus_file(
 
 
 def write_image_tags(corpus: CorpusParse, path: str | Path) -> None:
-    """Write per-image tags as JSONL, images sorted by id."""
-    with open(path, "w", encoding="utf-8") as fh:
-        for image_id in sorted(corpus.image_tags):
-            tags = [{"surface": t.surface, "kind": t.kind} for t in corpus.image_tags[image_id]]
-            fh.write(json.dumps({"image_id": image_id, "tags": tags}, ensure_ascii=False))
-            fh.write("\n")
+    """Write per-image tags as JSONL, images sorted by id, each line as
+    json.dumps({"image_id": ..., "tags": [{"surface": ..., "kind": ...}, ...]},
+    ensure_ascii=False) writes it."""
+    dumps = jsonl.memo_dumps()
+    jsonl.write_lines(path, (
+        f'{{"image_id": {dumps(image_id)}, "tags": ['
+        + ", ".join(
+            f'{{"surface": {dumps(t.surface)}, "kind": {dumps(t.kind)}}}'
+            for t in corpus.image_tags[image_id]
+        )
+        + "]}\n"
+        for image_id in sorted(corpus.image_tags)
+    ))
 
 
 def write_frequency_table(corpus: CorpusParse, path: str | Path) -> None:

@@ -11,6 +11,7 @@ Modules that need numpy are imported by the commands that use them, so
 from __future__ import annotations
 
 import functools
+import gc
 import sys
 from pathlib import Path
 
@@ -72,7 +73,7 @@ def common_options(fn, ignored: bool = False):
     fn = click.option(
         "--workers", type=int, default=None,
         help="Ignored: this command runs in one process."
-        if ignored else "Worker processes [default: 1, or the config file's workers].",
+        if ignored else "Processes, this one included [default: 1, or the config file's workers].",
     )(fn)
     fn = click.option(
         "--config",
@@ -282,9 +283,13 @@ def engine_clean_cmd(
     seed, workers = seed_and_workers(config_path, seed, workers)
     store = engine.load_annotations(annotations)
     vocabulary = ls.load_vocabulary(vocab)
-    inputs, clean_events, _ = engine.outlier_stage(
-        store, regions, region_embeddings, whitelist, fraction=fraction, seed=seed,
-        min_regions=min_regions, outlier_scope=outlier_scope, workers=workers,
+    inputs = engine.load_region_inputs(regions, region_embeddings, whitelist)
+    cleaning = engine.start_clean(
+        *inputs, workers=workers, fraction=fraction, seed=seed, min_regions=min_regions,
+        outlier_scope=outlier_scope,
+    )
+    clean_events, _ = engine.apply_removals(
+        store, engine.finish_clean(cleaning), engine.STAGE_CLEAN
     )
     filter_events, _, _ = engine.filter_stage(
         store, inputs, vocabulary, queries, thresholds, image_embeddings, margin
@@ -409,11 +414,19 @@ def stats_cmd(stats_file, seed, workers, config_path):
 
 
 def main(argv=None):
+    # a command's objects live until it returns, and the cyclic collector
+    # finds next to nothing to free among them; its passes cost up to a
+    # tenth of an engine run
+    collecting = gc.isenabled()
+    gc.disable()
     try:
         cli(args=argv, standalone_mode=True, prog_name="tagforge")
     except TagforgeError as exc:  # errors escaping the decorator (load-time etc.)
         click.echo(f"error: {exc}", err=True)
         sys.exit(1)
+    finally:
+        if collecting:
+            gc.enable()
 
 
 if __name__ == "__main__":

@@ -11,14 +11,13 @@ final annotation set exactly. Per-category randomness is derived from
 
 from __future__ import annotations
 
-import json
 import math
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from itertools import groupby, islice
 from operator import attrgetter
 from pathlib import Path
-from typing import Iterable, Mapping, NamedTuple, Sequence
+from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -309,22 +308,27 @@ def _clean_one(shared: tuple, tag_id: int) -> CategoryCleanResult:
     return clean_category(tag_id, by_tag[tag_id], region_embeddings, **params)
 
 
-def clean_stage(
+class CleanRun(NamedTuple):
+    """Clean tasks under way: the categories start_clean cleans, and their
+    results as pool.run_tasks gives them."""
+
+    category_ids: list[int]
+    results: Iterator[CategoryCleanResult]
+
+
+def start_clean(
     regions: Sequence[RegionRecord],
     region_embeddings: EmbeddingTable,
     whitelist: set[int] | None,
     workers: int = 1,
     **params,
-) -> list[tuple[str, int, str]]:
-    """Clean every category that has regions (only whitelisted ones when a
-    whitelist is given) with clean_category's keyword params, and return the
-    outlier removals.
+) -> CleanRun:
+    """Start cleaning every category that has regions (only whitelisted ones
+    when a whitelist is given) with clean_category's keyword params.
 
     The categories go to pool.run_tasks largest first, one task each, with
-    the regions and the embedding table shared. Results merge in ascending
-    tag_id order, so the removals are the same at every worker count. When
-    several categories fail, the first failure met is raised: at one worker,
-    the largest failing category's.
+    the regions and the embedding table shared. At more than one worker the
+    helper processes start cleaning now; finish_clean joins them.
     """
     by_tag: dict[int, list[RegionRecord]] = {}
     for r in regions:
@@ -332,8 +336,18 @@ def clean_stage(
     category_ids = sorted(by_tag) if whitelist is None else sorted(set(by_tag) & whitelist)
     largest_first = sorted(category_ids, key=lambda t: (-len(by_tag[t]), t))
     shared = (by_tag, region_embeddings, params)
-    done = {r.tag_id: r for r in run_tasks(_clean_one, largest_first, shared, workers)}
-    return [(img, tid, REASON_OUTLIER) for t in category_ids for img, tid in done[t].removed_pairs]
+    return CleanRun(category_ids, run_tasks(_clean_one, largest_first, shared, workers))
+
+
+def finish_clean(run: CleanRun) -> list[tuple[str, int, str]]:
+    """Run the clean tasks left, wait for the rest and return the outlier
+    removals. Results merge in ascending tag_id order, so the removals are
+    the same at every worker count. When several categories fail, the first
+    failure met is raised: at one worker, the largest failing category's."""
+    done = {r.tag_id: r for r in run.results}
+    return [
+        (img, tid, REASON_OUTLIER) for t in run.category_ids for img, tid in done[t].removed_pairs
+    ]
 
 
 # -- prediction filter ---------------------------------------------------------
@@ -519,7 +533,7 @@ def load_regions(path: str | Path) -> list[RegionRecord]:
 def _parse_stage(
     config: EngineConfig, vocab: TagVocabulary, lexicons: LexiconBundle
 ) -> tuple[AnnotationStore, int, RejectSummary]:
-    corpus = parse_corpus_file(config.captions, config.lexicon_dir, workers=config.workers)
+    corpus = parse_corpus_file(config.captions, config.lexicon_dir)
     store: AnnotationStore = {}
     unmapped = 0
     for image_id in sorted(corpus.image_tags):
@@ -589,24 +603,15 @@ class RegionInputs(NamedTuple):
     whitelist: set[int] | None
 
 
-def outlier_stage(
-    store: AnnotationStore,
-    regions: str | Path,
-    region_embeddings: str | Path,
-    whitelist: str | Path | None,
-    **params,
-) -> tuple[RegionInputs, list[AuditEvent], dict[str, int]]:
-    """The clean stage: load the regions, their embeddings and the
-    whitelist, find the outlier pairs (clean_stage with params) and mark them
-    removed in store. Returns the loaded inputs, the removals and their
-    counts."""
-    inputs = RegionInputs(
+def load_region_inputs(
+    regions: str | Path, region_embeddings: str | Path, whitelist: str | Path | None
+) -> RegionInputs:
+    """Load the regions, their embeddings (normalized) and the whitelist."""
+    return RegionInputs(
         load_regions(regions),
         normalize(load_embeddings(region_embeddings)),
         load_whitelist(whitelist) if whitelist else None,
     )
-    removals = clean_stage(inputs.regions, inputs.table, inputs.whitelist, **params)
-    return (inputs, *apply_removals(store, removals, STAGE_CLEAN))
 
 
 def filter_stage(
@@ -636,7 +641,13 @@ def run_engine(config: EngineConfig) -> EngineResult:
     """Execute parse -> generate -> clean -> filter, collect the accounting
     and write parsed/final annotation JSONL, the audit log and the stats
     table into config.out_dir. Any stage error aborts with the stage name
-    and the stats accumulated so far."""
+    and the stats accumulated so far.
+
+    The clean inputs load first and the clean tasks start before parse, so
+    at more than one worker the helper processes clean while this process
+    parses and generates on its own; then it joins the cleaning. A clean
+    input that fails to load is reported by the clean stage, so a parse or
+    generate error still comes first."""
     stats = EngineStats()
 
     @contextmanager
@@ -649,26 +660,38 @@ def run_engine(config: EngineConfig) -> EngineResult:
         except Exception as exc:
             raise EngineError(name, str(exc), partial_stats=stats) from exc
 
-    with stage(STAGE_PARSE):
-        vocab = load_vocabulary(config.vocab)
-        lexicons = load_lexicons(config.lexicon_dir)
-        parsed, unmapped, parse_rejects = _parse_stage(config, vocab, lexicons)
-        stats.rows.append(_stage_row(STAGE_PARSE, parsed, added=count_kept(parsed)))
-    with stage(STAGE_GENERATE):
-        merged, audit, rejected, generated_rejects = generate_stage(
-            parsed, vocab, lexicons, config.generated_tags, config.generated_captions,
-            config.lexicon_dir, config.workers,
+    cleaning = load_error = None
+    try:
+        inputs = load_region_inputs(config.regions, config.region_embeddings, config.whitelist)
+        cleaning = start_clean(
+            *inputs, workers=config.workers, fraction=config.fraction, seed=config.seed,
+            min_regions=config.min_regions, tol=config.tol, max_iter=config.max_iter,
+            outlier_scope=config.outlier_scope,
         )
-        stats.rows.append(_stage_row(STAGE_GENERATE, merged, added=len(audit)))
-    with stage(STAGE_CLEAN):
-        inputs, events, counts = outlier_stage(
-            merged, config.regions, config.region_embeddings, config.whitelist,
-            fraction=config.fraction, seed=config.seed, min_regions=config.min_regions,
-            tol=config.tol, max_iter=config.max_iter, outlier_scope=config.outlier_scope,
-            workers=config.workers,
-        )
-        audit += events
-        stats.rows.append(_stage_row(STAGE_CLEAN, merged, removed=counts))
+    except Exception as exc:
+        load_error = exc
+    try:
+        # one process each: the clean helpers hold the other workers
+        with stage(STAGE_PARSE):
+            vocab = load_vocabulary(config.vocab)
+            lexicons = load_lexicons(config.lexicon_dir)
+            parsed, unmapped, parse_rejects = _parse_stage(config, vocab, lexicons)
+            stats.rows.append(_stage_row(STAGE_PARSE, parsed, added=count_kept(parsed)))
+        with stage(STAGE_GENERATE):
+            merged, audit, rejected, generated_rejects = generate_stage(
+                parsed, vocab, lexicons, config.generated_tags, config.generated_captions,
+                config.lexicon_dir, workers=1,
+            )
+            stats.rows.append(_stage_row(STAGE_GENERATE, merged, added=len(audit)))
+        with stage(STAGE_CLEAN):
+            if cleaning is None:
+                raise load_error
+            events, counts = apply_removals(merged, finish_clean(cleaning), STAGE_CLEAN)
+            audit += events
+            stats.rows.append(_stage_row(STAGE_CLEAN, merged, removed=counts))
+    finally:
+        if cleaning is not None:
+            cleaning.results.close()  # stops the helpers when a stage failed
     with stage(STAGE_FILTER):
         events, counts, filter_skipped = filter_stage(
             merged, inputs, vocab, config.queries, config.thresholds, config.image_embeddings,
@@ -706,17 +729,22 @@ def run_engine(config: EngineConfig) -> EngineResult:
 
 
 def write_annotations(store: AnnotationStore, path: str | Path) -> None:
-    """Write kept annotations as JSONL; removals live in the audit log."""
-    with open(path, "w", encoding="utf-8") as fh:
+    """Write kept annotations as JSONL; removals live in the audit log. Each
+    image with kept tags is one line, as json.dumps({"image_id": ..., "tags":
+    [{"tag_id": ..., "provenance": ...}, ...]}, ensure_ascii=False) writes it."""
+    dumps = jsonl.memo_dumps()
+
+    def lines():
         for image_id in sorted(store):
-            tags = [
-                {"tag_id": tag_id, "provenance": e.provenance}
+            tags = ", ".join(
+                f'{{"tag_id": {dumps(tag_id)}, "provenance": {dumps(e.provenance)}}}'
                 for tag_id, e in sorted(store[image_id].items())
                 if e.state == STATE_KEPT
-            ]
+            )
             if tags:
-                fh.write(json.dumps({"image_id": image_id, "tags": tags}, ensure_ascii=False))
-                fh.write("\n")
+                yield f'{{"image_id": {dumps(image_id)}, "tags": [{tags}]}}\n'
+
+    jsonl.write_lines(path, lines())
 
 
 def _annotation(obj) -> tuple[str, dict[int, TagEntry]]:
@@ -731,21 +759,14 @@ def load_annotations(path: str | Path) -> AnnotationStore:
 
 
 def write_audit(events: Sequence[AuditEvent], path: str | Path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        for e in events:
-            fh.write(
-                json.dumps(
-                    {
-                        "image_id": e.image_id,
-                        "tag_id": e.tag_id,
-                        "action": e.action,
-                        "reason": e.reason,
-                        "stage": e.stage,
-                    },
-                    ensure_ascii=False,
-                )
-            )
-            fh.write("\n")
+    """One line per event, as json.dumps({"image_id": ..., "tag_id": ...,
+    "action": ..., "reason": ..., "stage": ...}, ensure_ascii=False) writes it."""
+    dumps = jsonl.memo_dumps()
+    jsonl.write_lines(path, (
+        f'{{"image_id": {dumps(e.image_id)}, "tag_id": {dumps(e.tag_id)}, '
+        f'"action": {dumps(e.action)}, "reason": {dumps(e.reason)}, "stage": {dumps(e.stage)}}}\n'
+        for e in events
+    ))
 
 
 def _audit_event(obj) -> AuditEvent:

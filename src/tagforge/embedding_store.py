@@ -37,36 +37,44 @@ class EmbeddingTable:
     """Immutable mapping key -> vector, all vectors sharing one dimension."""
 
     def __init__(self, keys: Iterable[str], matrix: np.ndarray, normalized: bool = False):
-        self.keys: tuple[str, ...] = tuple(keys)
+        keys = tuple(keys)
         matrix = np.asarray(matrix, dtype=np.float64)
         if matrix.ndim != 2:
             raise EmbeddingFormatError("matrix must be 2-dimensional")
-        if matrix.shape[0] != len(self.keys):
+        if matrix.shape[0] != len(keys):
             raise EmbeddingFormatError(
-                f"key count {len(self.keys)} does not match row count {matrix.shape[0]}"
+                f"key count {len(keys)} does not match row count {matrix.shape[0]}"
             )
         if matrix.shape[1] < 1:
             raise EmbeddingFormatError("dimension must be positive")
+        index: dict[str, int] = {}
+        for i, key in enumerate(keys):
+            if key in index:
+                raise EmbeddingFormatError(f"duplicate key {key!r}")
+            index[key] = i
+        if not np.isfinite(matrix).all():
+            bad = keys[int(np.argwhere(~np.isfinite(matrix))[0][0])]
+            raise EmbeddingFormatError(f"non-finite value in vector for key {bad!r}")
+        if normalized:
+            _check_unit_norms(keys, np.linalg.norm(matrix, axis=1))
+        self._set(keys, matrix, normalized, index)
+
+    def _set(self, keys: tuple[str, ...], matrix: np.ndarray, normalized: bool, index: dict):
+        self.keys = keys
         self.matrix = matrix
         self.matrix.setflags(write=False)
         self.dim: int = matrix.shape[1]
         self.normalized = normalized
-        self._index: dict[str, int] = {}
-        for i, key in enumerate(self.keys):
-            if key in self._index:
-                raise EmbeddingFormatError(f"duplicate key {key!r}")
-            self._index[key] = i
-        if not np.isfinite(matrix).all():
-            bad = self.keys[int(np.argwhere(~np.isfinite(matrix))[0][0])]
-            raise EmbeddingFormatError(f"non-finite value in vector for key {bad!r}")
-        if normalized:
-            norms = np.linalg.norm(matrix, axis=1)
-            off = np.abs(norms - 1.0) > NORM_TOLERANCE
-            if off.any():
-                bad = self.keys[int(np.argmax(off))]
-                raise EmbeddingFormatError(
-                    f"normalized flag set but key {bad!r} has norm {norms[np.argmax(off)]:.6g}"
-                )
+        self._index = index
+
+    @classmethod
+    def _checked(cls, keys: tuple[str, ...], matrix: np.ndarray, normalized: bool, index: dict):
+        """A table of a 2-d float64 matrix whose rows are finite and whose
+        keys are distinct, index mapping each key to its row: the caller has
+        checked all of it, so nothing is checked again."""
+        table = cls.__new__(cls)
+        table._set(keys, matrix, normalized, index)
+        return table
 
     @classmethod
     def from_vectors(cls, vectors: Mapping[str, np.ndarray], normalized: bool = False):
@@ -121,7 +129,7 @@ def load_embeddings(path: str | Path) -> EmbeddingTable:
     vec_bytes = dim * 4
     offset = 13
     keys: list[str] = []
-    seen: set[str] = set()
+    index: dict[str, int] = {}  # key -> row
     starts: list[int] = []  # byte offset of each record's vector
     error = None
     for _ in range(count):
@@ -139,13 +147,13 @@ def load_embeddings(path: str | Path) -> EmbeddingTable:
             error = f"invalid UTF-8 key at offset {offset}"
             break
         offset += key_len
-        if key in seen:
+        if key in index:
             error = f"duplicate key {key!r} at offset {offset}"
             break
         if offset + vec_bytes > size:
             error = f"truncated vector for key {key!r} at offset {offset}"
             break
-        seen.add(key)
+        index[key] = len(keys)
         keys.append(key)
         starts.append(offset)
         offset += vec_bytes
@@ -166,10 +174,14 @@ def load_embeddings(path: str | Path) -> EmbeddingTable:
         )
     if error is not None:
         raise EmbeddingFormatError(f"{path}: {error}")
-    try:
-        return EmbeddingTable(keys, vectors.astype(np.float64), normalized)
-    except EmbeddingFormatError as exc:
-        raise EmbeddingFormatError(f"{path}: {exc}") from None
+    # widening keeps every value finite, and the scan proved the keys distinct
+    matrix = vectors.astype(np.float64)
+    if normalized:
+        try:
+            _check_unit_norms(keys, np.linalg.norm(matrix, axis=1))
+        except EmbeddingFormatError as exc:
+            raise EmbeddingFormatError(f"{path}: {exc}") from None
+    return EmbeddingTable._checked(tuple(keys), matrix, normalized, index)
 
 
 def save_embeddings(table: EmbeddingTable, path: str | Path) -> None:
@@ -187,6 +199,21 @@ def save_embeddings(table: EmbeddingTable, path: str | Path) -> None:
             fh.write(f32[i].tobytes())
 
 
+def _check_unit_norms(keys: tuple[str, ...] | list[str], norms: np.ndarray) -> None:
+    off = np.abs(norms - 1.0) > NORM_TOLERANCE
+    if off.any():
+        bad = int(np.argmax(off))
+        raise EmbeddingFormatError(
+            f"normalized flag set but key {keys[bad]!r} has norm {norms[bad]:.6g}"
+        )
+
+
+# a row whose norm lies in this range squares every value without overflow
+# and without losing a relevant bit to underflow, so divided by its norm it
+# has norm 1 within a few ulps, far inside NORM_TOLERANCE
+_EXACT_NORMS = (1e-100, 1e100)
+
+
 def normalize(table: EmbeddingTable) -> EmbeddingTable:
     """Scale every vector to unit L2 norm; errors on zero vectors."""
     norms = np.linalg.norm(table.matrix, axis=1)
@@ -194,4 +221,10 @@ def normalize(table: EmbeddingTable) -> EmbeddingTable:
     if zero.any():
         bad = table.keys[int(np.argmax(zero))]
         raise EmbeddingFormatError(f"cannot normalize zero vector for key {bad!r}")
-    return EmbeddingTable(table.keys, table.matrix / norms[:, None], normalized=True)
+    # finite values divided by nonzero norms stay finite, and the keys are
+    # the table's own: only norms outside _EXACT_NORMS need their check
+    matrix = table.matrix / norms[:, None]
+    low, high = _EXACT_NORMS
+    if not ((norms >= low) & (norms <= high)).all():
+        _check_unit_norms(table.keys, np.linalg.norm(matrix, axis=1))
+    return EmbeddingTable._checked(table.keys, matrix, True, table._index)

@@ -1,4 +1,5 @@
-"""JSON Lines, the format of every tagforge record file.
+"""JSON Lines, the format of every tagforge record file: read here, and
+written through memo_dumps and write_lines.
 
 Lines end as textfile states: U+0085, U+2028 and U+2029, which JSON strings
 may hold, never end one. Blank lines are skipped but counted. Lines are read
@@ -97,3 +98,30 @@ def read(
             except (ValueError, KeyError, TypeError, OverflowError, RecursionError):
                 raise error(f"{path}:{lineno}: malformed {what} record") from None
             yield record
+
+
+def memo_dumps() -> Callable[[Any], str]:
+    """json.dumps(value, ensure_ascii=False), memoized for str and int values.
+    Other values are dumped on every call: 1.0 and True are equal to 1 as
+    dict keys, but each has its own text."""
+    memo: dict = {}
+
+    def dumps(value) -> str:
+        kind = type(value)
+        if kind is str or kind is int:
+            text = memo.get(value)
+            if text is None:
+                text = memo[value] = json.dumps(value, ensure_ascii=False)
+            return text
+        return json.dumps(value, ensure_ascii=False)
+
+    return dumps
+
+
+def write_lines(path: str | Path, lines: Iterable[str]) -> None:
+    """Write lines, each ending in a newline, to a UTF-8 file, joined
+    BATCH_LINES at a time, so what is held at once stays bounded."""
+    with open(path, "w", encoding="utf-8") as fh:
+        rest = iter(lines)
+        while chunk := list(islice(rest, BATCH_LINES)):
+            fh.write("".join(chunk))

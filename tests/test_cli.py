@@ -558,3 +558,22 @@ def test_seed_help_states_the_seed_each_command_uses(runner):
 
     for args in (["parse"], ["engine", "generate"], ["engine", "clean"]):
         assert "Random seed [default: 0, or the config file's seed]" in help_text(*args)
+
+
+@pytest.mark.parametrize("collecting", [True, False])
+def test_main_restores_the_cyclic_collector_state(collecting):
+    import gc
+
+    from tagforge.cli import main
+
+    was = gc.isenabled()
+    (gc.enable if collecting else gc.disable)()
+    try:
+        with pytest.raises(SystemExit):
+            main(["--version"])
+        assert gc.isenabled() is collecting
+        with pytest.raises(SystemExit):
+            main(["stats", "--stats-file", "no-such-file"])
+        assert gc.isenabled() is collecting
+    finally:
+        (gc.enable if was else gc.disable)()

@@ -445,6 +445,61 @@ def test_run_engine_stage_error_names_stage(small_corpus, tmp_path):
         assert [r.stage for r in exc.value.partial_stats.rows] == ["parse", "generate"]
 
 
+def _bad_captions(small_corpus, tmp_path):
+    captions = tmp_path / "captions.jsonl"
+    captions.write_bytes(small_corpus.config.captions.read_bytes() + b'{"image_id": "\xff"}\n')
+    return captions
+
+
+def test_run_engine_parse_error_stops_the_clean_helpers(small_corpus, tmp_path):
+    import dataclasses
+    import multiprocessing
+
+    config = dataclasses.replace(
+        small_corpus.config, captions=_bad_captions(small_corpus, tmp_path),
+        out_dir=tmp_path / "out", workers=2,
+    )
+    with pytest.raises(EngineError, match="invalid UTF-8") as exc:
+        run_engine(config)
+    assert exc.value.stage == "parse" and exc.value.partial_stats.rows == []
+    assert multiprocessing.active_children() == []
+
+
+def test_run_engine_reports_a_parse_error_before_a_clean_input_error(small_corpus, tmp_path):
+    import dataclasses
+    import multiprocessing
+
+    for workers in (1, 2):
+        config = dataclasses.replace(
+            small_corpus.config, captions=_bad_captions(small_corpus, tmp_path),
+            regions=small_corpus.config.captions, out_dir=tmp_path / "out", workers=workers,
+        )
+        with pytest.raises(EngineError, match="invalid UTF-8") as exc:
+            run_engine(config)
+        assert exc.value.stage == "parse", workers
+        assert multiprocessing.active_children() == []
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_run_engine_leaves_little_for_the_cyclic_collector(small_corpus, tmp_path, workers):
+    # the CLI runs commands with the collector off; what a run leaves in
+    # cycles then stays until the process exits
+    import dataclasses
+    import gc
+
+    config = dataclasses.replace(small_corpus.config, out_dir=tmp_path / "out", workers=workers)
+    collecting = gc.isenabled()
+    gc.collect()
+    gc.disable()
+    try:
+        result = run_engine(config)
+        unreachable = gc.collect()
+    finally:
+        if collecting:
+            gc.enable()
+    assert result.stats.rows and unreachable < 100
+
+
 def test_run_engine_filter_error_names_stage(small_corpus, tmp_path):
     import dataclasses
 

@@ -138,6 +138,52 @@ def test_normalize_zero_vector_names_key():
         normalize(table)
 
 
+def _outcome(make):
+    try:
+        table = make()
+    except EmbeddingFormatError as exc:
+        return ("error", str(exc))
+    return ("table", table.keys, table.matrix.tobytes(), table.normalized)
+
+
+@pytest.mark.parametrize("row", [
+    [3.0, 4.0],
+    [1e200, 1e200],  # the norm overflows, and the row divides to zeros
+    [1e-160, 3e-161],  # the squares lose bits to underflow
+    [1e-170, 1e-171],  # every square underflows: a zero norm
+    [1e-100, 0.0],
+    [1e100, 1.0],
+])
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+def test_normalize_matches_a_checked_table_of_the_divided_rows(row):
+    table = EmbeddingTable.from_vectors({"fine": np.array([1.0, 2.0]), "edge": np.array(row)})
+
+    def checked():
+        norms = np.linalg.norm(table.matrix, axis=1)
+        if (norms == 0.0).any():
+            raise EmbeddingFormatError("cannot normalize zero vector for key 'edge'")
+        return EmbeddingTable(table.keys, table.matrix / norms[:, None], normalized=True)
+
+    assert _outcome(lambda: normalize(table)) == _outcome(checked)
+
+
+def test_a_loaded_and_normalized_table_is_checked_once(tmp_path, monkeypatch):
+    rng = np.random.default_rng(2)
+    path = tmp_path / "t.emb"
+    _write_raw(path, 50, 6, False, [(f"k{i}", rng.normal(size=6)) for i in range(50)])
+    calls = []
+    isfinite = np.isfinite
+
+    def counting(x, *args, **kwargs):
+        calls.append(np.shape(x))
+        return isfinite(x, *args, **kwargs)
+
+    monkeypatch.setattr(np, "isfinite", counting)
+    table = normalize(load_embeddings(path))
+    assert table.normalized and len(table) == 50
+    assert calls.count((50, 6)) <= 1
+
+
 def test_from_vectors_requires_consistent_dims():
     with pytest.raises(ValueError):
         EmbeddingTable.from_vectors({"a": np.ones(3), "b": np.ones(4)})

@@ -359,3 +359,122 @@ def test_every_jsonl_reader_returns_records_or_raises_its_own_error(fuzz_dir, li
     with open(path, encoding="utf-8") as fh:
         non_blank = sum(1 for line in fh if line.strip())
     assert parse_corpus_file(path).rejects.count <= non_blank
+
+
+# -- the writers ----------------------------------------------------------------------
+# the writers lay each line out by hand and pass only values through json.dumps;
+# these references dump whole records, as the writers once did
+
+
+def reference_write_annotations(store, path):
+    with open(path, "w", encoding="utf-8") as fh:
+        for image_id in sorted(store):
+            tags = [
+                {"tag_id": tag_id, "provenance": e.provenance}
+                for tag_id, e in sorted(store[image_id].items())
+                if e.state == "kept"
+            ]
+            if tags:
+                fh.write(json.dumps({"image_id": image_id, "tags": tags}, ensure_ascii=False))
+                fh.write("\n")
+
+
+def reference_write_audit(events, path):
+    with open(path, "w", encoding="utf-8") as fh:
+        for e in events:
+            record = {
+                "image_id": e.image_id, "tag_id": e.tag_id, "action": e.action,
+                "reason": e.reason, "stage": e.stage,
+            }
+            fh.write(json.dumps(record, ensure_ascii=False) + "\n")
+
+
+def reference_write_image_tags(corpus, path):
+    with open(path, "w", encoding="utf-8") as fh:
+        for image_id in sorted(corpus.image_tags):
+            tags = [{"surface": t.surface, "kind": t.kind} for t in corpus.image_tags[image_id]]
+            fh.write(json.dumps({"image_id": image_id, "tags": tags}, ensure_ascii=False))
+            fh.write("\n")
+
+
+HOSTILE_IDS = [
+    "", 'say "cheese"', "back\\slash", "tab\there", "nul\x00", "bell\x07", "esc\x1b",
+    "line\u2028sep", "para\u2029sep", "nel\x85", "naïve café", "中文", "🙂", "\x7f",
+]
+
+
+def _sides(tmp_path, write, reference, value):
+    ours, theirs = tmp_path / "ours.jsonl", tmp_path / "theirs.jsonl"
+    write(value, ours)
+    reference(value, theirs)
+    return ours.read_bytes(), theirs.read_bytes()
+
+
+def test_write_annotations_matches_json_dumps_on_hostile_values(tmp_path):
+    store = {image_id: {3: TagEntry("parsed"), 1: TagEntry("generated")} for image_id in HOSTILE_IDS}
+    store["removed only"] = {5: TagEntry("parsed", "removed_outlier")}
+    store["mixed"] = {7: TagEntry('a "quoted" provenance'), 2: TagEntry("seed", "removed_contrary")}
+    ours, theirs = _sides(tmp_path, write_annotations, reference_write_annotations, store)
+    assert ours == theirs and b"removed only" not in ours
+
+    # what load_annotations accepts: int, float and null ids, list provenance
+    (tmp_path / "odd.jsonl").write_text(
+        '{"image_id": 7, "tags": [{"tag_id": 1, "provenance": ["a", "b"]}]}\n'
+        '{"image_id": 2.5, "tags": [{"tag_id": 1, "provenance": 1}, {"tag_id": 2}]}\n'
+        '{"image_id": null, "tags": [{"tag_id": 3, "provenance": true}]}\n'
+        '{"image_id": 1e300, "tags": [{"tag_id": 4, "provenance": 1.0}]}\n'
+    )
+    odd = load_annotations(tmp_path / "odd.jsonl")
+    for ids in ([7, 2.5], [None], [1e300]):  # sorted() cannot order None with numbers
+        part = {image_id: odd[image_id] for image_id in ids}
+        ours, theirs = _sides(tmp_path, write_annotations, reference_write_annotations, part)
+        assert ours == theirs
+
+
+def test_write_audit_matches_json_dumps_on_hostile_values(tmp_path):
+    events = [
+        AuditEvent(image_id, tag_id, "removed", 'reason "x"', "clean")
+        for image_id in HOSTILE_IDS for tag_id in (0, 12)
+    ]
+    events += [AuditEvent(5, 1, "added", "generated", "generate"), AuditEvent(None, 2, 1, 1.0, True)]
+    ours, theirs = _sides(tmp_path, write_audit, reference_write_audit, events)
+    assert ours == theirs
+
+
+def test_write_image_tags_matches_json_dumps_on_hostile_values(tmp_path):
+    from tagforge.caption_parser import CorpusParse, ParsedTag, RejectSummary, write_image_tags
+
+    tags = [ParsedTag('a "quoted" dog', "object"), ParsedTag("back\\slash", "attribute"),
+            ParsedTag("café ", "action")]
+    corpus = CorpusParse({image_id: tags for image_id in HOSTILE_IDS}, RejectSummary())
+    ours, theirs = _sides(tmp_path, write_image_tags, reference_write_image_tags, corpus)
+    assert ours == theirs
+
+
+def test_writers_match_json_dumps_across_a_chunk_boundary(tmp_path):
+    from tagforge.caption_parser import CorpusParse, ParsedTag, RejectSummary, write_image_tags
+
+    n = jsonl.BATCH_LINES + 1  # one record on the far side of the first chunk
+    ids = [f"img{i:06d} " for i in range(n)]
+    store = {image_id: {i % 7: TagEntry("parsed")} for i, image_id in enumerate(ids)}
+    events = [AuditEvent(image_id, 1, "removed", "outlier", "clean") for image_id in ids]
+    corpus = CorpusParse({image_id: [ParsedTag("dog", "object")] for image_id in ids}, RejectSummary())
+    for write, reference, value in (
+        (write_annotations, reference_write_annotations, store),
+        (write_audit, reference_write_audit, events),
+        (write_image_tags, reference_write_image_tags, corpus),
+    ):
+        ours, theirs = _sides(tmp_path, write, reference, value)
+        assert ours == theirs and ours.count(b"\n") == n
+
+
+def test_writers_refuse_a_lone_surrogate(tmp_path):
+    from tagforge.caption_parser import CorpusParse, ParsedTag, RejectSummary, write_image_tags
+
+    with pytest.raises(UnicodeEncodeError):
+        write_annotations({"bad\ud800": {1: TagEntry("parsed")}}, tmp_path / "a.jsonl")
+    with pytest.raises(UnicodeEncodeError):
+        write_audit([AuditEvent("bad\udfff", 1, "removed", "outlier", "clean")], tmp_path / "b.jsonl")
+    corpus = CorpusParse({"bad\ud83d": [ParsedTag("dog", "object")]}, RejectSummary())
+    with pytest.raises(UnicodeEncodeError):
+        write_image_tags(corpus, tmp_path / "c.jsonl")

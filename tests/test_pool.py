@@ -1,10 +1,18 @@
 import multiprocessing
+import os
+import time
 
 import numpy as np
 import pytest
 
 from tagforge.caption_parser import parse_corpus_file
-from tagforge.data_engine import EngineError, RegionRecord, clean_category, clean_stage
+from tagforge.data_engine import (
+    EngineError,
+    RegionRecord,
+    clean_category,
+    finish_clean,
+    start_clean,
+)
 from tagforge.embedding_store import EmbeddingTable
 from tagforge.pool import run_tasks
 
@@ -20,6 +28,72 @@ def test_run_tasks_in_process_keeps_task_order():
 
 def test_run_tasks_pool_returns_every_result():
     assert sorted(run_tasks(_scaled, list(range(7)), 3, workers=2)) == [3 * t for t in range(7)]
+
+
+# forty 25 ms tasks: a helper process starts long before the caller alone
+# could run them all, under any start method
+NAPS = list(range(40))
+
+
+def _pid_after_a_nap(_, task):
+    time.sleep(0.025)
+    return task, os.getpid()
+
+
+def test_run_tasks_starts_its_helpers_at_once_and_the_caller_takes_tasks_too():
+    results = run_tasks(_pid_after_a_nap, NAPS, None, workers=2)
+    assert len(multiprocessing.active_children()) == 1  # before the first next()
+    done = list(results)
+    assert sorted(task for task, _ in done) == NAPS
+    pids = {pid for _, pid in done}
+    assert os.getpid() in pids and len(pids) == 2
+    assert multiprocessing.active_children() == []
+
+
+def test_run_tasks_takes_each_task_once_with_more_workers_than_cores():
+    # the helpers and the caller share one task counter; a lost update would
+    # run a task twice or skip one
+    assert sorted(run_tasks(_scaled, list(range(500)), 1, workers=4)) == list(range(500))
+    assert multiprocessing.active_children() == []
+
+
+def test_closing_or_dropping_the_iterator_stops_the_helpers():
+    results = run_tasks(_pid_after_a_nap, NAPS, None, workers=2)
+    next(results)
+    results.close()
+    assert multiprocessing.active_children() == []
+    results = run_tasks(_pid_after_a_nap, NAPS, None, workers=2)
+    del results
+    assert multiprocessing.active_children() == []
+
+
+def test_one_worker_runs_nothing_until_iterated():
+    calls = []
+    results = run_tasks(lambda shared, task: calls.append(task), [1, 2], None, workers=1)
+    assert calls == []
+    list(results)
+    assert calls == [1, 2]
+
+
+def _fail_on(side, task):
+    # the caller's pid and the side whose tasks raise
+    caller_pid, where = side
+    time.sleep(0.025)
+    in_caller = os.getpid() == caller_pid
+    if in_caller == (where == "caller"):
+        raise ValueError(f"task {task} failed in the {where}")
+    return task
+
+
+@pytest.mark.parametrize("where", ["caller", "helper"])
+def test_an_error_in_the_caller_or_a_helper_reaches_the_caller(where):
+    with pytest.raises(ValueError, match=f"failed in the {where}"):
+        list(run_tasks(_fail_on, NAPS, (os.getpid(), where), workers=2))
+    assert multiprocessing.active_children() == []
+
+
+def clean_stage(regions, table, whitelist, **params):
+    return finish_clean(start_clean(regions, table, whitelist, **params))
 
 
 def _categories(sizes, dim=4, seed=0):
