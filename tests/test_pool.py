@@ -28,6 +28,10 @@ def test_run_tasks_in_process_keeps_task_order():
 
 def test_run_tasks_pool_returns_every_result():
     assert sorted(run_tasks(_scaled, list(range(7)), 3, workers=2)) == [3 * t for t in range(7)]
+    # more workers than cores share one task counter; a lost update would
+    # run a task twice or skip one
+    assert sorted(run_tasks(_scaled, list(range(500)), 1, workers=4)) == list(range(500))
+    assert multiprocessing.active_children() == []
 
 
 # forty 25 ms tasks: a helper process starts long before the caller alone
@@ -47,13 +51,6 @@ def test_run_tasks_starts_its_helpers_at_once_and_the_caller_takes_tasks_too():
     assert sorted(task for task, _ in done) == NAPS
     pids = {pid for _, pid in done}
     assert os.getpid() in pids and len(pids) == 2
-    assert multiprocessing.active_children() == []
-
-
-def test_run_tasks_takes_each_task_once_with_more_workers_than_cores():
-    # the helpers and the caller share one task counter; a lost update would
-    # run a task twice or skip one
-    assert sorted(run_tasks(_scaled, list(range(500)), 1, workers=4)) == list(range(500))
     assert multiprocessing.active_children() == []
 
 
