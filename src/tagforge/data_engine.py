@@ -533,7 +533,7 @@ def load_regions(path: str | Path) -> list[RegionRecord]:
 def _parse_stage(
     config: EngineConfig, vocab: TagVocabulary, lexicons: LexiconBundle
 ) -> tuple[AnnotationStore, int, RejectSummary]:
-    corpus = parse_corpus_file(config.captions, config.lexicon_dir)
+    corpus = parse_corpus_file(config.captions, config.lexicon_dir, workers=config.workers)
     store: AnnotationStore = {}
     unmapped = 0
     for image_id in sorted(corpus.image_tags):
@@ -645,9 +645,11 @@ def run_engine(config: EngineConfig) -> EngineResult:
 
     The clean inputs load first and the clean tasks start before parse, so
     at more than one worker the helper processes clean while this process
-    parses and generates on its own; then it joins the cleaning. A clean
-    input that fails to load is reported by the clean stage, so a parse or
-    generate error still comes first."""
+    parses and generates; then it joins the cleaning. Parse and generate
+    split their caption files over workers processes as `parse` does, so a
+    caption file that outlasts the cleaning does not leave the helpers'
+    cores idle. A clean input that fails to load is reported by the clean
+    stage, so a parse or generate error still comes first."""
     stats = EngineStats()
 
     @contextmanager
@@ -671,7 +673,6 @@ def run_engine(config: EngineConfig) -> EngineResult:
     except Exception as exc:
         load_error = exc
     try:
-        # one process each: the clean helpers hold the other workers
         with stage(STAGE_PARSE):
             vocab = load_vocabulary(config.vocab)
             lexicons = load_lexicons(config.lexicon_dir)
@@ -680,7 +681,7 @@ def run_engine(config: EngineConfig) -> EngineResult:
         with stage(STAGE_GENERATE):
             merged, audit, rejected, generated_rejects = generate_stage(
                 parsed, vocab, lexicons, config.generated_tags, config.generated_captions,
-                config.lexicon_dir, workers=1,
+                config.lexicon_dir, workers=config.workers,
             )
             stats.rows.append(_stage_row(STAGE_GENERATE, merged, added=len(audit)))
         with stage(STAGE_CLEAN):

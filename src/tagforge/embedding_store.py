@@ -208,12 +208,6 @@ def _check_unit_norms(keys: tuple[str, ...] | list[str], norms: np.ndarray) -> N
         )
 
 
-# a row whose norm lies in this range squares every value without overflow
-# and without losing a relevant bit to underflow, so divided by its norm it
-# has norm 1 within a few ulps, far inside NORM_TOLERANCE
-_EXACT_NORMS = (1e-100, 1e100)
-
-
 def normalize(table: EmbeddingTable) -> EmbeddingTable:
     """Scale every vector to unit L2 norm; errors on zero vectors."""
     norms = np.linalg.norm(table.matrix, axis=1)
@@ -222,9 +216,7 @@ def normalize(table: EmbeddingTable) -> EmbeddingTable:
         bad = table.keys[int(np.argmax(zero))]
         raise EmbeddingFormatError(f"cannot normalize zero vector for key {bad!r}")
     # finite values divided by nonzero norms stay finite, and the keys are
-    # the table's own: only norms outside _EXACT_NORMS need their check
+    # the table's own: only the unit norms are checked
     matrix = table.matrix / norms[:, None]
-    low, high = _EXACT_NORMS
-    if not ((norms >= low) & (norms <= high)).all():
-        _check_unit_norms(table.keys, np.linalg.norm(matrix, axis=1))
+    _check_unit_norms(table.keys, np.linalg.norm(matrix, axis=1))
     return EmbeddingTable._checked(table.keys, matrix, True, table._index)

@@ -560,6 +560,61 @@ def test_seed_help_states_the_seed_each_command_uses(runner):
         assert "Random seed [default: 0, or the config file's seed]" in help_text(*args)
 
 
+def _unreachable_after_main(argv) -> int:
+    """What the cyclic collector finds to free after main(argv), which runs
+    the command with the collector off."""
+    import gc
+
+    from tagforge.cli import main
+
+    was = gc.isenabled()
+    gc.disable()
+    gc.collect()
+    try:
+        with pytest.raises(SystemExit) as done:
+            main(argv)
+        assert done.value.code == 0
+        return gc.collect()
+    finally:
+        if was:
+            gc.enable()
+
+
+def test_commands_leave_little_for_the_cyclic_collector(tmp_path):
+    corpus = build_synthetic_corpus(tmp_path / "corpus", n_images=1000, seed=5)
+    config = corpus.config
+    gt = tmp_path / "gt.jsonl"
+    truth: dict[str, list[int]] = {}
+    for image_id, tag_id in sorted(corpus.truth):
+        truth.setdefault(image_id, []).append(tag_id)
+    gt.write_text("".join(
+        json.dumps({"image_id": image_id, "positive": tags, "negative": []}) + "\n"
+        for image_id, tags in truth.items()
+    ))
+    out = tmp_path / "out"
+    out.mkdir()
+    commands = {
+        "parse": [
+            "parse", "--captions", str(config.captions), "--out-tags", str(out / "tags.jsonl"),
+            "--out-freq", str(out / "freq.tsv"), "--workers", "2",
+        ],
+        "build-vocab": [
+            "build-vocab", "--freq", str(out / "freq.tsv"), "--k", "20",
+            "--out", str(out / "vocab.tsv"),
+        ],
+        "tag": [
+            "tag", "--embeddings", str(config.image_embeddings), "--queries", str(config.queries),
+            "--vocab", str(config.vocab), "--out", str(out / "pred.jsonl"),
+        ],
+        "eval": [
+            "eval", "--predictions", str(out / "pred.jsonl"), "--ground-truth", str(gt),
+            "--out", str(out / "report.tsv"),
+        ],
+    }
+    left = {name: _unreachable_after_main(argv) for name, argv in commands.items()}
+    assert all(n < 100 for n in left.values()), left
+
+
 @pytest.mark.parametrize("collecting", [True, False])
 def test_main_restores_the_cyclic_collector_state(collecting):
     import gc

@@ -465,6 +465,25 @@ def test_run_engine_parse_error_stops_the_clean_helpers(small_corpus, tmp_path):
     assert multiprocessing.active_children() == []
 
 
+def test_run_engine_splits_the_captions_over_its_workers(small_corpus, tmp_path, monkeypatch):
+    # the clean helpers may be done long before a large caption file is
+    import dataclasses
+
+    from tagforge import caption_parser
+
+    calls = []
+    run_tasks = caption_parser.run_tasks
+
+    def recording(fn, tasks, shared, workers):
+        calls.append((len(tasks), workers))
+        return run_tasks(fn, tasks, shared, workers)
+
+    monkeypatch.setattr(caption_parser, "run_tasks", recording)
+    config = dataclasses.replace(small_corpus.config, out_dir=tmp_path / "out", workers=2)
+    run_engine(config)
+    assert calls == [(2, 2)]
+
+
 def test_run_engine_reports_a_parse_error_before_a_clean_input_error(small_corpus, tmp_path):
     import dataclasses
     import multiprocessing
