@@ -28,8 +28,9 @@ unless absolute):
     margin              contrary-prediction margin (default DEFAULT_MARGIN)
     tol                 Lloyd convergence tolerance (default DEFAULT_TOL)
     max_iter            Lloyd iteration cap (default DEFAULT_MAX_ITER)
-    workers             parser and clean-category processes, none at 1 (default
-                        1); outputs are byte-identical at every count
+    workers             processes that parse and clean, this one included, so
+                        helpers start only above 1 (default 1); outputs are
+                        byte-identical at every count
 """
 
 from __future__ import annotations
