@@ -41,11 +41,6 @@ PROV_PARSED = "parsed"
 PROV_GENERATED = "generated"
 PROV_SEED = "seed"
 
-STATE_KEPT = "kept"
-STATE_REMOVED_OUTLIER = "removed_outlier"
-STATE_REMOVED_NO_PREDICTION = "removed_no_prediction"
-STATE_REMOVED_CONTRARY = "removed_contrary"
-
 REASON_OUTLIER = "outlier"
 REASON_NO_PREDICTION = "no_prediction"
 REASON_CONTRARY = "contrary"
@@ -72,14 +67,9 @@ class EngineError(TagforgeError):
         return type(self), (self.stage, self.message, self.partial_stats)
 
 
-@dataclass
-class TagEntry:
-    provenance: str
-    state: str = STATE_KEPT
-
-
-# image_id -> {tag_id -> TagEntry}
-AnnotationStore = dict[str, dict[int, TagEntry]]
+# image_id -> {tag_id -> provenance}, kept tags only: a removal deletes the
+# pair, and the audit log alone records why
+AnnotationStore = dict[str, dict[int, str]]
 
 
 class RegionRecord(NamedTuple):
@@ -131,20 +121,15 @@ class EngineStats:
 
 
 def count_kept(store: AnnotationStore) -> int:
-    return sum(1 for tags in store.values() for e in tags.values() if e.state == STATE_KEPT)
+    return sum(map(len, store.values()))
 
 
 def images_with_kept(store: AnnotationStore) -> int:
-    return sum(1 for tags in store.values() if any(e.state == STATE_KEPT for e in tags.values()))
+    return sum(1 for tags in store.values() if tags)
 
 
 def kept_pairs(store: AnnotationStore) -> set[tuple[str, int]]:
-    return {
-        (image_id, tag_id)
-        for image_id, tags in store.items()
-        for tag_id, e in tags.items()
-        if e.state == STATE_KEPT
-    }
+    return {(image_id, tag_id) for image_id, tags in store.items() for tag_id in tags}
 
 
 def _stage_row(stage: str, store: AnnotationStore, added: int = 0, removed: dict | None = None):
@@ -172,17 +157,14 @@ def generate_merge(
     generated. A generated-tag record naming an unknown tag_id is rejected
     whole and counted. Never removes anything.
     """
-    merged: AnnotationStore = {
-        image_id: {tag_id: TagEntry(e.provenance, e.state) for tag_id, e in tags.items()}
-        for image_id, tags in parsed.items()
-    }
+    merged: AnnotationStore = {image_id: dict(tags) for image_id, tags in parsed.items()}
     additions: list[tuple[str, int]] = []
     rejected = 0
 
     def add(image_id: str, tag_id: int) -> None:
         tags = merged.setdefault(image_id, {})
         if tag_id not in tags:
-            tags[tag_id] = TagEntry(PROV_GENERATED)
+            tags[tag_id] = PROV_GENERATED
             additions.append((image_id, tag_id))
 
     for image_id, tag_ids in generated_tag_records:
@@ -308,23 +290,16 @@ def _clean_one(shared: tuple, tag_id: int) -> CategoryCleanResult:
     return clean_category(tag_id, by_tag[tag_id], region_embeddings, **params)
 
 
-class CleanRun(NamedTuple):
-    """Clean tasks under way: the categories start_clean cleans, and their
-    results as pool.run_tasks gives them."""
-
-    category_ids: list[int]
-    results: Iterator[CategoryCleanResult]
-
-
 def start_clean(
     regions: Sequence[RegionRecord],
     region_embeddings: EmbeddingTable,
     whitelist: set[int] | None,
     workers: int = 1,
     **params,
-) -> CleanRun:
+) -> Iterator[CategoryCleanResult]:
     """Start cleaning every category that has regions (only whitelisted ones
-    when a whitelist is given) with clean_category's keyword params.
+    when a whitelist is given) with clean_category's keyword params, and
+    return pool.run_tasks' iterator of their results.
 
     The categories go to pool.run_tasks largest first, one task each, with
     the regions and the embedding table shared. At more than one worker the
@@ -336,18 +311,16 @@ def start_clean(
     category_ids = sorted(by_tag) if whitelist is None else sorted(set(by_tag) & whitelist)
     largest_first = sorted(category_ids, key=lambda t: (-len(by_tag[t]), t))
     shared = (by_tag, region_embeddings, params)
-    return CleanRun(category_ids, run_tasks(_clean_one, largest_first, shared, workers))
+    return run_tasks(_clean_one, largest_first, shared, workers)
 
 
-def finish_clean(run: CleanRun) -> list[tuple[str, int, str]]:
+def finish_clean(results: Iterable[CategoryCleanResult]) -> list[tuple[str, int, str]]:
     """Run the clean tasks left, wait for the rest and return the outlier
-    removals. Results merge in ascending tag_id order, so the removals are
-    the same at every worker count. When several categories fail, the first
-    failure met is raised: at one worker, the largest failing category's."""
-    done = {r.tag_id: r for r in run.results}
-    return [
-        (img, tid, REASON_OUTLIER) for t in run.category_ids for img, tid in done[t].removed_pairs
-    ]
+    removals in the order the results arrive; apply_removals sorts them, so
+    the audit is the same at every worker count. When several categories
+    fail, the first failure met is raised: at one worker, the largest
+    failing category's."""
+    return [(img, tid, REASON_OUTLIER) for r in results for img, tid in r.removed_pairs]
 
 
 # -- prediction filter ---------------------------------------------------------
@@ -386,12 +359,12 @@ def prediction_filter(
     margin: float = DEFAULT_MARGIN,
     whitelist: set[int] | None = None,
 ) -> FilterResult:
-    """Remove kept pairs whose regions never reach the tag's threshold.
+    """Remove pairs whose regions never reach the tag's threshold.
 
-    A pair with at least one region is removed_no_prediction when its best
-    region score is below the effective threshold; it is removed_contrary
-    instead when the whole image scores at or above threshold while every
-    region stays below threshold - margin. Pairs without regions are never
+    A pair with at least one region is removed for no_prediction when its
+    best region score is below the effective threshold; it is removed for
+    contrary instead when the whole image scores at or above threshold while
+    every region stays below threshold - margin. Pairs without regions are never
     touched; pairs with unresolvable embeddings are skipped and reported.
     """
     row_of = {tag_id: i for i, tag_id in enumerate(queries.tag_ids)}
@@ -414,8 +387,6 @@ def prediction_filter(
     for image_id in sorted(store):
         tags = store[image_id]
         for tag_id in sorted(tags):
-            if tags[tag_id].state != STATE_KEPT:
-                continue
             if whitelist is not None and tag_id not in whitelist:
                 continue
             rows = rows_by_pair.get((image_id, tag_id))
@@ -468,18 +439,13 @@ def apply_removals(
     removals: Iterable[tuple[str, int, str]],
     stage: str,
 ) -> tuple[list[AuditEvent], dict[str, int]]:
-    reason_to_state = {
-        REASON_OUTLIER: STATE_REMOVED_OUTLIER,
-        REASON_NO_PREDICTION: STATE_REMOVED_NO_PREDICTION,
-        REASON_CONTRARY: STATE_REMOVED_CONTRARY,
-    }
     events = []
     counts: dict[str, int] = {}
     for image_id, tag_id, reason in sorted(removals):
-        entry = store.get(image_id, {}).get(tag_id)
-        if entry is None or entry.state != STATE_KEPT:
-            continue
-        entry.state = reason_to_state[reason]
+        tags = store.get(image_id, {})
+        if tag_id not in tags:
+            continue  # never kept, or removed already
+        del tags[tag_id]
         counts[reason] = counts.get(reason, 0) + 1
         events.append(AuditEvent(image_id, tag_id, "removed", reason, stage))
     return events, counts
@@ -537,13 +503,13 @@ def _parse_stage(
     store: AnnotationStore = {}
     unmapped = 0
     for image_id in sorted(corpus.image_tags):
-        tags: dict[int, TagEntry] = {}
+        tags: dict[int, str] = {}
         for parsed_tag in corpus.image_tags[image_id]:
             tag_id = map_tag(parsed_tag.surface, vocab, lexicons)
             if tag_id is None:
                 unmapped += 1
             else:
-                tags.setdefault(tag_id, TagEntry(PROV_PARSED))
+                tags.setdefault(tag_id, PROV_PARSED)
         if tags:
             store[image_id] = tags
 
@@ -554,7 +520,7 @@ def _parse_stage(
             tags = store.setdefault(image_id, {})
             for tag_id in tag_ids:
                 if tag_id in valid:
-                    tags.setdefault(tag_id, TagEntry(PROV_SEED))
+                    tags.setdefault(tag_id, PROV_SEED)
                 else:
                     unmapped += 1
     return store, unmapped, corpus.rejects
@@ -692,7 +658,7 @@ def run_engine(config: EngineConfig) -> EngineResult:
             stats.rows.append(_stage_row(STAGE_CLEAN, merged, removed=counts))
     finally:
         if cleaning is not None:
-            cleaning.results.close()  # stops the helpers when a stage failed
+            cleaning.close()  # stops the helpers when a stage failed
     with stage(STAGE_FILTER):
         events, counts, filter_skipped = filter_stage(
             merged, inputs, vocab, config.queries, config.thresholds, config.image_embeddings,
@@ -738,9 +704,8 @@ def write_annotations(store: AnnotationStore, path: str | Path) -> None:
     def lines():
         for image_id in sorted(store):
             tags = ", ".join(
-                f'{{"tag_id": {dumps(tag_id)}, "provenance": {dumps(e.provenance)}}}'
-                for tag_id, e in sorted(store[image_id].items())
-                if e.state == STATE_KEPT
+                f'{{"tag_id": {dumps(tag_id)}, "provenance": {dumps(provenance)}}}'
+                for tag_id, provenance in sorted(store[image_id].items())
             )
             if tags:
                 yield f'{{"image_id": {dumps(image_id)}, "tags": [{tags}]}}\n'
@@ -748,8 +713,8 @@ def write_annotations(store: AnnotationStore, path: str | Path) -> None:
     jsonl.write_lines(path, lines())
 
 
-def _annotation(obj) -> tuple[str, dict[int, TagEntry]]:
-    tags = {int(t["tag_id"]): TagEntry(t.get("provenance", PROV_PARSED)) for t in obj["tags"]}
+def _annotation(obj) -> tuple[str, dict[int, str]]:
+    tags = {int(t["tag_id"]): t.get("provenance", PROV_PARSED) for t in obj["tags"]}
     image_id = obj["image_id"]
     hash(image_id)  # an id that cannot key the store is a malformed record
     return image_id, tags

@@ -257,7 +257,14 @@ def load_vocabulary(path: str | Path) -> TagVocabulary:
 
 
 def map_tag(surface: str, vocab: TagVocabulary, lexicons: LexiconBundle) -> int | None:
-    """Normalize a query surface and look it up; None when absent."""
+    """The tag id of surface itself when the vocabulary holds it, else that
+    of its normalized form (lowercased, each word lemmatized); None when
+    neither is there. A parsed surface is a lemma already but need not be a
+    fixed point of lemmatize ("roses" parses to "rose", which lemmatizes to
+    "rise"), so it is looked up as it is first."""
+    tag_id = vocab.surface_to_id.get(surface)
+    if tag_id is not None:
+        return tag_id
     normalized = " ".join(lemmatize(word, lexicons) for word in surface.lower().split())
     return vocab.surface_to_id.get(normalized)
 

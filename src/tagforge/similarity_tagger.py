@@ -530,7 +530,7 @@ def load_label_queries(path: str | Path, vocab: TagVocabulary) -> LabelQueryMatr
     canonicals = vocab.canonical_list()
     if sorted(table.keys) != sorted(canonicals):
         raise TaggerError("label query keys do not match the vocabulary canonicals")
-    rows = np.asarray([table.vector(c) for c in canonicals])
+    rows = table.rows(canonicals)  # (0, dim) for an empty vocabulary
     return LabelQueryMatrix(vocab.version, tuple(vocab.tag_ids()), tuple(canonicals), rows)
 
 

@@ -211,6 +211,34 @@ def test_vocab_queries_tag_eval_round_trip(runner, tmp_path):
     assert report.read_text().startswith("class_id\tap\n")
 
 
+def test_tag_scores_nothing_against_an_empty_vocabulary(runner, tmp_path):
+    # build-vocab --k 0 without seed lists writes a valid empty vocabulary,
+    # and build-queries a query file of 0 rows from it
+    freq = tmp_path / "freq.tsv"
+    freq.write_text("dog\t9\n")
+    vocab_path = tmp_path / "vocab.tsv"
+    templates = tmp_path / "templates.txt"
+    templates.write_text("a photo of a {tag}\n")
+    prompts_path = tmp_path / "prompts.emb"
+    images_path = tmp_path / "images.emb"
+    row = np.eye(3)[0]
+    prompts = {prompt_key("a photo of a {tag}", "dog"): row}
+    save_embeddings(EmbeddingTable.from_vectors(prompts, normalized=True), prompts_path)
+    save_embeddings(EmbeddingTable.from_vectors({"a": row}, normalized=True), images_path)
+    queries_path = tmp_path / "queries.emb"
+    predictions = tmp_path / "pred.jsonl"
+    for args in (
+        ["build-vocab", "--freq", str(freq), "--k", "0", "--out", str(vocab_path)],
+        ["build-queries", "--vocab", str(vocab_path), "--prompts", str(prompts_path),
+         "--templates", str(templates), "--out", str(queries_path)],
+        ["tag", "--embeddings", str(images_path), "--queries", str(queries_path),
+         "--vocab", str(vocab_path), "--out", str(predictions)],
+    ):
+        result = runner.invoke(cli, args)
+        assert result.exit_code == 0, (args[0], result.output)
+    assert predictions.read_text() == '{"image_id": "a", "scores": {}, "tags": []}\n'
+
+
 def test_engine_run_matches_staged_commands(runner, tmp_path):
     """`engine run` equals `engine generate` + `engine clean` on the same inputs."""
     corpus = build_synthetic_corpus(tmp_path / "c", n_images=60, seed=55)

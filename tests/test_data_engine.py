@@ -15,10 +15,11 @@ from tagforge.data_engine import (
     PROV_PARSED,
     REASON_CONTRARY,
     REASON_NO_PREDICTION,
+    REASON_OUTLIER,
     EngineError,
     EngineStats,
     StageStats,
-    TagEntry,
+    apply_removals,
     clean_category,
     cluster_count,
     generate_merge,
@@ -43,7 +44,7 @@ from engine_synth import build_synthetic_corpus
 def _store(pairs):
     store = {}
     for image_id, tag_id, provenance in pairs:
-        store.setdefault(image_id, {})[tag_id] = TagEntry(provenance)
+        store.setdefault(image_id, {})[tag_id] = provenance
     return store
 
 
@@ -63,8 +64,8 @@ def test_generate_merge_union_with_provenance_priority():
     merged, audit, _ = generate_merge(
         parsed, [("i1", [0, 1])], {}, valid_tag_ids={0, 1}
     )
-    assert merged["i1"][0].provenance == PROV_PARSED
-    assert merged["i1"][1].provenance == PROV_GENERATED
+    assert merged["i1"][0] == PROV_PARSED
+    assert merged["i1"][1] == PROV_GENERATED
     assert [(e.image_id, e.tag_id, e.action) for e in audit] == [("i1", 1, "added")]
 
 
@@ -326,6 +327,20 @@ def test_filter_whitelist_restricts():
     assert result.removals == [("i1", 1, REASON_NO_PREDICTION)]
 
 
+def test_apply_removals_deletes_a_pair_once():
+    store = _store([("i1", 0, PROV_PARSED), ("i1", 1, PROV_GENERATED)])
+    twice = [("i1", 0, REASON_OUTLIER), ("i1", 0, REASON_OUTLIER), ("i2", 0, REASON_OUTLIER)]
+    events, counts = apply_removals(store, twice, "clean")
+    assert [(e.image_id, e.tag_id, e.action, e.reason, e.stage) for e in events] == [
+        ("i1", 0, "removed", REASON_OUTLIER, "clean")
+    ]
+    assert counts == {REASON_OUTLIER: 1}
+    assert store == {"i1": {1: PROV_GENERATED}}
+
+    assert apply_removals(store, [("i1", 0, REASON_NO_PREDICTION)], "filter") == ([], {})
+    assert store == {"i1": {1: PROV_GENERATED}}
+
+
 # -- stats and audit --------------------------------------------------------------
 
 
@@ -402,6 +417,17 @@ def test_run_engine_end_to_end(small_corpus):
 
     # audit replay reproduces the final set exactly
     assert replay_audit(result.parsed, result.audit) == final
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_run_engine_final_holds_the_replayed_pairs_only(small_corpus, tmp_path, workers):
+    import dataclasses
+
+    config = dataclasses.replace(small_corpus.config, out_dir=tmp_path / "out", workers=workers)
+    result = run_engine(config)
+    assert any(e.action == "removed" for e in result.audit)
+    pairs = {(i, t) for i, tags in result.final.items() for t in tags}
+    assert pairs == replay_audit(result.parsed, result.audit)
 
 
 def test_run_engine_outputs_deterministic(small_corpus, tmp_path):

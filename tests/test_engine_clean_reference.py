@@ -20,11 +20,8 @@ from tagforge.data_engine import (
     PROV_PARSED,
     REASON_CONTRARY,
     REASON_NO_PREDICTION,
-    STATE_KEPT,
-    STATE_REMOVED_OUTLIER,
     FilterResult,
     RegionRecord,
-    TagEntry,
     _row_dots,
     load_regions,
     prediction_filter,
@@ -131,9 +128,6 @@ def reference_prediction_filter(
     images_missing_whole = set()
     for image_id in sorted(store):
         for tag_id in sorted(store[image_id]):
-            entry = store[image_id][tag_id]
-            if entry.state != STATE_KEPT:
-                continue
             if whitelist is not None and tag_id not in whitelist:
                 continue
             pair_regions = regions_by_pair.get((image_id, tag_id))
@@ -436,8 +430,8 @@ def test_prediction_filter_matches_reference(seed):
     for image_id in images:
         for tag_id in rng.choice(n_tags, size=int(rng.integers(1, 5)), replace=False):
             tag_id = int(tag_id)
-            state = STATE_KEPT if rng.random() < 0.9 else STATE_REMOVED_OUTLIER
-            store.setdefault(image_id, {})[tag_id] = TagEntry(PROV_PARSED, state)
+            if rng.random() < 0.9:  # a removed pair is left out of the store
+                store.setdefault(image_id, {})[tag_id] = PROV_PARSED
             for r in range(int(rng.integers(0, 4))):  # some pairs have no regions
                 key = f"{image_id}-{tag_id}-{r}"
                 regions.append(RegionRecord(image_id, key, tag_id, 0.9, key))
@@ -447,7 +441,7 @@ def test_prediction_filter_matches_reference(seed):
     # and regions listed out of order
     vectors.pop(next(
         r.embedding_key for r in regions
-        if r.tag_id < n_tags - 2 and store[r.image_id][r.tag_id].state == STATE_KEPT
+        if r.tag_id < n_tags - 2 and r.tag_id in store.get(r.image_id, {})
     ), None)
     regions.append(RegionRecord("img999", "x", 0, 0.9, regions[0].embedding_key))
     regions = [regions[i] for i in rng.permutation(len(regions))]
@@ -457,8 +451,7 @@ def test_prediction_filter_matches_reference(seed):
     best, unscored = {}, set()
     for r in regions:
         pair = (r.image_id, r.tag_id)
-        entry = store.get(r.image_id, {}).get(r.tag_id)
-        if entry is None or entry.state != STATE_KEPT or r.tag_id >= n_tags - 2:
+        if r.tag_id not in store.get(r.image_id, {}) or r.tag_id >= n_tags - 2:
             continue
         if r.embedding_key not in table:
             unscored.add(pair)

@@ -15,7 +15,6 @@ from tagforge.caption_parser import parse_corpus_file
 from tagforge.cli import cli
 from tagforge.data_engine import (
     AuditEvent,
-    TagEntry,
     load_annotations,
     load_audit,
     load_regions,
@@ -228,7 +227,7 @@ def test_parse_names_the_first_invalid_line_at_every_worker_count(tmp_path):
 def test_annotations_and_audit_round_trip_line_separators(tmp_path):
     ids = [f"img{sep}{i}" for i, sep in enumerate(SEPARATORS + ENDINGS)]
     store = {
-        image_id: {i: TagEntry("parsed"), i + 10: TagEntry("generated")}
+        image_id: {i: "parsed", i + 10: "generated"}
         for i, image_id in enumerate(ids)
     }
     write_annotations(store, tmp_path / "a.jsonl")
@@ -370,9 +369,8 @@ def reference_write_annotations(store, path):
     with open(path, "w", encoding="utf-8") as fh:
         for image_id in sorted(store):
             tags = [
-                {"tag_id": tag_id, "provenance": e.provenance}
-                for tag_id, e in sorted(store[image_id].items())
-                if e.state == "kept"
+                {"tag_id": tag_id, "provenance": provenance}
+                for tag_id, provenance in sorted(store[image_id].items())
             ]
             if tags:
                 fh.write(json.dumps({"image_id": image_id, "tags": tags}, ensure_ascii=False))
@@ -411,9 +409,9 @@ def _sides(tmp_path, write, reference, value):
 
 
 def test_write_annotations_matches_json_dumps_on_hostile_values(tmp_path):
-    store = {image_id: {3: TagEntry("parsed"), 1: TagEntry("generated")} for image_id in HOSTILE_IDS}
-    store["removed only"] = {5: TagEntry("parsed", "removed_outlier")}
-    store["mixed"] = {7: TagEntry('a "quoted" provenance'), 2: TagEntry("seed", "removed_contrary")}
+    store = {image_id: {3: "parsed", 1: "generated"} for image_id in HOSTILE_IDS}
+    store["removed only"] = {}
+    store["mixed"] = {7: 'a "quoted" provenance'}
     ours, theirs = _sides(tmp_path, write_annotations, reference_write_annotations, store)
     assert ours == theirs and b"removed only" not in ours
 
@@ -456,7 +454,7 @@ def test_writers_match_json_dumps_across_a_chunk_boundary(tmp_path):
 
     n = jsonl.BATCH_LINES + 1  # one record on the far side of the first chunk
     ids = [f"img{i:06d} " for i in range(n)]
-    store = {image_id: {i % 7: TagEntry("parsed")} for i, image_id in enumerate(ids)}
+    store = {image_id: {i % 7: "parsed"} for i, image_id in enumerate(ids)}
     events = [AuditEvent(image_id, 1, "removed", "outlier", "clean") for image_id in ids]
     corpus = CorpusParse({image_id: [ParsedTag("dog", "object")] for image_id in ids}, RejectSummary())
     for write, reference, value in (
@@ -472,7 +470,7 @@ def test_writers_refuse_a_lone_surrogate(tmp_path):
     from tagforge.caption_parser import CorpusParse, ParsedTag, RejectSummary, write_image_tags
 
     with pytest.raises(UnicodeEncodeError):
-        write_annotations({"bad\ud800": {1: TagEntry("parsed")}}, tmp_path / "a.jsonl")
+        write_annotations({"bad\ud800": {1: "parsed"}}, tmp_path / "a.jsonl")
     with pytest.raises(UnicodeEncodeError):
         write_audit([AuditEvent("bad\udfff", 1, "removed", "outlier", "clean")], tmp_path / "b.jsonl")
     corpus = CorpusParse({"bad\ud83d": [ParsedTag("dog", "object")]}, RejectSummary())

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from tagforge.caption_parser import CaptionRecord, parse_corpus
 from tagforge.label_system import (
     SynonymLexicon,
     VocabularyError,
@@ -193,6 +194,20 @@ def test_map_tag(lexicons):
     assert map_tag("unicycle", vocab, lexicons) is None
     assert map_tag("kitten", vocab, lexicons) == vocab.surface_to_id["cat"]
     assert map_tag("KITTENS", vocab, lexicons) == vocab.surface_to_id["cat"]
+
+
+def test_map_tag_maps_every_parsed_surface_to_its_own_entry(lexicons):
+    # "rose" and "seed" are lemmas the parser emits that lemmatize further
+    # ("rise", "se"); a plural of every lexicon word reaches more such surfaces
+    captions = ["two red roses", "a bag of seeds"]
+    captions += [f"{word}s" for word in sorted(lexicons.pos_lexicon)]
+    corpus = parse_corpus(
+        [CaptionRecord(f"img{i}", caption) for i, caption in enumerate(captions)], lexicons
+    )
+    assert {"rose", "seed"} <= set(corpus.frequencies)
+    vocab = build_label_system(corpus.frequencies, k=len(corpus.frequencies))
+    for surface in corpus.frequencies:
+        assert map_tag(surface, vocab, lexicons) == vocab.surface_to_id[surface], surface
 
 
 def test_map_tag_multiword(lexicons):
