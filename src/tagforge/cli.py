@@ -303,40 +303,27 @@ def engine_clean_cmd(
     )
 
 
+# engine run's flag paths resolve against the CWD, its config paths against
+# the config file's directory
+_INPUT_FILE = click.Path(exists=True, dir_okay=False, resolve_path=True)
+
+
 @engine_group.command("run")
 @common_options
-@click.option("--captions", type=click.Path(exists=True, dir_okay=False), default=None)
-@click.option("--vocab", type=click.Path(exists=True, dir_okay=False), default=None)
-@click.option("--regions", type=click.Path(exists=True, dir_okay=False), default=None)
-@click.option("--region-embeddings", type=click.Path(exists=True, dir_okay=False), default=None)
-@click.option("--queries", type=click.Path(exists=True, dir_okay=False), default=None)
-@click.option("--out-dir", type=click.Path(file_okay=False), default=None)
-@click.option("--fraction", type=float, default=None, help="Outlier fraction per category.")
-@click.option("--whitelist", type=click.Path(exists=True, dir_okay=False), default=None)
+@click.option("--captions", type=_INPUT_FILE)
+@click.option("--vocab", type=_INPUT_FILE)
+@click.option("--regions", type=_INPUT_FILE)
+@click.option("--region-embeddings", type=_INPUT_FILE)
+@click.option("--queries", type=_INPUT_FILE)
+@click.option("--out-dir", type=click.Path(file_okay=False, resolve_path=True))
+@click.option("--fraction", type=float, help="Outlier fraction per category.")
+@click.option("--whitelist", type=_INPUT_FILE)
 @_data_errors
-def engine_run_cmd(
-    captions, vocab, regions, region_embeddings, queries, out_dir, fraction,
-    whitelist, seed, workers, config_path,
-):
+def engine_run_cmd(config_path, **overrides):
     """Run the full engine from a config file; flags override config keys."""
     from .data_engine import run_engine
 
-    def absolute(p):
-        return str(Path(p).resolve()) if p is not None else None
-
-    # flag paths are relative to the CWD, config paths to the config file
-    overrides = {
-        "captions": absolute(captions),
-        "vocab": absolute(vocab),
-        "regions": absolute(regions),
-        "region_embeddings": absolute(region_embeddings),
-        "queries": absolute(queries),
-        "out_dir": absolute(out_dir),
-        "fraction": fraction,
-        "whitelist": absolute(whitelist),
-        "workers": workers,
-        "seed": seed,
-    }
+    # every other parameter is named for the config key it overrides
     values = read_config_file(config_path) if config_path is not None else {}
     base = Path(config_path).parent if config_path is not None else Path(".")
     config = build_engine_config(values, base, overrides)

@@ -1,14 +1,16 @@
 """Engine configuration: key = value text file plus CLI flag overrides.
 
-Recognized keys (paths are resolved relative to the config file's directory
-unless absolute):
+The keys, their types and their defaults are EngineConfig's fields: a field
+without a default is a required key, and each value is read as its field's
+annotation says. Paths are resolved relative to the config file's directory
+unless absolute; an empty optional path is unset. The keys:
 
     captions            JSONL caption corpus (required)
     vocab               vocabulary file (required)
     regions             regions JSONL (required)
     region_embeddings   EMB1 file for region vectors (required)
     queries             label-query EMB1 file with sidecar (required)
-    out_dir             output directory (required)
+    out_dir             output directory, made if missing (required)
     seed                64-bit integer, drives all randomness (default 0)
     lexicon_dir         lexicon directory (default: packaged data)
     generated_tags      comma-separated JSONL paths of generated tag ids
@@ -35,7 +37,7 @@ unless absolute):
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields
+from dataclasses import MISSING, dataclass, field, fields
 from functools import partial
 from pathlib import Path
 
@@ -44,8 +46,8 @@ from .errors import TagforgeError
 
 _seed = partial(int, base=0)  # a seed may be written in any base Python reads, as 0x2A
 
-# engine defaults, the one home of each: EngineConfig, build_engine_config,
-# the data_engine and clustering functions and `engine clean`'s flags use them
+# engine defaults, the one home of each: EngineConfig's fields, the
+# data_engine and clustering functions and `engine clean`'s flags use them
 DEFAULT_FRACTION = 0.10
 DEFAULT_MIN_REGIONS = 20
 DEFAULT_MARGIN = 0.05
@@ -62,13 +64,14 @@ class ConfigError(TagforgeError):
         super().__init__(message if key is None else f"config key {key!r}: {message}")
 
 
-# key -> (test for a bad value, message), in the order check_values applies them
+# key -> (test for a bad value, message), in the order check_values applies them;
+# each float test is written so that NaN is bad
 _OUT_OF_RANGE = {
     "fraction": (lambda v: not 0.0 <= v < 1.0, "{} outside [0, 1)"),
     "outlier_scope": (lambda v: v not in ("category", "cluster"),
                       "{!r} is not 'category' or 'cluster'"),
-    "margin": (lambda v: v < 0, "must be >= 0"),
-    "tol": (lambda v: v <= 0, "must be > 0"),
+    "margin": (lambda v: not v >= 0, "must be >= 0"),
+    "tol": (lambda v: not v > 0, "must be > 0"),
     "max_iter": (lambda v: v < 1, "must be >= 1"),
     "min_regions": (lambda v: v < 0, "must be >= 0"),
     "workers": (lambda v: v < 1, "must be >= 1"),
@@ -84,9 +87,6 @@ def check_values(**values) -> None:
             raise ConfigError(key, message.format(value))
 
 
-_REQUIRED = ("captions", "vocab", "regions", "region_embeddings", "queries", "out_dir")
-
-
 @dataclass
 class EngineConfig:
     captions: Path
@@ -95,7 +95,7 @@ class EngineConfig:
     region_embeddings: Path
     queries: Path
     out_dir: Path
-    seed: int
+    seed: int = 0
     lexicon_dir: Path | None = None
     generated_tags: list[Path] = field(default_factory=list)
     generated_captions: list[Path] = field(default_factory=list)
@@ -127,6 +127,11 @@ class EngineConfig:
                     raise ConfigError(key, f"file not found: {path}")
         if self.lexicon_dir is not None and not Path(self.lexicon_dir).is_dir():
             raise ConfigError("lexicon_dir", f"directory not found: {self.lexicon_dir}")
+        if Path(self.out_dir).exists() and not Path(self.out_dir).is_dir():
+            raise ConfigError("out_dir", f"not a directory: {self.out_dir}")
+
+
+_FIELDS = {f.name: f for f in fields(EngineConfig)}
 
 
 def read_config_file(path: str | Path) -> dict[str, str]:
@@ -142,25 +147,40 @@ def read_config_file(path: str | Path) -> dict[str, str]:
     return values
 
 
-def _number(values: dict, key: str, cast, default=None):
-    if key not in values:
-        return default
+def _read(key: str, value, base_dir: Path):
+    """Config value `value` as EngineConfig field `key`'s annotation reads it.
+    A path joins `base_dir` unless it is absolute."""
+    kind = _FIELDS[key].type
+    if kind == "Path | None":
+        return base_dir / str(value) if value else None
+    if kind == "Path":
+        return base_dir / str(value)
+    if kind == "list[Path]":
+        if not isinstance(value, (list, tuple)):
+            value = [part.strip() for part in str(value).split(",") if part.strip()]
+        return [base_dir / str(part) for part in value]
+    cast = _seed if key == "seed" else {"int": int, "float": float, "str": str}[kind]
     try:
-        return cast(str(values[key]))
+        return cast(str(value))
     except ValueError:
-        raise ConfigError(key, f"cannot parse {values[key]!r}") from None
+        raise ConfigError(key, f"cannot parse {value!r}") from None
+
+
+def _merged(values: dict, overrides: dict) -> dict:
+    return {**values, **{key: value for key, value in overrides.items() if value is not None}}
 
 
 def seed_and_workers(
     config_path: str | Path | None, seed: int | None, workers: int | None
 ) -> tuple[int, int]:
     """A command's --seed and --workers, each falling back to the config
-    file's key, then to 0 and 1; workers must be >= 1."""
+    file's key, then to the field's default; workers must be >= 1."""
     values = read_config_file(config_path) if config_path is not None else {}
-    if seed is None:
-        seed = _number(values, "seed", _seed, 0)
-    if workers is None:
-        workers = _number(values, "workers", int, 1)
+    values = _merged(values, {"seed": seed, "workers": workers})
+    seed, workers = (
+        _read(key, values[key], Path()) if key in values else _FIELDS[key].default
+        for key in ("seed", "workers")
+    )
     check_values(workers=workers)
     return seed, workers
 
@@ -168,52 +188,18 @@ def seed_and_workers(
 def build_engine_config(
     values: dict[str, str], base_dir: str | Path = ".", overrides: dict | None = None
 ) -> EngineConfig:
-    """Merge config-file values with override flags (overrides win)."""
-    base_dir = Path(base_dir)
-    merged = dict(values)
-    for key, value in (overrides or {}).items():
-        if value is not None:
-            merged[key] = value
-
-    unknown = sorted(set(merged) - {f.name for f in fields(EngineConfig)})
+    """Merge config-file values with override flags (overrides win), and read
+    each key as its EngineConfig field."""
+    merged = _merged(values, overrides or {})
+    unknown = sorted(set(merged) - set(_FIELDS))
     if unknown:
         raise ConfigError(unknown[0], "unknown config key")
-    missing = [key for key in _REQUIRED if key not in merged]
+    missing = [key for key, f in _FIELDS.items()
+               if f.default is MISSING and f.default_factory is MISSING and key not in merged]
     if missing:
         raise ConfigError(missing[0], "required key missing")
-
-    def path_of(value) -> Path:
-        p = Path(str(value))
-        return p if p.is_absolute() else base_dir / p
-
-    def path_list(key: str) -> list[Path]:
-        raw = merged.get(key, "")
-        if isinstance(raw, (list, tuple)):
-            return [path_of(v) for v in raw]
-        return [path_of(part.strip()) for part in str(raw).split(",") if part.strip()]
-
     config = EngineConfig(
-        captions=path_of(merged["captions"]),
-        vocab=path_of(merged["vocab"]),
-        regions=path_of(merged["regions"]),
-        region_embeddings=path_of(merged["region_embeddings"]),
-        queries=path_of(merged["queries"]),
-        out_dir=path_of(merged["out_dir"]),
-        seed=_number(merged, "seed", _seed, 0),
-        lexicon_dir=path_of(merged["lexicon_dir"]) if merged.get("lexicon_dir") else None,
-        generated_tags=path_list("generated_tags"),
-        generated_captions=path_list("generated_captions"),
-        seed_annotations=path_of(merged["seed_annotations"]) if merged.get("seed_annotations") else None,
-        image_embeddings=path_of(merged["image_embeddings"]) if merged.get("image_embeddings") else None,
-        thresholds=path_of(merged["thresholds"]) if merged.get("thresholds") else None,
-        whitelist=path_of(merged["whitelist"]) if merged.get("whitelist") else None,
-        fraction=_number(merged, "fraction", float, DEFAULT_FRACTION),
-        outlier_scope=str(merged.get("outlier_scope", "category")),
-        min_regions=_number(merged, "min_regions", int, DEFAULT_MIN_REGIONS),
-        margin=_number(merged, "margin", float, DEFAULT_MARGIN),
-        tol=_number(merged, "tol", float, DEFAULT_TOL),
-        max_iter=_number(merged, "max_iter", int, DEFAULT_MAX_ITER),
-        workers=_number(merged, "workers", int, 1),
+        **{key: _read(key, merged[key], Path(base_dir)) for key in _FIELDS if key in merged}
     )
     config.validate()
     return config

@@ -104,6 +104,23 @@ def test_engine_run_bad_config_key_exits_1(runner, tmp_path):
     assert "unknown_key" in result.output
 
 
+def test_engine_run_refuses_a_config_out_dir_that_is_a_file(runner, tmp_path):
+    corpus = build_synthetic_corpus(tmp_path / "c", n_images=20, seed=59)
+    cfg = corpus.config
+    out_file = tmp_path / "taken"
+    out_file.write_text("")
+    config = tmp_path / "engine.cfg"
+    config.write_text(
+        f"captions = {cfg.captions}\nvocab = {cfg.vocab}\nregions = {cfg.regions}\n"
+        f"region_embeddings = {cfg.region_embeddings}\nqueries = {cfg.queries}\n"
+        f"out_dir = taken\n"
+    )
+    result = runner.invoke(cli, ["engine", "run", "--config", str(config)])
+    assert result.exit_code == 1
+    assert result.stderr == f"Error: config key 'out_dir': not a directory: {out_file}\n"
+    assert result.stdout == ""
+
+
 def test_help_lists_flags_with_defaults(runner):
     for args in (
         ["--help"],
@@ -371,6 +388,7 @@ def _engine_inputs(corpus, tmp_path: Path) -> dict[str, list[str]]:
     ("engine clean", "workers", "-3", "flag"),
     ("engine clean", "workers", "0", "config"),
     ("engine clean", "margin", "-1", "flag"),
+    ("engine clean", "margin", "nan", "flag"),
     ("engine clean", "min_regions", "-5", "flag"),
     ("engine clean", "fraction", "1.0", "flag"),
 ])

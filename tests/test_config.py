@@ -214,6 +214,21 @@ def test_a_value_is_parsed_before_any_is_range_checked(tmp_path):
     assert _error(values, tmp_path) == "config key 'workers': cannot parse 'many'"
 
 
+@pytest.mark.parametrize("key, text, message", [
+    ("margin", "nan", "must be >= 0"),
+    ("tol", "nan", "must be > 0"),
+    ("fraction", "nan", "nan outside [0, 1)"),
+])
+def test_nan_is_out_of_range(tmp_path, key, text, message):
+    assert _error({**_required(tmp_path), key: text}, tmp_path) == f"config key {key!r}: {message}"
+
+
+def test_an_out_dir_that_is_a_file_is_refused(tmp_path):
+    _touch(tmp_path, "out")
+    message = _error(_required(tmp_path), tmp_path)
+    assert message == f"config key 'out_dir': not a directory: {tmp_path / 'out'}"
+
+
 def test_seed_and_workers_fall_back_from_flag_to_file_to_default(tmp_path):
     assert seed_and_workers(None, None, None) == (0, 1)
     assert seed_and_workers(None, 4, 3) == (4, 3)
