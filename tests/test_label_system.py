@@ -161,6 +161,33 @@ def test_file_round_trip_and_determinism(tmp_path):
     assert loaded.surface_to_id == vocab.surface_to_id
 
 
+def test_save_vocabulary_writes_these_bytes(tmp_path):
+    # dog and hound tie at 5 (canonical dog) and bird beats kitty for the
+    # fifth place; hound-dog-pup-puppy is a chain; bird is a seed inside the
+    # top-k, owl one outside it and unicorn one the corpus lacks; kitty, an
+    # excluded synonym of cat, leaves cat alone
+    vocab = build_label_system(
+        {"dog": 5, "hound": 5, "cat": 4, "pup": 3, "kitty": 2, "bird": 2, "owl": 1, "fish": 1},
+        k=5,
+        seeds=[["bird", "owl"], ["puppy", "unicorn"]],
+        synonyms=SynonymLexicon(
+            (("hound", "dog"), ("dog", "pup"), ("pup", "puppy"), ("cat", "kitty"))
+        ),
+        excludes={"kitty"},
+    )
+    path = tmp_path / "vocab.tsv"
+    save_vocabulary(vocab, path)
+    assert path.read_bytes() == (
+        b"#tagforge-vocab v1\n"
+        b"#version=e6905796aa94\n"
+        b"0\tbird\tbird\t2\tboth\n"
+        b"1\tcat\tcat\t4\tcorpus\n"
+        b"2\tdog\tdog|hound|pup|puppy\t13\tboth\n"
+        b"3\towl\towl\t1\tseed\n"
+        b"4\tunicorn\tunicorn\t0\tseed\n"
+    )
+
+
 def test_load_rejects_bad_header(tmp_path):
     path = tmp_path / "bad.tsv"
     path.write_text("not a vocab\n")
