@@ -7,6 +7,12 @@ member (ties broken lexicographically) and tag IDs are dense integers
 assigned in canonical-surface lexicographic order. IDs are therefore
 re-derived on every build and are not stable across vocabulary versions;
 the version hash in the file header is there to warn consumers.
+
+The vocabulary holds what its file holds: one TagGroup per tag id, with the
+group's canonical, its sorted members, their summed corpus frequency and
+their merged origin (corpus when every member came from the top-k only,
+seed when every member came from the seed lists only, else both). Build,
+save, version hash and load all read and write these rows.
 """
 
 from __future__ import annotations
@@ -33,11 +39,14 @@ class VocabularyError(TagforgeError):
 
 
 @dataclass(frozen=True)
-class VocabEntry:
-    surface: str
-    tag_id: int
+class TagGroup:
+    """One tag id's row: the canonical surface, the sorted members (the
+    canonical among them), their summed corpus frequency and their merged
+    origin."""
+
+    canonical: str
+    members: tuple[str, ...]
     frequency: int
-    is_canonical: bool
     origin: str
 
 
@@ -47,46 +56,28 @@ class SynonymLexicon:
 
 
 class TagVocabulary:
-    """Immutable vocabulary with surface -> tag_id lookups."""
+    """Immutable vocabulary: groups[tag_id] is that tag id's row."""
 
-    def __init__(self, entries: Sequence[VocabEntry], version: str):
-        self.entries: tuple[VocabEntry, ...] = tuple(
-            sorted(entries, key=lambda e: (e.tag_id, not e.is_canonical, e.surface))
-        )
+    def __init__(self, groups: Sequence[TagGroup], version: str):
+        self.groups = tuple(groups)
         self.version = version
-        self.groups: dict[int, tuple[str, ...]] = {}
-        self.canonicals: dict[int, str] = {}
+        self.canonicals = tuple(group.canonical for group in self.groups)
         self.surface_to_id: dict[str, int] = {}
-        grouped: dict[int, list[str]] = {}
-        for entry in self.entries:
-            if entry.surface in self.surface_to_id:
-                raise VocabularyError(f"duplicate surface {entry.surface!r}")
-            self.surface_to_id[entry.surface] = entry.tag_id
-            grouped.setdefault(entry.tag_id, []).append(entry.surface)
-            if entry.is_canonical:
-                if entry.tag_id in self.canonicals:
-                    raise VocabularyError(f"tag_id {entry.tag_id} has two canonicals")
-                self.canonicals[entry.tag_id] = entry.surface
-        self.groups = {tid: tuple(sorted(members)) for tid, members in grouped.items()}
-        ids = sorted(self.groups)
-        if ids != list(range(len(ids))):
-            raise VocabularyError("tag_ids are not dense integers starting at 0")
-        missing = [tid for tid in ids if tid not in self.canonicals]
-        if missing:
-            raise VocabularyError(f"groups without a canonical surface: {missing}")
+        for tag_id, group in enumerate(self.groups):
+            for surface in group.members:
+                if surface in self.surface_to_id:
+                    raise VocabularyError(f"duplicate surface {surface!r}")
+                self.surface_to_id[surface] = tag_id
 
     def __len__(self) -> int:
-        return len(self.entries)
+        return len(self.surface_to_id)
 
     @property
     def num_groups(self) -> int:
         return len(self.groups)
 
     def tag_ids(self) -> list[int]:
-        return sorted(self.groups)
-
-    def canonical_list(self) -> list[str]:
-        return [self.canonicals[tid] for tid in self.tag_ids()]
+        return list(range(len(self.groups)))
 
 
 class _UnionFind:
@@ -126,105 +117,61 @@ def build_label_system(
     """
     if k < 0:
         raise VocabularyError("k must be >= 0")
-    excludes = set(excludes)
-
     ranked = sorted(freq.items(), key=lambda kv: (-kv[1], kv[0]))
-    top = [surface for surface, _ in ranked[:k]]
-    seed_surfaces: set[str] = set()
-    for seed_list in seeds:
-        seed_surfaces.update(seed_list)
-
-    candidates = (set(top) | seed_surfaces) - excludes
-    if not candidates:
-        return TagVocabulary([], _version_of([]))
+    top = {surface for surface, _ in ranked[:k]}
+    seed_surfaces = {surface for seed_list in seeds for surface in seed_list}
+    candidates = (top | seed_surfaces) - set(excludes)
 
     uf = _UnionFind(candidates)
     if synonyms is not None:
         for a, b in synonyms.pairs:
-            if a == b:
-                continue
-            if a in candidates and b in candidates:
+            if a != b and a in candidates and b in candidates:
                 uf.union(a, b)
+    members_of: dict[str, list[str]] = {}
+    for surface in sorted(candidates):
+        members_of.setdefault(uf.find(surface), []).append(surface)
 
-    groups: dict[str, list[str]] = {}
-    for surface in candidates:
-        groups.setdefault(uf.find(surface), []).append(surface)
-
-    top_set = set(top)
-
-    def freq_of(surface: str) -> int:
-        return freq.get(surface, 0)
-
-    def origin_of(surface: str) -> str:
-        in_corpus = surface in top_set
-        in_seed = surface in seed_surfaces
-        if in_corpus and in_seed:
-            return ORIGIN_BOTH
-        return ORIGIN_CORPUS if in_corpus else ORIGIN_SEED
-
-    # canonical = highest frequency, ties lexicographically smallest
-    canonical_to_members: dict[str, list[str]] = {}
-    for members in groups.values():
-        canonical = min(members, key=lambda s: (-freq_of(s), s))
-        canonical_to_members[canonical] = sorted(members)
-
-    entries: list[VocabEntry] = []
-    for tag_id, canonical in enumerate(sorted(canonical_to_members)):
-        for surface in canonical_to_members[canonical]:
-            entries.append(
-                VocabEntry(
-                    surface=surface,
-                    tag_id=tag_id,
-                    frequency=freq_of(surface),
-                    is_canonical=surface == canonical,
-                    origin=origin_of(surface),
-                )
-            )
-    return TagVocabulary(entries, _version_of(entries))
-
-
-def _group_rows(entries: Sequence[VocabEntry]) -> list[str]:
-    by_id: dict[int, list[VocabEntry]] = {}
-    for entry in entries:
-        by_id.setdefault(entry.tag_id, []).append(entry)
-    rows = []
-    for tag_id in sorted(by_id):
-        group = by_id[tag_id]
-        canonical = next(e.surface for e in group if e.is_canonical)
-        members = "|".join(sorted(e.surface for e in group))
-        total = sum(e.frequency for e in group)
-        origins = {e.origin for e in group}
-        if origins == {ORIGIN_CORPUS}:
-            origin = ORIGIN_CORPUS
-        elif origins == {ORIGIN_SEED}:
-            origin = ORIGIN_SEED
-        else:
+    groups = []
+    for members in members_of.values():
+        # canonical = highest frequency, ties lexicographically smallest
+        canonical = min(members, key=lambda s: (-freq.get(s, 0), s))
+        in_corpus = not top.isdisjoint(members)
+        if in_corpus and not seed_surfaces.isdisjoint(members):
             origin = ORIGIN_BOTH
-        rows.append(f"{tag_id}\t{canonical}\t{members}\t{total}\t{origin}")
-    return rows
+        else:
+            origin = ORIGIN_CORPUS if in_corpus else ORIGIN_SEED
+        groups.append(
+            TagGroup(canonical, tuple(members), sum(freq.get(s, 0) for s in members), origin)
+        )
+    groups.sort(key=lambda group: group.canonical)
+    return TagVocabulary(groups, _version_of(groups))
 
 
-def _version_of(entries: Sequence[VocabEntry]) -> str:
-    payload = "\n".join(_group_rows(entries)).encode("utf-8")
+def _rows(groups: Sequence[TagGroup]) -> list[str]:
+    return [
+        f"{tag_id}\t{g.canonical}\t{'|'.join(g.members)}\t{g.frequency}\t{g.origin}"
+        for tag_id, g in enumerate(groups)
+    ]
+
+
+def _version_of(groups: Sequence[TagGroup]) -> str:
+    payload = "\n".join(_rows(groups)).encode("utf-8")
     return hashlib.sha256(payload).hexdigest()[:12]
 
 
 def save_vocabulary(vocab: TagVocabulary, path: str | Path) -> None:
-    """Write the vocabulary file. Frequency and origin are group-level:
-    frequency is the sum over members, origin the merge of member origins."""
+    """Write the header lines, then one row per group in tag id order."""
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(VOCAB_HEADER + "\n")
         fh.write(f"#version={vocab.version}\n")
-        for row in _group_rows(vocab.entries):
+        for row in _rows(vocab.groups):
             fh.write(row + "\n")
 
 
 def load_vocabulary(path: str | Path) -> TagVocabulary:
-    """Load a vocabulary file.
-
-    The file stores group-level frequency and origin, so every member entry
-    of a loaded group carries the group's values.
-    """
+    """Load a vocabulary file, one TagGroup per row. Row errors are named in
+    line order, then a repeated tag id, ids that are not 0..n-1 and a
+    surface in two groups."""
     numbered = textfile.lines(path, VocabularyError)
     header = [line for _, line in islice(numbered, 2)]
     if header[:1] != [VOCAB_HEADER]:
@@ -233,7 +180,7 @@ def load_vocabulary(path: str | Path) -> TagVocabulary:
     version = header[1][len(prefix):] if header[1:] and header[1].startswith(prefix) else ""
     if not version:
         raise VocabularyError(f"{path}: missing #version line")
-    entries: list[VocabEntry] = []
+    rows: list[tuple[int, TagGroup]] = []
     for lineno, line in textfile.rows(numbered):
         parts = line.split("\t")
         if len(parts) != 5:
@@ -249,9 +196,16 @@ def load_vocabulary(path: str | Path) -> TagVocabulary:
         members = members_s.split("|")
         if canonical not in members:
             raise VocabularyError(f"{path}:{lineno}: canonical not among members")
-        entries += (VocabEntry(s, tag_id, frequency, s == canonical, origin) for s in members)
+        rows.append((tag_id, TagGroup(canonical, tuple(sorted(members)), frequency, origin)))
+    rows.sort(key=lambda row: row[0])
+    ids = [tag_id for tag_id, _ in rows]
     try:
-        return TagVocabulary(entries, version)
+        for a, b in zip(ids, ids[1:]):
+            if a == b:
+                raise VocabularyError(f"tag_id {a} has two canonicals")
+        if ids != list(range(len(ids))):
+            raise VocabularyError("tag_ids are not dense integers starting at 0")
+        return TagVocabulary([group for _, group in rows], version)
     except VocabularyError as exc:
         raise VocabularyError(f"{path}: {exc}") from None
 

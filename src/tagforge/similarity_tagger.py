@@ -125,7 +125,7 @@ def build_label_queries(
     if not templates:
         raise TaggerError("template list is empty")
     tag_ids = vocab.tag_ids()
-    canonicals = vocab.canonical_list()
+    canonicals = vocab.canonicals
 
     missing = [
         (t, c) for c in canonicals for t in templates if prompt_key(t, c) not in prompt_embeddings
@@ -527,7 +527,7 @@ def load_label_queries(path: str | Path, vocab: TagVocabulary) -> LabelQueryMatr
             f"loaded vocabulary is {vocab.version!r}"
         )
     table = load_embeddings(path)
-    canonicals = vocab.canonical_list()
+    canonicals = vocab.canonicals
     if sorted(table.keys) != sorted(canonicals):
         raise TaggerError("label query keys do not match the vocabulary canonicals")
     rows = table.rows(canonicals)  # (0, dim) for an empty vocabulary

@@ -102,7 +102,7 @@ def build_synthetic_corpus(
 
     # prompt embeddings -> label queries
     prompt_vectors = {}
-    for canonical in vocab.canonical_list():
+    for canonical in vocab.canonicals:
         for t in TEMPLATES:
             v = rng.normal(size=DIM)
             prompt_vectors[prompt_key(t, canonical)] = v / np.linalg.norm(v)

@@ -377,7 +377,7 @@ def test_acceptance_8_tagger_properties():
     vocab = build_label_system({f"tag{i:02d}": 50 - i for i in range(20)}, k=20)
     templates = ["t1 {tag}", "t2 {tag}", "t3 {tag}"]
     vectors = {}
-    for canonical in vocab.canonical_list():
+    for canonical in vocab.canonicals:
         for template in templates:
             v = rng.normal(size=12)
             vectors[prompt_key(template, canonical)] = v / np.linalg.norm(v)

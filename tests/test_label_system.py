@@ -49,7 +49,7 @@ def test_topk_tie_lexicographic():
 
 def test_seeds_and_origins():
     vocab = build_label_system({"dog": 3, "cat": 2}, k=2, seeds=[["cat", "unicorn"]])
-    by_surface = {e.surface: e for e in vocab.entries}
+    by_surface = {s: vocab.groups[tag_id] for s, tag_id in vocab.surface_to_id.items()}
     assert by_surface["dog"].origin == "corpus"
     assert by_surface["cat"].origin == "both"  # in the top-k and seeded
     assert by_surface["unicorn"].origin == "seed"
@@ -59,7 +59,7 @@ def test_seeds_and_origins():
 def test_seed_only_surface_with_corpus_frequency():
     # outside the top-k the surface enters via the seed route, keeping its count
     vocab = build_label_system({"dog": 3, "cat": 2}, k=1, seeds=[["cat"]])
-    by_surface = {e.surface: e for e in vocab.entries}
+    by_surface = {s: vocab.groups[tag_id] for s, tag_id in vocab.surface_to_id.items()}
     assert by_surface["cat"].origin == "seed"
     assert by_surface["cat"].frequency == 2
 
@@ -139,7 +139,9 @@ def test_tag_ids_dense():
     freq = {s: int(rng.integers(1, 9)) for s in surfaces}
     pairs = tuple((surfaces[int(rng.integers(25))], surfaces[int(rng.integers(25))]) for _ in range(10))
     vocab = build_label_system(freq, k=25, synonyms=SynonymLexicon(pairs))
-    assert sorted(vocab.groups) == list(range(vocab.num_groups))
+    assert sorted(set(vocab.surface_to_id.values())) == list(range(vocab.num_groups))
+    for tag_id, group in enumerate(vocab.groups):
+        assert all(vocab.surface_to_id[s] == tag_id for s in group.members)
 
 
 def test_file_round_trip_and_determinism(tmp_path):
@@ -186,6 +188,28 @@ def test_save_vocabulary_writes_these_bytes(tmp_path):
         b"3\towl\towl\t1\tseed\n"
         b"4\tunicorn\tunicorn\t0\tseed\n"
     )
+
+
+def test_load_returns_the_rows_that_were_saved(tmp_path):
+    rng = np.random.default_rng(11)
+    for trial in range(80):
+        n = int(rng.integers(1, 30))
+        surfaces = [f"s{i:02d}" for i in range(n)]
+        freq = {s: int(rng.integers(0, 6)) for s in surfaces if rng.random() < 0.8}
+        seeds = [[s for s in surfaces + ["new"] if rng.random() < 0.15] for _ in range(2)]
+        pairs = tuple(
+            (surfaces[int(rng.integers(n))], surfaces[int(rng.integers(n))])
+            for _ in range(int(rng.integers(0, n)))
+        )
+        excludes = {s for s in surfaces if rng.random() < 0.1}
+        vocab = build_label_system(
+            freq, int(rng.integers(0, n + 2)), seeds, SynonymLexicon(pairs), excludes
+        )
+        path = tmp_path / f"vocab{trial}.tsv"
+        save_vocabulary(vocab, path)
+        loaded = load_vocabulary(path)
+        assert loaded.groups == vocab.groups
+        assert (loaded.version, loaded.surface_to_id) == (vocab.version, vocab.surface_to_id)
 
 
 def test_load_rejects_bad_header(tmp_path):

@@ -30,7 +30,7 @@ def _unit(v):
 
 def _prompt_table(vocab, templates, vector_fn):
     vectors = {}
-    for canonical in vocab.canonical_list():
+    for canonical in vocab.canonicals:
         for t in templates:
             vectors[prompt_key(t, canonical)] = vector_fn(t, canonical)
     return EmbeddingTable.from_vectors(vectors, normalized=True)

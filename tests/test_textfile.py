@@ -112,7 +112,7 @@ def _lexicon(path):
 
 def _vocabulary(path):
     vocab = load_vocabulary(path)
-    return vocab.entries, vocab.version
+    return vocab.groups, vocab.version
 
 
 STATS_COLUMNS = "\t".join([
@@ -229,7 +229,7 @@ def test_tag_names_a_bad_query_header(tmp_path, header, message):
     vocab = build_label_system({"dog": 3, "cat": 2}, 2)
     save_vocabulary(vocab, tmp_path / "vocab")
     queries = tmp_path / "queries"
-    matrix = LabelQueryMatrix(vocab.version, tuple(vocab.tag_ids()), tuple(vocab.canonical_list()),
+    matrix = LabelQueryMatrix(vocab.version, tuple(vocab.tag_ids()), vocab.canonicals,
                               np.eye(2))
     save_label_queries(matrix, queries, ["a {tag}"])
     meta = tmp_path / "queries.meta.json"
