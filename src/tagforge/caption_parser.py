@@ -448,11 +448,18 @@ def write_frequency_table(corpus: CorpusParse, path: str | Path) -> None:
 
 
 def read_frequency_table(path: str | Path) -> dict[str, int]:
+    """The `surface<TAB>count` rows; a repeated surface or a negative count
+    is refused."""
     freq: dict[str, int] = {}
     for lineno, line in textfile.rows(textfile.lines(path, TagforgeError)):
         try:
             surface, count = line.split("\t")
-            freq[surface] = int(count)
+            count = int(count)
         except ValueError:
             raise TagforgeError(f"{path}:{lineno}: expected 'surface<TAB>count'") from None
+        if surface in freq:
+            raise TagforgeError(f"{path}:{lineno}: repeated surface {surface!r}")
+        if count < 0:
+            raise TagforgeError(f"{path}:{lineno}: negative count {count}")
+        freq[surface] = count
     return freq

@@ -11,7 +11,7 @@ unless absolute; an empty optional path is unset. The keys:
     region_embeddings   EMB1 file for region vectors (required)
     queries             label-query EMB1 file with sidecar (required)
     out_dir             output directory, made if missing (required)
-    seed                64-bit integer, drives all randomness (default 0)
+    seed                integer in [0, 2^64), drives all randomness (default 0)
     lexicon_dir         lexicon directory (default: packaged data)
     generated_tags      comma-separated JSONL paths of generated tag ids
     generated_captions  comma-separated JSONL caption paths to parse
@@ -75,6 +75,7 @@ _OUT_OF_RANGE = {
     "max_iter": (lambda v: v < 1, "must be >= 1"),
     "min_regions": (lambda v: v < 0, "must be >= 0"),
     "workers": (lambda v: v < 1, "must be >= 1"),
+    "seed": (lambda v: not 0 <= v < 2**64, "{} outside [0, 2^64)"),
 }
 
 
@@ -174,14 +175,15 @@ def seed_and_workers(
     config_path: str | Path | None, seed: int | None, workers: int | None
 ) -> tuple[int, int]:
     """A command's --seed and --workers, each falling back to the config
-    file's key, then to the field's default; workers must be >= 1."""
+    file's key, then to the field's default; workers must be >= 1 and seed
+    in [0, 2^64)."""
     values = read_config_file(config_path) if config_path is not None else {}
     values = _merged(values, {"seed": seed, "workers": workers})
     seed, workers = (
         _read(key, values[key], Path()) if key in values else _FIELDS[key].default
         for key in ("seed", "workers")
     )
-    check_values(workers=workers)
+    check_values(workers=workers, seed=seed)
     return seed, workers
 
 

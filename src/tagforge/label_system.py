@@ -113,7 +113,9 @@ def build_label_system(
     Candidates are the top-k most frequent surfaces (ties lexicographic)
     unioned with all seed surfaces, minus excludes. Synonym pairs touching a
     surface outside the candidate set are silently restricted to the members
-    that remain. Seed surfaces absent from the corpus get frequency 0.
+    that remain. Seed surfaces absent from the corpus get frequency 0. A
+    candidate holding '|' or a tab, which the vocabulary file cannot store,
+    is refused.
     """
     if k < 0:
         raise VocabularyError("k must be >= 0")
@@ -121,6 +123,9 @@ def build_label_system(
     top = {surface for surface, _ in ranked[:k]}
     seed_surfaces = {surface for seed_list in seeds for surface in seed_list}
     candidates = (top | seed_surfaces) - set(excludes)
+    unstorable = sorted(s for s in candidates if "|" in s or "\t" in s)
+    if unstorable:
+        raise VocabularyError(f"surface {unstorable[0]!r} holds '|' or a tab")
 
     uf = _UnionFind(candidates)
     if synonyms is not None:

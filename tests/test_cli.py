@@ -256,6 +256,39 @@ def test_tag_scores_nothing_against_an_empty_vocabulary(runner, tmp_path):
     assert predictions.read_text() == '{"image_id": "a", "scores": {}, "tags": []}\n'
 
 
+@pytest.mark.parametrize("seeds, freq, message", [
+    ("cat|dog\n", "dog\t3\n", "surface 'cat|dog' holds '|' or a tab"),
+    ("big\tcat\n", "dog\t3\n", "surface 'big\\tcat' holds '|' or a tab"),
+    ("dog\n", "dog\t3\ncat|dog\t2\n", "surface 'cat|dog' holds '|' or a tab"),
+], ids=["seed-bar", "seed-tab", "corpus-bar"])
+def test_build_vocab_refuses_a_surface_its_file_cannot_store(runner, tmp_path, seeds, freq, message):
+    # a '|' splits members and a tab splits fields in the vocabulary file
+    (tmp_path / "seeds.txt").write_text(seeds)
+    (tmp_path / "freq.tsv").write_text(freq)
+    out = tmp_path / "vocab.tsv"
+    result = runner.invoke(cli, [
+        "build-vocab", "--freq", str(tmp_path / "freq.tsv"), "--k", "2",
+        "--seeds", str(tmp_path / "seeds.txt"), "--out", str(out),
+    ])
+    assert result.exit_code == 1, result.output
+    assert result.stderr == f"Error: {message}\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("rows, message", [
+    ("dog\t3\ncat\t2\ndog\t1\n", ":3: repeated surface 'dog'"),
+    ("dog\t3\ncat\t2\nbird\t-4\n", ":3: negative count -4"),
+], ids=["repeated", "negative"])
+def test_build_vocab_refuses_a_repeated_surface_or_a_negative_count(runner, tmp_path, rows, message):
+    freq = tmp_path / "freq.tsv"
+    freq.write_text(rows)
+    out = tmp_path / "vocab.tsv"
+    result = runner.invoke(cli, ["build-vocab", "--freq", str(freq), "--k", "3", "--out", str(out)])
+    assert result.exit_code == 1, result.output
+    assert result.stderr == f"Error: {freq}{message}\n"
+    assert not out.exists()
+
+
 def test_engine_run_matches_staged_commands(runner, tmp_path):
     """`engine run` equals `engine generate` + `engine clean` on the same inputs."""
     corpus = build_synthetic_corpus(tmp_path / "c", n_images=60, seed=55)
@@ -391,6 +424,11 @@ def _engine_inputs(corpus, tmp_path: Path) -> dict[str, list[str]]:
     ("engine clean", "margin", "nan", "flag"),
     ("engine clean", "min_regions", "-5", "flag"),
     ("engine clean", "fraction", "1.0", "flag"),
+    ("parse", "seed", "-1", "flag"),
+    ("parse", "seed", "18446744073709551616", "config"),
+    ("engine generate", "seed", "18446744073709551616", "flag"),
+    ("engine clean", "seed", "-1", "flag"),
+    ("engine clean", "seed", "-0x1", "config"),
 ])
 def test_subcommands_reject_engine_values_as_engine_run_does(
     runner, tmp_path, command, key, value, source

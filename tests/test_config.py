@@ -172,7 +172,10 @@ def test_overrides_win_and_none_overrides_are_ignored(tmp_path):
     assert (config.seed, config.workers, config.whitelist) == (5, 2, None)
 
 
-@pytest.mark.parametrize("text, seed", [("0x2A", 42), ("0o17", 15), ("-3", -3), ("1_000", 1000)])
+@pytest.mark.parametrize("text, seed", [
+    ("0x2A", 42), ("0o17", 15), ("0b11", 3), ("1_000", 1000), ("0", 0),
+    ("18446744073709551615", 2**64 - 1),
+])
 def test_seed_is_read_in_any_base(tmp_path, text, seed):
     assert build_engine_config({**_required(tmp_path), "seed": text}, tmp_path).seed == seed
 
@@ -223,6 +226,17 @@ def test_nan_is_out_of_range(tmp_path, key, text, message):
     assert _error({**_required(tmp_path), key: text}, tmp_path) == f"config key {key!r}: {message}"
 
 
+@pytest.mark.parametrize("text", ["-1", "-3", "18446744073709551616", "0x10000000000000000"])
+def test_a_seed_outside_64_bits_is_refused(tmp_path, text):
+    message = _error({**_required(tmp_path), "seed": text}, tmp_path)
+    assert message == f"config key 'seed': {int(text, 0)} outside [0, 2^64)"
+
+
+def test_a_bad_seed_is_named_after_every_other_bad_value(tmp_path):
+    values = {**_required(tmp_path), "seed": "-1", "workers": "0"}
+    assert _error(values, tmp_path) == "config key 'workers': must be >= 1"
+
+
 def test_an_out_dir_that_is_a_file_is_refused(tmp_path):
     _touch(tmp_path, "out")
     message = _error(_required(tmp_path), tmp_path)
@@ -248,6 +262,9 @@ def test_seed_and_workers_fall_back_from_flag_to_file_to_default(tmp_path):
     ("workers = two\n", (None, None), "config key 'workers': cannot parse 'two'"),
     ("workers = 0\n", (None, None), "config key 'workers': must be >= 1"),
     ("workers = 2\n", (None, -1), "config key 'workers': must be >= 1"),
+    ("seed = -1\n", (None, None), "config key 'seed': -1 outside [0, 2^64)"),
+    ("workers = 2\n", (2**64, None), "config key 'seed': 18446744073709551616 outside [0, 2^64)"),
+    ("seed = -1\nworkers = 0\n", (None, None), "config key 'workers': must be >= 1"),
 ])
 def test_seed_and_workers_name_a_bad_value(tmp_path, text, flags, message):
     path = tmp_path / "engine.cfg"
