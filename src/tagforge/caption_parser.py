@@ -270,13 +270,6 @@ def extract_tags(caption: str, lexicons: LexiconBundle) -> list[tuple[str, str]]
     return out
 
 
-def parse_caption(record: CaptionRecord, lexicons: LexiconBundle) -> list[ParsedTag]:
-    """Parse one caption into ordered, deduplicated tags."""
-    if not record.image_id:
-        raise ValueError("image_id must be non-empty")
-    return [ParsedTag(s, k) for s, k in extract_tags(record.caption, lexicons)]
-
-
 @dataclass
 class RejectSummary:
     count: int = 0

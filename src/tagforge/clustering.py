@@ -172,14 +172,3 @@ def lloyd(
         inertia=inertia,
         iterations=iterations,
     )
-
-
-def kmeans(
-    points: np.ndarray,
-    k: int,
-    seed: int,
-    max_iter: int = DEFAULT_MAX_ITER,
-    tol: float = DEFAULT_TOL,
-) -> ClusteringResult:
-    """Convenience wrapper: D-squared seeding followed by Lloyd iteration."""
-    return lloyd(points, kmeanspp_init(points, k, seed), max_iter=max_iter, tol=tol)

@@ -163,15 +163,6 @@ def score(embedding: np.ndarray, queries: LabelQueryMatrix) -> np.ndarray:
     return queries.matrix @ embedding
 
 
-def tag_image(
-    embedding: np.ndarray, queries: LabelQueryMatrix, profile: ThresholdProfile
-) -> set[int]:
-    """Tag ids whose score reaches their effective threshold."""
-    scores = score(embedding, queries)
-    hits = np.flatnonzero(scores >= profile.thresholds(queries.tag_ids))
-    return {queries.tag_ids[i] for i in hits}
-
-
 def round_scores(values: np.ndarray) -> np.ndarray:
     """round(float(v), SCORE_DECIMALS) of every value, bit for bit.
 

@@ -13,7 +13,6 @@ from tagforge.caption_parser import (
     ParsedTag,
     extract_tags,
     lemmatize,
-    parse_caption,
     parse_corpus,
     parse_corpus_file,
     tokenize,
@@ -91,8 +90,7 @@ def test_tokenize_punctuation_and_possessives():
 def test_golden_corpus_exact(lexicons, golden_corpus):
     assert len(golden_corpus) >= 50
     for entry in golden_corpus:
-        record = CaptionRecord(entry["image_id"], entry["caption"], "golden")
-        got = [[t.surface, t.kind] for t in parse_caption(record, lexicons)]
+        got = [list(tag) for tag in extract_tags(entry["caption"], lexicons)]
         assert got == entry["expected"], entry["image_id"]
 
 
@@ -106,9 +104,12 @@ def test_emitted_surfaces_are_clean(lexicons, golden_corpus):
                 assert word not in lexicons.stopwords
 
 
-def test_parse_caption_requires_image_id(lexicons):
-    with pytest.raises(ValueError):
-        parse_caption(CaptionRecord("", "a dog"), lexicons)
+def test_parse_corpus_rejects_an_empty_image_id(lexicons):
+    records = [{"image_id": "", "caption": "a dog"}, CaptionRecord("", "a cat"),
+               CaptionRecord("i1", "a dog")]
+    result = parse_corpus(records, lexicons)
+    assert (result.rejects.count, result.rejects.reasons) == (2, {"image_id empty": 2})
+    assert list(result.image_tags) == ["i1"]
 
 
 def test_parse_corpus_empty(lexicons):

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from tagforge.clustering import distinct_rows, kmeans, kmeanspp_init, lloyd
+from tagforge.clustering import distinct_rows, kmeanspp_init, lloyd
 from tagforge.data_engine import RegionRecord, clean_category, cluster_count
 from tagforge.embedding_store import EmbeddingTable
 from tagforge.rng import Xoshiro256StarStar, derive_seed
@@ -96,7 +96,7 @@ def test_inertia_non_increasing_and_recount():
         n = int(rng.integers(4, 60))
         k = int(rng.integers(1, min(n, 6)))
         points = rng.normal(size=(n, int(rng.integers(1, 5))))
-        result = kmeans(points, k, seed=derive_seed(5, trial))
+        result = lloyd(points, kmeanspp_init(points, k, derive_seed(5, trial)))
         recount = sum(
             float(((points[i] - result.centroids[result.assignment[i]]) ** 2).sum())
             for i in range(n)
@@ -109,12 +109,12 @@ def test_inertia_non_increasing_and_recount():
 def test_deterministic_given_seed():
     rng = np.random.default_rng(8)
     points = rng.normal(size=(40, 4))
-    a = kmeans(points, 5, seed=1234)
-    b = kmeans(points, 5, seed=1234)
+    a = lloyd(points, kmeanspp_init(points, 5, 1234))
+    b = lloyd(points, kmeanspp_init(points, 5, 1234))
     assert np.array_equal(a.centroids, b.centroids)
     assert np.array_equal(a.assignment, b.assignment)
     assert a.inertia == b.inertia and a.iterations == b.iterations
-    c = kmeans(points, 5, seed=1235)
+    c = lloyd(points, kmeanspp_init(points, 5, 1235))
     assert not np.array_equal(a.centroids, c.centroids)
 
 
@@ -136,7 +136,7 @@ def test_restarts_reach_bruteforce_optimum():
         k = int(rng.integers(2, 4))
         points = rng.normal(size=(n, 2))
         best = min(
-            kmeans(points, k, seed=derive_seed(777, trial, restart)).inertia
+            lloyd(points, kmeanspp_init(points, k, derive_seed(777, trial, restart))).inertia
             for restart in range(20)
         )
         if best <= brute_force_optimum(points, k) + 1e-9:

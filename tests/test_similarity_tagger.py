@@ -15,12 +15,16 @@ from tagforge.similarity_tagger import (
     save_label_queries,
     save_threshold_profile,
     score,
-    tag_image,
 )
 
 
 def _vocab(tags):
     return build_label_system({t: 10 - i for i, t in enumerate(tags)}, k=len(tags))
+
+
+def _hits(embedding, queries, profile):
+    # the tags write_predictions selects for one embedding, in query order
+    return (score(embedding, queries) >= profile.thresholds(queries.tag_ids)).tolist()
 
 
 def _unit(v):
@@ -135,17 +139,17 @@ def test_score_linear_in_embedding():
     assert np.abs(lhs - rhs).max() < 1e-12
 
 
-def test_tag_image_thresholds():
+def test_thresholds_select_tags():
     rows = np.eye(2)
     queries = LabelQueryMatrix("v", (0, 1), ("a", "b"), rows)
     v = _unit([0.9, 0.1])
-    assert tag_image(v, queries, ThresholdProfile(1.01)) == set()
-    assert tag_image(v, queries, ThresholdProfile(-1.0)) == {0, 1}
+    assert _hits(v, queries, ThresholdProfile(1.01)) == [False, False]
+    assert _hits(v, queries, ThresholdProfile(-1.0)) == [True, True]
 
     scores = score(v, queries)
     assert scores[0] > 0.3 > scores[1]
-    assert tag_image(v, queries, ThresholdProfile(0.3)) == {0}
-    assert tag_image(v, queries, ThresholdProfile(0.3, {1: -1.0})) == {0, 1}
+    assert _hits(v, queries, ThresholdProfile(0.3)) == [True, False]
+    assert _hits(v, queries, ThresholdProfile(0.3, {1: -1.0})) == [True, True]
 
 
 def test_argmax_invariant_under_positive_scaling():
@@ -157,7 +161,7 @@ def test_argmax_invariant_under_positive_scaling():
         base = _unit(v)
         scaled = _unit(float(rng.uniform(0.01, 100.0)) * v)
         assert np.argmax(score(base, queries)) == np.argmax(score(scaled, queries))
-        assert tag_image(base, queries, profile) == tag_image(scaled, queries, profile)
+        assert _hits(base, queries, profile) == _hits(scaled, queries, profile)
 
 
 def test_ensemble_cosine_lower_bound():

@@ -25,7 +25,6 @@ from tagforge.similarity_tagger import (
     prompt_key,
     round_scores,
     score,
-    tag_image,
     write_predictions,
 )
 
@@ -335,7 +334,7 @@ def test_write_predictions_memory_does_not_grow_with_images_times_tags(tmp_path)
     assert peak(large) - peak(small) < (large - small) * n_tags
 
 
-def test_tag_image_matches_reference():
+def test_selected_tags_match_reference():
     rng = np.random.default_rng(74)
     table, queries = _random_tagger(rng, 30, 20, 8)
     first = score(table.vector(table.keys[0]), queries)
@@ -343,7 +342,8 @@ def test_tag_image_matches_reference():
     for key in table.keys:
         scores = score(table.vector(key), queries)
         want = {t for t, s in zip(queries.tag_ids, scores) if s >= profile.effective(t)}
-        assert tag_image(table.vector(key), queries, profile) == want
+        hits = scores >= profile.thresholds(queries.tag_ids)
+        assert {t for t, hit in zip(queries.tag_ids, hits) if hit} == want
 
 
 def test_threshold_profile_thresholds():
