@@ -133,7 +133,7 @@ def build_label_system(
             if a != b and a in candidates and b in candidates:
                 uf.union(a, b)
     members_of: dict[str, list[str]] = {}
-    for surface in sorted(candidates):
+    for surface in sorted(candidates):  # so each member list is sorted
         members_of.setdefault(uf.find(surface), []).append(surface)
 
     groups = []
