@@ -150,7 +150,7 @@ def build_label_queries(
         if norm < 1e-12:
             raise TaggerError(f"prompt ensemble for tag {canonical!r} has zero mean vector")
         rows[i] = mean / norm
-    return LabelQueryMatrix(vocab.version, tuple(tag_ids), tuple(canonicals), rows)
+    return LabelQueryMatrix(vocab.version, tuple(tag_ids), canonicals, rows)
 
 
 def score(embedding: np.ndarray, queries: LabelQueryMatrix) -> np.ndarray:
@@ -522,7 +522,7 @@ def load_label_queries(path: str | Path, vocab: TagVocabulary) -> LabelQueryMatr
     if sorted(table.keys) != sorted(canonicals):
         raise TaggerError("label query keys do not match the vocabulary canonicals")
     rows = table.rows(canonicals)  # (0, dim) for an empty vocabulary
-    return LabelQueryMatrix(vocab.version, tuple(vocab.tag_ids()), tuple(canonicals), rows)
+    return LabelQueryMatrix(vocab.version, tuple(vocab.tag_ids()), canonicals, rows)
 
 
 def _query_header(path: Path) -> dict:
