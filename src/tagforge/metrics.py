@@ -2,9 +2,16 @@
 precision/recall at threshold.
 
 AP is the non-interpolated variant: precision summed at each positive rank,
-divided by the positive count, with ties broken stably by input order.
+divided by the positive count. Items rank by score descending; ties keep
+input order, and NaN ranks after every number, as a stable argsort of
+-scores orders them. Only the positives' ranks are computed: a positive's
+rank is 1 + the items scoring higher (a binary search in the sorted scores)
++ the items scoring equal that come earlier in input order (counted only
+for positives that tie). With the P ranks sorted, AP is
+sum(arange(1, P + 1) / ranks) / P.
+
 Unannotated ground truth defaults to negative; a flag excludes those cells
-per class instead.
+per class instead. A class filter narrows mAP and precision/recall alike.
 """
 
 from __future__ import annotations
@@ -33,21 +40,41 @@ class MetricsError(TagforgeError):
 def average_precision(scores: Sequence[float], labels: Sequence[int]) -> float | None:
     """AP of one ranking; None signals "not evaluable" (no positives).
 
-    Items are ranked by score descending, ties keeping input order. AP is
-    (1/P) * sum over positive ranks k of precision@k.
+    Items are ranked by score descending, ties keeping input order and NaN
+    last. AP is (1/P) * sum over positive ranks k of precision@k.
     """
     scores = np.asarray(scores, dtype=np.float64)
     labels = np.asarray(labels)
     if scores.shape != labels.shape or scores.ndim != 1:
         raise MetricsError("scores and labels must be congruent 1-d sequences")
-    positives = int((labels == 1).sum())
+    positive = labels == 1
+    positives = int(np.count_nonzero(positive))
     if positives == 0:
         return None
-    order = np.argsort(-scores, kind="stable")
-    ranked = labels[order] == 1
-    cum_pos = np.cumsum(ranked)
-    ranks = np.arange(1, len(ranked) + 1)
-    return float((cum_pos[ranked] / ranks[ranked]).sum() / positives)
+    keys = -scores
+    ordered = np.sort(keys)  # NaN last, where argsort puts it
+    positive_keys = keys[positive]
+    ranks = np.searchsorted(ordered, positive_keys, "left")  # items ranked ahead
+    tied = np.searchsorted(ordered, positive_keys, "right") - ranks > 1
+    ranks += 1
+    if tied.any():
+        ranks[tied] += _earlier_ties(keys, np.flatnonzero(positive)[tied])
+    ranks.sort()
+    return float((np.arange(1, positives + 1) / ranks).sum() / positives)
+
+
+def _earlier_ties(keys: np.ndarray, items: np.ndarray) -> np.ndarray:
+    """For each of items (ascending indices into keys), how many earlier
+    indices hold an equal key; NaN equals NaN here, as sorting groups them."""
+    values = keys[items]
+    nan = np.isnan(values)
+    earlier = np.empty(len(items), dtype=np.intp)
+    for value in set(values[~nan].tolist()):  # -0.0 and 0.0 are one value
+        group = values == value
+        earlier[group] = np.searchsorted(np.flatnonzero(keys == value), items[group])
+    if nan.any():
+        earlier[nan] = np.searchsorted(np.flatnonzero(np.isnan(keys)), items[nan])
+    return earlier
 
 
 @dataclass
@@ -100,13 +127,10 @@ def mean_ap(
             continue
         col_scores = instances.scores[:, c]
         col_labels = instances.labels[:, c]
-        if unannotated_as_negative:
-            binary = (col_labels == LABEL_POSITIVE).astype(np.int8)
-        else:
-            mask = col_labels != LABEL_UNANNOTATED
-            col_scores = col_scores[mask]
-            binary = (col_labels[mask] == LABEL_POSITIVE).astype(np.int8)
-        ap = average_precision(col_scores, binary) if binary.size else None
+        if not unannotated_as_negative:
+            annotated = col_labels != LABEL_UNANNOTATED
+            col_scores, col_labels = col_scores[annotated], col_labels[annotated]
+        ap = average_precision(col_scores, col_labels)  # LABEL_POSITIVE is 1
         if ap is None:
             skipped.append((class_id, "no positives"))
         else:
@@ -133,37 +157,40 @@ def precision_recall(
     instances: EvalInstances,
     profile: ThresholdProfile,
     unannotated_as_negative: bool = True,
+    class_filter: set[int] | None = None,
 ) -> PrecisionRecall:
-    """Micro and macro precision/recall at the profile's thresholds.
+    """Micro and macro precision/recall at the profile's thresholds, over
+    the classes in class_filter (every class when it is None).
 
     Micro aggregates TP/FP/FN over every (image, class) cell. Macro averages
     per-class precision and recall over classes with at least one positive;
     a class with zero predicted positives contributes precision 1.
     """
-    thresholds = profile.thresholds(instances.class_ids)
-    predicted = instances.scores >= thresholds[None, :]
-    positive = instances.labels == LABEL_POSITIVE
-    if unannotated_as_negative:
-        counted = np.ones_like(predicted, dtype=bool)
-    else:
-        counted = instances.labels != LABEL_UNANNOTATED
+    class_ids, scores, labels = instances.class_ids, instances.scores, instances.labels
+    if class_filter is not None:
+        kept = [c for c, class_id in enumerate(class_ids) if class_id in class_filter]
+        class_ids, scores, labels = [class_ids[c] for c in kept], scores[:, kept], labels[:, kept]
+    predicted = scores >= profile.thresholds(class_ids)[None, :]
+    positive = labels == LABEL_POSITIVE
+    if not unannotated_as_negative:
+        annotated = labels != LABEL_UNANNOTATED
+        predicted &= annotated
+        positive &= annotated
 
-    tp_cells = predicted & positive & counted
-    fp_cells = predicted & ~positive & counted
-    fn_cells = ~predicted & positive & counted
+    # per-class counts of counted cells: true positives, predicted, positive
+    tps = np.count_nonzero(predicted & positive, axis=0).tolist()
+    predicteds = np.count_nonzero(predicted, axis=0).tolist()
+    positives = np.count_nonzero(positive, axis=0).tolist()
 
-    micro_p = _ratio(int(tp_cells.sum()), int((tp_cells | fp_cells).sum()))
-    micro_r = _ratio(int(tp_cells.sum()), int((tp_cells | fn_cells).sum()))
+    micro_p = _ratio(sum(tps), sum(predicteds))
+    micro_r = _ratio(sum(tps), sum(positives))
 
     macro_ps: list[float] = []
     macro_rs: list[float] = []
-    for c in range(len(instances.class_ids)):
-        pos = int((positive[:, c] & counted[:, c]).sum())
+    for tp, predicted_count, pos in zip(tps, predicteds, positives):
         if pos == 0:
             continue
-        tp = int(tp_cells[:, c].sum())
-        fp = int(fp_cells[:, c].sum())
-        macro_ps.append(_ratio(tp, tp + fp))
+        macro_ps.append(_ratio(tp, predicted_count))
         macro_rs.append(tp / pos)
     if not macro_ps:
         raise MetricsError("no class has a positive ground-truth label")
@@ -182,7 +209,7 @@ def evaluate(
     unannotated_as_negative: bool = True,
 ) -> EvalReport:
     per_class, map_value, skipped = mean_ap(instances, class_filter, unannotated_as_negative)
-    pr = precision_recall(instances, profile, unannotated_as_negative)
+    pr = precision_recall(instances, profile, unannotated_as_negative, class_filter)
     return EvalReport(
         per_class_ap=per_class,
         mean_ap=map_value,
@@ -226,21 +253,33 @@ def load_eval_instances(predictions_path: str | Path, ground_truth_path: str | P
         return image_id, (class_list, values if keep is None else values[keep])
 
     def ground_truth(obj) -> tuple[str, tuple[set[int], set[int]]]:
-        return _image_id(obj), (_label_set(obj, "positive"), _label_set(obj, "negative"))
+        image_id = _image_id(obj)
+        positive, negative = _label_set(obj, "positive"), _label_set(obj, "negative")
+        return image_id, (positive - negative, negative)  # a class in both is negative
 
-    # image_id -> (class ids, their scores)
+    # (class ids, image ids, their scores) per class-id list of the predictions
+    pred: list[tuple[list[int], list[str], np.ndarray]] = []
     sidecar = read_score_sidecar(predictions_path)
     if sidecar is None:
-        pred = dict(jsonl.read(predictions_path, "prediction", prediction, MetricsError))
+        groups: dict[int, tuple[list[int], list[str], list[np.ndarray]]] = {}
+        for image_id, (ids, values) in dict(
+            jsonl.read(predictions_path, "prediction", prediction, MetricsError)
+        ).items():
+            group = groups.setdefault(id(ids), (ids, [], []))
+            group[1].append(image_id)
+            group[2].append(values)
+        pred = [(ids, images, np.stack(rows)) for ids, images, rows in groups.values()]
     else:
         sidecar_ids, class_list, matrix = sidecar
-        pred = {image_id: (class_list, row) for image_id, row in zip(sidecar_ids, matrix)}
+        last = {image_id: i for i, image_id in enumerate(sidecar_ids)}
+        if last:
+            rows = list(last.values())
+            pred = [(class_list, list(last), matrix if len(rows) == len(matrix) else matrix[rows])]
     gt = dict(jsonl.read(ground_truth_path, "ground-truth", ground_truth, MetricsError))
 
-    image_ids = sorted(set(pred) | set(gt))
-    pred_class_lists = {id(ids): ids for ids, _ in pred.values()}
+    image_ids = sorted(set(gt).union(*(images for _, images, _ in pred)))
     class_set: set[int] = set()
-    for ids in pred_class_lists.values():
+    for ids, _, _ in pred:
         class_set.update(ids)
     for positive, negative in gt.values():
         class_set.update(positive)
@@ -249,20 +288,30 @@ def load_eval_instances(predictions_path: str | Path, ground_truth_path: str | P
         raise MetricsError("no classes found in predictions or ground truth")
     class_ids = sorted(class_set)
     col = {cid: i for i, cid in enumerate(class_ids)}
-    cols = {
-        key: np.asarray([col[cid] for cid in ids], dtype=np.intp)
-        for key, ids in pred_class_lists.items()
-    }
+    row = {image_id: r for r, image_id in enumerate(image_ids)}
 
+    # one scatter per class-id list: every image's scores at once
     scores = np.full((len(image_ids), len(class_ids)), MISSING_SCORE, dtype=np.float64)
+    for ids, images, values in pred:
+        scores[
+            np.asarray([row[image_id] for image_id in images], dtype=np.intp)[:, None],
+            np.asarray([col[cid] for cid in ids], dtype=np.intp),
+        ] = values
+    # every image's positive cells, then every image's negative cells
+    label_rows: list[int] = []
+    label_ids: list[int] = []
+    for side in (0, 1):
+        for image_id, class_sets in gt.items():
+            label_rows += [row[image_id]] * len(class_sets[side])
+            label_ids += class_sets[side]
+        if side == 0:
+            positives = len(label_ids)
+    # and one scatter of every ground-truth label
     labels = np.full((len(image_ids), len(class_ids)), LABEL_UNANNOTATED, dtype=np.int8)
-    for r, image_id in enumerate(image_ids):
-        if image_id in pred:
-            ids, values = pred[image_id]
-            scores[r, cols[id(ids)]] = values
-        positive, negative = gt.get(image_id, ((), ()))
-        labels[r, [col[cid] for cid in positive]] = LABEL_POSITIVE
-        labels[r, [col[cid] for cid in negative]] = LABEL_NEGATIVE
+    label_cols = [col[cid] for cid in label_ids]
+    labels[np.asarray(label_rows, dtype=np.intp), np.asarray(label_cols, dtype=np.intp)] = np.repeat(
+        np.int8([LABEL_POSITIVE, LABEL_NEGATIVE]), [positives, len(label_ids) - positives]
+    )
     return EvalInstances(image_ids, class_ids, scores, labels)
 
 
@@ -279,7 +328,7 @@ def _label_set(obj, field: str) -> set[int]:
     values = obj.get(field, [])
     if not isinstance(values, list):
         raise TypeError(f"{field} must be a list")
-    return {int(v) for v in values}
+    return set(map(int, values))
 
 
 def _class_ids(keys: list[str]) -> tuple[list[int], list[int] | None]:
