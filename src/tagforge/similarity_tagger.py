@@ -43,14 +43,17 @@ import stat
 import struct
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import BinaryIO, Sequence
+from json.encoder import encode_basestring
+from typing import TYPE_CHECKING, BinaryIO, Sequence
 
 import numpy as np
 
 from . import textfile
 from .embedding_store import EmbeddingTable, load_embeddings, save_embeddings
 from .errors import TagforgeError
-from .label_system import TagVocabulary
+
+if TYPE_CHECKING:
+    from .label_system import TagVocabulary
 
 QUERY_NORM_TOLERANCE = 1e-6
 PROMPT_NORM_TOLERANCE = 1e-4
@@ -257,6 +260,14 @@ class _ScoreText:
         return bodies
 
 
+def _hit_lists(hits: np.ndarray, tag_text: Sequence[str]) -> list[str]:
+    """json.dumps of each row's list of hit tag ids, for hits a boolean
+    array of rows x tags and tag_text each column's tag id as text."""
+    texts = [tag_text[c] for c in np.nonzero(hits)[1].tolist()]  # row by row
+    ends = np.cumsum(np.count_nonzero(hits, axis=1)).tolist()
+    return ["[" + ", ".join(texts[a:b]) + "]" for a, b in zip([0] + ends, ends)]
+
+
 def write_predictions(
     table: EmbeddingTable,
     queries: LabelQueryMatrix,
@@ -268,12 +279,13 @@ def write_predictions(
     threshold, as json.dumps(record, ensure_ascii=False) writes it.
 
     Records are made WRITE_CHUNK_ROWS images at a time, their scores
-    through _ScoreText rather than one float repr at a time. The same
-    scores go to the SCR1 sidecar (see the module docstring) chunk by chunk.
+    through _ScoreText rather than one float repr at a time and their tag
+    lists through _hit_lists. The same scores go to the SCR1 sidecar (see
+    the module docstring) chunk by chunk.
     """
     tag_ids = np.asarray(queries.tag_ids, dtype=np.int64)
     order = np.argsort(tag_ids)
-    ascending = tag_ids[order]
+    tag_text = [str(t) for t in tag_ids[order].tolist()]
     score_text = _ScoreText([str(t) for t in queries.tag_ids])
     thresholds = profile.thresholds(queries.tag_ids)
     image_ids = sorted(table.keys)
@@ -291,12 +303,15 @@ def write_predictions(
             scores = np.stack([score(table.vector(image_id), queries) for image_id in chunk])
             hits = (scores >= thresholds)[:, order]
             rounded = round_scores(scores.ravel()).reshape(scores.shape)
-            text = "".join(
-                '{"image_id": ' + json.dumps(image_id, ensure_ascii=False)
-                + ', "scores": {' + body + '}, "tags": '
-                + json.dumps(ascending[row].tolist()) + "}\n"
-                for image_id, body, row in zip(chunk, score_text.bodies(rounded), hits)
-            ).encode("utf-8")
+            pieces: list[str] = []
+            for image_id, body, tags in zip(
+                chunk, score_text.bodies(rounded), _hit_lists(hits, tag_text)
+            ):
+                # encode_basestring(s) is json.dumps(s, ensure_ascii=False)
+                # without the encoder json.dumps makes for that option
+                pieces += ('{"image_id": ', encode_basestring(image_id), ', "scores": {',
+                           body, '}, "tags": ', tags, "}\n")
+            text = "".join(pieces).encode("utf-8")
             fh.write(text)
             sidecar.jsonl_digest.update(text)
             # json.loads reads every NaN the text holds as float("nan")
