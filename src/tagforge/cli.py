@@ -4,8 +4,10 @@ Exit codes: 0 success, 1 data or validation error, 2 usage error. The
 TAGFORGE_DATA_DIR environment variable overrides the packaged lexicon
 directory; --lexicon-dir overrides both.
 
-Modules that need numpy are imported by the commands that use them, so
-`parse` and `build-vocab` start without loading numpy.
+Stage modules are imported by the commands that use them: `parse` and
+`build-vocab` start without loading numpy, `tag` without the caption
+parser, and `eval` without the caption parser or, unless it is given a
+class filter, the label system.
 """
 
 from __future__ import annotations
@@ -14,12 +16,11 @@ import functools
 import gc
 import sys
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 import click
 
 from . import __version__
-from . import caption_parser as cp
-from . import label_system as ls
 from .config import (
     DEFAULT_FRACTION,
     DEFAULT_MARGIN,
@@ -30,6 +31,9 @@ from .config import (
     seed_and_workers,
 )
 from .errors import TagforgeError
+
+if TYPE_CHECKING:
+    from .caption_parser import RejectSummary
 
 
 # every command loads embeddings through these two names in this module, so
@@ -90,7 +94,7 @@ def single_process_options(fn):
     return common_options(fn, ignored=True)
 
 
-def _echo_rejects(prefix: str, rejects: cp.RejectSummary) -> None:
+def _echo_rejects(prefix: str, rejects: RejectSummary) -> None:
     """Report skipped caption records and why on stderr."""
     click.echo(f"{prefix}, {rejects.count} rejected records", err=True)
     for reason, count in sorted(rejects.reasons.items()):
@@ -116,6 +120,8 @@ def cli():
 @_data_errors
 def parse_cmd(captions, out_tags, out_freq, lexicon_dir, seed, workers, config_path):
     """Parse a caption corpus into per-image tags and a frequency table."""
+    from . import caption_parser as cp
+
     _, workers = seed_and_workers(config_path, seed, workers)
     corpus = cp.parse_corpus_file(captions, lexicon_dir, workers=workers)
     cp.write_image_tags(corpus, out_tags)
@@ -142,6 +148,9 @@ def parse_cmd(captions, out_tags, out_freq, lexicon_dir, seed, workers, config_p
 @_data_errors
 def build_vocab_cmd(freq, top_k, seeds, synonyms, excludes, out_path, seed, workers, config_path):
     """Build the tag vocabulary from corpus frequencies plus seed lists."""
+    from . import caption_parser as cp
+    from . import label_system as ls
+
     freq_table = cp.read_frequency_table(freq)
     seed_lists = [ls.load_surface_list(p) for p in seeds]
     synonym_lexicon = ls.load_synonyms(synonyms) if synonyms else None
@@ -166,6 +175,8 @@ def build_vocab_cmd(freq, top_k, seeds, synonyms, excludes, out_path, seed, work
 @_data_errors
 def build_queries_cmd(vocab, prompts, templates, out_path, seed, workers, config_path):
     """Ensemble prompt embeddings into one label query per tag id."""
+    from . import caption_parser as cp
+    from . import label_system as ls
     from . import similarity_tagger as st
 
     vocabulary = ls.load_vocabulary(vocab)
@@ -195,6 +206,7 @@ def build_queries_cmd(vocab, prompts, templates, out_path, seed, workers, config
 @_data_errors
 def tag_cmd(embeddings, queries, vocab, thresholds, out_path, seed, workers, config_path):
     """Score image embeddings against the label queries and apply thresholds."""
+    from . import label_system as ls
     from . import similarity_tagger as st
 
     vocabulary = ls.load_vocabulary(vocab)
@@ -230,7 +242,9 @@ def engine_generate_cmd(
     out_path, audit_path, seed, workers, config_path,
 ):
     """Merge generated tags and parsed generated captions into the dataset."""
+    from . import caption_parser as cp
     from . import data_engine as engine
+    from . import label_system as ls
 
     _, workers = seed_and_workers(config_path, seed, workers)
     store = engine.load_annotations(annotations)
@@ -278,6 +292,7 @@ def engine_clean_cmd(
 ):
     """Run outlier cleaning and the prediction filter on an annotation set."""
     from . import data_engine as engine
+    from . import label_system as ls
 
     check_values(fraction=fraction, margin=margin, min_regions=min_regions)
     seed, workers = seed_and_workers(config_path, seed, workers)
@@ -364,7 +379,11 @@ def eval_cmd(
 
     instances = mx.load_eval_instances(predictions, ground_truth)
     profile = load_threshold_profile(thresholds) if thresholds else ThresholdProfile()
-    filter_set = ls.load_whitelist(class_filter) if class_filter else None
+    filter_set = None
+    if class_filter:
+        from .label_system import load_whitelist
+
+        filter_set = load_whitelist(class_filter)
     report = mx.evaluate(
         instances, profile, filter_set, unannotated_as_negative=not exclude_unannotated
     )

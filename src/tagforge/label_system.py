@@ -21,11 +21,13 @@ import hashlib
 from dataclasses import dataclass
 from itertools import islice
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
 
 from . import textfile
-from .caption_parser import LexiconBundle, lemmatize
 from .errors import TagforgeError
+
+if TYPE_CHECKING:
+    from .caption_parser import LexiconBundle
 
 VOCAB_HEADER = "#tagforge-vocab v1"
 
@@ -175,8 +177,8 @@ def save_vocabulary(vocab: TagVocabulary, path: str | Path) -> None:
 
 def load_vocabulary(path: str | Path) -> TagVocabulary:
     """Load a vocabulary file, one TagGroup per row. Row errors are named in
-    line order, then a repeated tag id, ids that are not 0..n-1 and a
-    surface in two groups."""
+    line order, then a repeated tag id, ids that are not 0..n-1, a surface
+    in two groups and a #version line that is not the hash of the rows."""
     numbered = textfile.lines(path, VocabularyError)
     header = [line for _, line in islice(numbered, 2)]
     if header[:1] != [VOCAB_HEADER]:
@@ -210,7 +212,11 @@ def load_vocabulary(path: str | Path) -> TagVocabulary:
                 raise VocabularyError(f"tag_id {a} has two canonicals")
         if ids != list(range(len(ids))):
             raise VocabularyError("tag_ids are not dense integers starting at 0")
-        return TagVocabulary([group for _, group in rows], version)
+        vocab = TagVocabulary([group for _, group in rows], version)
+        rows_version = _version_of(vocab.groups)
+        if version != rows_version:
+            raise VocabularyError(f"#version={version} does not match its rows ({rows_version})")
+        return vocab
     except VocabularyError as exc:
         raise VocabularyError(f"{path}: {exc}") from None
 
@@ -224,7 +230,13 @@ def map_tag(surface: str, vocab: TagVocabulary, lexicons: LexiconBundle) -> int 
     tag_id = vocab.surface_to_id.get(surface)
     if tag_id is not None:
         return tag_id
-    normalized = " ".join(lemmatize(word, lexicons) for word in surface.lower().split())
+    # loaded with the lexicons by now; commands that only read a vocabulary
+    # do not load it
+    from . import caption_parser
+
+    normalized = " ".join(
+        caption_parser.lemmatize(word, lexicons) for word in surface.lower().split()
+    )
     return vocab.surface_to_id.get(normalized)
 
 
