@@ -1,10 +1,15 @@
 import json
+import os
+import re
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 from click.testing import CliRunner
 
+import tagforge
 from tagforge.cli import cli
 from tagforge.embedding_store import EmbeddingTable, save_embeddings
 from tagforge.similarity_tagger import prompt_key
@@ -226,6 +231,88 @@ def test_vocab_queries_tag_eval_round_trip(runner, tmp_path):
     assert result.exit_code == 0, result.output
     assert "mAP\t1.0000" in result.output
     assert report.read_text().startswith("class_id\tap\n")
+
+
+def _tag_eval_files(runner, tmp_path) -> dict[str, Path]:
+    """A two-tag vocabulary, its label queries, two images and their ground truth."""
+    files = {name: tmp_path / name for name in
+             ("freq.tsv", "vocab.tsv", "templates.txt", "prompts.emb", "queries.emb",
+              "images.emb", "gt.jsonl", "filter.txt")}
+    files["freq.tsv"].write_text("dog\t9\ncat\t5\n")
+    files["templates.txt"].write_text("a photo of a {tag}\n")
+    rows = np.eye(4)[:2]
+    save_embeddings(EmbeddingTable.from_vectors(
+        {prompt_key("a photo of a {tag}", tag): row for tag, row in zip(("cat", "dog"), rows)},
+        normalized=True), files["prompts.emb"])
+    save_embeddings(EmbeddingTable.from_vectors({"a": rows[0], "b": rows[0]}, normalized=True),
+                    files["images.emb"])
+    for args in (
+        ["build-vocab", "--freq", files["freq.tsv"], "--k", "2", "--out", files["vocab.tsv"]],
+        ["build-queries", "--vocab", files["vocab.tsv"], "--prompts", files["prompts.emb"],
+         "--templates", files["templates.txt"], "--out", files["queries.emb"]],
+    ):
+        result = runner.invoke(cli, [str(a) for a in args])
+        assert result.exit_code == 0, result.output
+    # both images score 1 for cat (tag id 0) and 0 for dog (1)
+    files["gt.jsonl"].write_text('{"image_id": "a", "positive": [0, 1]}\n'
+                                 '{"image_id": "b", "negative": [0, 1]}\n')
+    files["filter.txt"].write_text("1\n")
+    return files
+
+
+def test_eval_class_filter_narrows_precision_and_recall(runner, tmp_path):
+    f = _tag_eval_files(runner, tmp_path)
+    predictions = tmp_path / "pred.jsonl"
+    result = runner.invoke(cli, [
+        "tag", "--embeddings", str(f["images.emb"]), "--queries", str(f["queries.emb"]),
+        "--vocab", str(f["vocab.tsv"]), "--out", str(predictions),
+    ])
+    assert result.exit_code == 0, result.output
+    evaluate = ["eval", "--predictions", str(predictions), "--ground-truth", str(f["gt.jsonl"])]
+    result = runner.invoke(cli, evaluate)
+    assert result.output == (
+        "mAP\t1.0000  (2 classes)\nmicro P/R\t0.5000 / 0.5000\nmacro P/R\t0.7500 / 0.5000\n"
+    )
+    # dog alone: ranked right (a ties b and comes first) but never predicted
+    report = tmp_path / "report.tsv"
+    result = runner.invoke(cli, evaluate + ["--class-filter", str(f["filter.txt"]),
+                                            "--out", str(report)])
+    assert result.exit_code == 0, result.output
+    assert result.stdout == (
+        "mAP\t1.0000  (1 classes)\nmicro P/R\t1.0000 / 0.0000\nmacro P/R\t1.0000 / 0.0000\n"
+    )
+    assert report.read_text().splitlines()[-4:] == [
+        "#micro_precision\t1.000000", "#micro_recall\t0.000000",
+        "#macro_precision\t1.000000", "#macro_recall\t0.000000",
+    ]
+
+
+def _loaded_tagforge_modules(argv) -> set[str]:
+    """The tagforge modules a fresh `python -m tagforge.cli ARGV` imports."""
+    src = Path(tagforge.__file__).parents[1]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [str(src)] + [p for p in [os.environ.get("PYTHONPATH")] if p])}
+    done = subprocess.run([sys.executable, "-X", "importtime", "-m", "tagforge.cli", *argv],
+                          capture_output=True, text=True, env=env)
+    assert done.returncode == 0, done.stderr
+    return set(re.findall(r"\btagforge(?:\.\w+)*", done.stderr))
+
+
+def test_tag_and_eval_import_only_the_modules_they_run(runner, tmp_path):
+    f = _tag_eval_files(runner, tmp_path)
+    predictions = tmp_path / "pred.jsonl"
+    tag = _loaded_tagforge_modules([
+        "tag", "--embeddings", str(f["images.emb"]), "--queries", str(f["queries.emb"]),
+        "--vocab", str(f["vocab.tsv"]), "--out", str(predictions),
+    ])
+    evaluate = ["eval", "--predictions", str(predictions), "--ground-truth", str(f["gt.jsonl"])]
+    plain_eval = _loaded_tagforge_modules(evaluate)
+    filtered_eval = _loaded_tagforge_modules(evaluate + ["--class-filter", str(f["filter.txt"])])
+    assert {"tagforge.similarity_tagger", "tagforge.label_system"} <= tag
+    assert {"tagforge.metrics", "tagforge.label_system"} <= filtered_eval
+    for loaded in (tag, plain_eval, filtered_eval):
+        assert not loaded & {"tagforge.caption_parser", "tagforge.pool"}, loaded
+    assert "tagforge.metrics" in plain_eval and "tagforge.label_system" not in plain_eval
 
 
 def test_tag_scores_nothing_against_an_empty_vocabulary(runner, tmp_path):

@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -235,6 +237,26 @@ def test_load_names_the_file_in_structure_errors(tmp_path, rows, message):
     with pytest.raises(VocabularyError) as exc:
         load_vocabulary(path)
     assert str(exc.value).startswith(f"{path}: {message}")
+
+
+def test_load_refuses_a_version_line_that_does_not_match_its_rows(tmp_path):
+    vocab = build_label_system({"dog": 3, "cat": 2, "owl": 1}, 3)
+    path = tmp_path / "vocab.tsv"
+    save_vocabulary(vocab, path)
+    header, version, cat, dog, owl = path.read_text().splitlines()
+    assert (cat[:2], dog[:2]) == ("0\t", "1\t")
+    # swap the tag ids of cat and dog: the rows change, the stated version does not
+    cat, dog = "1" + cat[1:], "0" + dog[1:]
+    path.write_text("\n".join([header, version, cat, dog, owl]) + "\n")
+    rows_version = hashlib.sha256("\n".join([dog, cat, owl]).encode()).hexdigest()[:12]
+    with pytest.raises(VocabularyError) as exc:
+        load_vocabulary(path)
+    assert str(exc.value) == (
+        f"{path}: #version={vocab.version} does not match its rows ({rows_version})"
+    )
+    # the same rows under their own version load, with dog as tag id 0
+    path.write_text("\n".join([header, f"#version={rows_version}", cat, dog, owl]) + "\n")
+    assert load_vocabulary(path).canonicals == ("dog", "cat", "owl")
 
 
 def test_map_tag(lexicons):

@@ -2,6 +2,7 @@
 errors, for each of the twelve tables, read through the CLI command that
 reads it; and the label queries' JSON header."""
 
+import hashlib
 import json
 import re
 import shutil
@@ -120,6 +121,10 @@ STATS_COLUMNS = "\t".join([
     "removed_contrary",
 ])
 
+VOCAB_ROWS = ["0\tdog\tdog\t3\tcorpus", "1\td\fg\td\fg\t2\tseed", "2\td\u2028g\td\u2028g\t1\tboth"]
+# the version a vocabulary file states is the hash of its rows
+VOCAB_VERSION = hashlib.sha256("\n".join(VOCAB_ROWS).encode()).hexdigest()[:12]
+
 # table: (file name, header lines, rows, the CLI command reading the file, its loader).
 # The second row holds "\f" and the third U+2028, which must not end a line.
 TABLES = {
@@ -140,8 +145,7 @@ TABLES = {
         read_frequency_table,
     ),
     "vocabulary": (
-        "vocab.tsv", [VOCAB_HEADER, "#version=abc"],
-        ["0\tdog\tdog\t3\tcorpus", "1\td\fg\td\fg\t2\tseed", "2\td\u2028g\td\u2028g\t1\tboth"],
+        "vocab.tsv", [VOCAB_HEADER, f"#version={VOCAB_VERSION}"], VOCAB_ROWS,
         lambda f, path: ["engine", "generate", "--annotations", f.annotations,
                          "--vocab", str(path), "--out", f.out],
         _vocabulary,
