@@ -271,8 +271,8 @@ def load_eval_instances(predictions_path: str | Path, ground_truth_path: str | P
         pred = [(ids, images, np.stack(rows)) for ids, images, rows in groups.values()]
     else:
         sidecar_ids, class_list, matrix = sidecar
-        last = {image_id: i for i, image_id in enumerate(sidecar_ids)}
-        if last:
+        last = {image_id: i for i, image_id in enumerate(sidecar_ids)}  # the last row wins
+        if last:  # a sidecar of no image names no class, as a JSONL of no record
             rows = list(last.values())
             pred = [(class_list, list(last), matrix if len(rows) == len(matrix) else matrix[rows])]
     gt = dict(jsonl.read(ground_truth_path, "ground-truth", ground_truth, MetricsError))
@@ -297,21 +297,19 @@ def load_eval_instances(predictions_path: str | Path, ground_truth_path: str | P
             np.asarray([row[image_id] for image_id in images], dtype=np.intp)[:, None],
             np.asarray([col[cid] for cid in ids], dtype=np.intp),
         ] = values
-    # every image's positive cells, then every image's negative cells
+    # and one scatter of every label; an image's two lists share no class
     label_rows: list[int] = []
     label_ids: list[int] = []
-    for side in (0, 1):
-        for image_id, class_sets in gt.items():
-            label_rows += [row[image_id]] * len(class_sets[side])
-            label_ids += class_sets[side]
-        if side == 0:
-            positives = len(label_ids)
-    # and one scatter of every ground-truth label
+    label_values: list[int] = []
+    for image_id, (positive, negative) in gt.items():
+        label_rows += [row[image_id]] * (len(positive) + len(negative))
+        label_ids += [*positive, *negative]
+        label_values += [LABEL_POSITIVE] * len(positive) + [LABEL_NEGATIVE] * len(negative)
     labels = np.full((len(image_ids), len(class_ids)), LABEL_UNANNOTATED, dtype=np.int8)
-    label_cols = [col[cid] for cid in label_ids]
-    labels[np.asarray(label_rows, dtype=np.intp), np.asarray(label_cols, dtype=np.intp)] = np.repeat(
-        np.int8([LABEL_POSITIVE, LABEL_NEGATIVE]), [positives, len(label_ids) - positives]
-    )
+    labels[
+        np.asarray(label_rows, dtype=np.intp),
+        np.asarray([col[cid] for cid in label_ids], dtype=np.intp),
+    ] = np.asarray(label_values, dtype=np.int8)
     return EvalInstances(image_ids, class_ids, scores, labels)
 
 

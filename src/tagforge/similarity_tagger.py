@@ -42,8 +42,8 @@ import os
 import stat
 import struct
 from dataclasses import dataclass, field
-from pathlib import Path
 from json.encoder import encode_basestring
+from pathlib import Path
 from typing import TYPE_CHECKING, BinaryIO, Sequence
 
 import numpy as np
