@@ -289,9 +289,8 @@ def test_eval_class_filter_narrows_precision_and_recall(runner, tmp_path):
 
 def _loaded_tagforge_modules(argv) -> set[str]:
     """The tagforge modules a fresh `python -m tagforge.cli ARGV` imports."""
-    src = Path(tagforge.__file__).parents[1]
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-        [str(src)] + [p for p in [os.environ.get("PYTHONPATH")] if p])}
+    path = [str(Path(tagforge.__file__).parents[1]), os.environ.get("PYTHONPATH", "")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
     done = subprocess.run([sys.executable, "-X", "importtime", "-m", "tagforge.cli", *argv],
                           capture_output=True, text=True, env=env)
     assert done.returncode == 0, done.stderr
