@@ -25,6 +25,7 @@ from .config import (
     DEFAULT_FRACTION,
     DEFAULT_MARGIN,
     DEFAULT_MIN_REGIONS,
+    EngineConfig,
     build_engine_config,
     check_values,
     read_config_file,
@@ -99,6 +100,16 @@ def _echo_rejects(prefix: str, rejects: RejectSummary) -> None:
     click.echo(f"{prefix}, {rejects.count} rejected records", err=True)
     for reason, count in sorted(rejects.reasons.items()):
         click.echo(f"  reject reason: {reason} ({count})", err=True)
+
+
+def _echo_skipped(skipped: list[tuple[str, int, str]]) -> None:
+    """Report on one stderr line the pairs the filter could not score, and
+    why it skipped the first."""
+    line = f"filter stage, {len(skipped)} skipped pairs"
+    if skipped:
+        image_id, tag_id, reason = skipped[0]
+        line += f", first: image {image_id!r} tag {tag_id}: {reason}"
+    click.echo(line, err=True)
 
 
 @click.group()
@@ -242,25 +253,22 @@ def engine_generate_cmd(
     out_path, audit_path, seed, workers, config_path,
 ):
     """Merge generated tags and parsed generated captions into the dataset."""
-    from . import caption_parser as cp
     from . import data_engine as engine
-    from . import label_system as ls
 
     _, workers = seed_and_workers(config_path, seed, workers)
-    store = engine.load_annotations(annotations)
-    vocabulary = ls.load_vocabulary(vocab)
-    merged, audit, rejected, caption_rejects = engine.generate_stage(
-        store, vocabulary, cp.load_lexicons(lexicon_dir), generated_tags, generated_captions,
-        lexicon_dir, workers,
+    config = EngineConfig(
+        captions=None, vocab=vocab, regions=None, region_embeddings=None, queries=None,
+        out_dir=None, lexicon_dir=lexicon_dir, generated_tags=list(generated_tags),
+        generated_captions=list(generated_captions), workers=workers,
+    )
+    result = engine.run_engine(
+        config, annotations, [engine.STAGE_GENERATE], {"final": out_path, "audit": audit_path}
     )
     if generated_captions:
-        _echo_rejects("generated captions", caption_rejects)
-    engine.write_annotations(merged, out_path)
-    if audit_path:
-        engine.write_audit(audit, audit_path)
+        _echo_rejects("generated captions", result.generated_rejects)
     click.echo(
-        f"generation: +{len(audit)} tags, {rejected} rejected records, "
-        f"{engine.count_kept(merged)} total", err=True,
+        f"generation: +{len(result.audit)} tags, {result.rejected_generated} rejected records, "
+        f"{engine.count_kept(result.final)} total", err=True,
     )
 
 
@@ -292,30 +300,25 @@ def engine_clean_cmd(
 ):
     """Run outlier cleaning and the prediction filter on an annotation set."""
     from . import data_engine as engine
-    from . import label_system as ls
 
     check_values(fraction=fraction, margin=margin, min_regions=min_regions)
     seed, workers = seed_and_workers(config_path, seed, workers)
-    store = engine.load_annotations(annotations)
-    vocabulary = ls.load_vocabulary(vocab)
-    inputs = engine.load_region_inputs(regions, region_embeddings, whitelist)
-    cleaning = engine.start_clean(
-        *inputs, workers=workers, fraction=fraction, seed=seed, min_regions=min_regions,
-        outlier_scope=outlier_scope,
+    config = EngineConfig(
+        captions=None, vocab=vocab, regions=regions, region_embeddings=region_embeddings,
+        queries=queries, out_dir=None, seed=seed, image_embeddings=image_embeddings,
+        thresholds=thresholds, whitelist=whitelist, fraction=fraction,
+        outlier_scope=outlier_scope, min_regions=min_regions, margin=margin, workers=workers,
     )
-    clean_events, _ = engine.apply_removals(
-        store, engine.finish_clean(cleaning), engine.STAGE_CLEAN
+    result = engine.run_engine(
+        config, annotations, [engine.STAGE_CLEAN, engine.STAGE_FILTER],
+        {"final": out_path, "audit": audit_path},
     )
-    filter_events, _, _ = engine.filter_stage(
-        store, inputs, vocabulary, queries, thresholds, image_embeddings, margin
-    )
-    engine.write_annotations(store, out_path)
-    if audit_path:
-        engine.write_audit(clean_events + filter_events, audit_path)
+    _, clean_row, filter_row = result.stats.rows
     click.echo(
-        f"cleaning: -{len(clean_events)} outlier, -{len(filter_events)} filtered, "
-        f"{engine.count_kept(store)} kept", err=True,
+        f"cleaning: -{clean_row.removed_total} outlier, -{filter_row.removed_total} filtered, "
+        f"{engine.count_kept(result.final)} kept", err=True,
     )
+    _echo_skipped(result.filter_skipped)
 
 
 # engine run's flag paths resolve against the CWD, its config paths against
@@ -346,6 +349,9 @@ def engine_run_cmd(config_path, **overrides):
     _echo_rejects("parse stage", result.parse_rejects)
     if config.generated_captions:
         _echo_rejects("generate stage", result.generated_rejects)
+    if config.generated_tags:
+        click.echo(f"generated tags, {result.rejected_generated} rejected records", err=True)
+    _echo_skipped(result.filter_skipped)
     for row in result.stats.rows:
         click.echo(
             f"{row.stage}\timages={row.images}\ttags={row.tags}\t"

@@ -2,11 +2,13 @@
 then remove suspect tags by per-category region clustering and by
 region-level prediction filtering.
 
-Stages run in a fixed order: parse -> generate -> clean -> filter. Generation
-only adds, cleaning only removes, and every addition or removal lands in the
-audit log, so replaying the audit over the parsed baseline reproduces the
-final annotation set exactly. Per-category randomness is derived from
-(seed, tag_id), making results independent of category processing order.
+Stages run in a fixed order: parse -> generate -> clean -> filter; a run may
+read an annotations file in place of parse and leave later stages out.
+Generation only adds, cleaning only removes, and every addition or removal
+lands in the audit log, so replaying the audit over the parsed baseline
+reproduces the final annotation set exactly. Per-category randomness is
+derived from (seed, tag_id), making results independent of category
+processing order.
 """
 
 from __future__ import annotations
@@ -526,96 +528,32 @@ def _parse_stage(
     return store, unmapped, corpus.rejects
 
 
-# The generate, clean and filter stages, written once: run_engine calls them
-# in order, and `engine generate` and `engine clean` call them on their own.
+def run_engine(
+    config: EngineConfig,
+    annotations: str | Path | None = None,
+    stages: Sequence[str] = (STAGE_GENERATE, STAGE_CLEAN, STAGE_FILTER),
+    outputs: Mapping[str, str | Path] | None = None,
+) -> EngineResult:
+    """Parse config.captions, or read the annotations file in its place, run
+    the given stages of generate -> clean -> filter, collect the accounting,
+    check it and the audit, and write the outputs. Any stage error aborts
+    with the stage name and the stats accumulated so far.
 
-
-def generate_stage(
-    store: AnnotationStore,
-    vocab: TagVocabulary,
-    lexicons: LexiconBundle,
-    generated_tags: Sequence[str | Path],
-    generated_captions: Sequence[str | Path],
-    lexicon_dir: str | Path | None,
-    workers: int,
-) -> tuple[AnnotationStore, list[AuditEvent], int, RejectSummary]:
-    """Merge the generated tag-id files and the tags parsed from the
-    generated caption files into a copy of store. Returns the merged store,
-    its additions, the rejected tag-id records and the caption records the
-    parser skipped."""
-    records = [r for path in generated_tags for r in load_tag_id_records(path)]
-    caption_tags: dict[str, set[int]] = {}
-    caption_rejects = RejectSummary()
-    for path in generated_captions:
-        corpus = parse_corpus_file(path, lexicon_dir, workers=workers)
-        caption_rejects.merge(corpus.rejects)
-        for image_id, tags in corpus.image_tags.items():
-            ids = {
-                tid
-                for tid in (map_tag(t.surface, vocab, lexicons) for t in tags)
-                if tid is not None
-            }
-            if ids:
-                caption_tags.setdefault(image_id, set()).update(ids)
-    merged, events, rejected = generate_merge(store, records, caption_tags, set(vocab.tag_ids()))
-    return merged, events, rejected, caption_rejects
-
-
-class RegionInputs(NamedTuple):
-    """The clean stage's loaded inputs, which the filter stage reuses."""
-
-    regions: list[RegionRecord]
-    table: EmbeddingTable
-    whitelist: set[int] | None
-
-
-def load_region_inputs(
-    regions: str | Path, region_embeddings: str | Path, whitelist: str | Path | None
-) -> RegionInputs:
-    """Load the regions, their embeddings (normalized) and the whitelist."""
-    return RegionInputs(
-        load_regions(regions),
-        normalize(load_embeddings(region_embeddings)),
-        load_whitelist(whitelist) if whitelist else None,
-    )
-
-
-def filter_stage(
-    store: AnnotationStore,
-    inputs: RegionInputs,
-    vocab: TagVocabulary,
-    queries: str | Path,
-    thresholds: str | Path | None,
-    image_embeddings: str | Path | None,
-    margin: float,
-) -> tuple[list[AuditEvent], dict[str, int], list[tuple[str, int, str]]]:
-    """Load the label queries, the threshold profile (default flat) and the
-    whole-image embeddings, run the prediction filter and mark its removals
-    in store. Returns the removals, their counts and the skipped pairs."""
-    query_matrix = load_label_queries(queries, vocab)
-    profile = load_threshold_profile(thresholds) if thresholds else ThresholdProfile()
-    profile.validate_against(query_matrix.tag_ids)
-    whole = normalize(load_embeddings(image_embeddings)) if image_embeddings else None
-    outcome = prediction_filter(
-        store, inputs.regions, inputs.table, whole, query_matrix, profile,
-        margin=margin, whitelist=inputs.whitelist,
-    )
-    return (*apply_removals(store, outcome.removals, STAGE_FILTER), outcome.skipped_pairs)
-
-
-def run_engine(config: EngineConfig) -> EngineResult:
-    """Execute parse -> generate -> clean -> filter, collect the accounting
-    and write parsed/final annotation JSONL, the audit log and the stats
-    table into config.out_dir. Any stage error aborts with the stage name
-    and the stats accumulated so far.
+    outputs maps "parsed", "final", "audit" and "stats" to the paths to write
+    them to, and a name mapped to None is not written; by default all four
+    go into config.out_dir. A config path that no stage run reads may be
+    None: captions when annotations is given, out_dir when outputs is,
+    regions and region_embeddings when neither clean nor filter runs, and
+    queries when filter does not.
 
     The clean inputs load first and the clean tasks start before parse, so
     at more than one worker the helper processes clean while this process
     parses and generates; then it joins the cleaning. Parse and generate
     split their caption files over workers processes as `parse` does, so a
     caption file that outlasts the cleaning does not leave the helpers'
-    cores idle. A clean input that fails to load is reported by the clean
-    stage, so a parse or generate error still comes first."""
+    cores idle. A clean input that fails to load is reported by the stage
+    that reads it, so a parse, generate or annotations error still comes
+    first."""
     stats = EngineStats()
 
     @contextmanager
@@ -630,42 +568,85 @@ def run_engine(config: EngineConfig) -> EngineResult:
 
     cleaning = load_error = None
     try:
-        inputs = load_region_inputs(config.regions, config.region_embeddings, config.whitelist)
-        cleaning = start_clean(
-            *inputs, workers=config.workers, fraction=config.fraction, seed=config.seed,
-            min_regions=config.min_regions, tol=config.tol, max_iter=config.max_iter,
-            outlier_scope=config.outlier_scope,
-        )
+        if STAGE_CLEAN in stages or STAGE_FILTER in stages:
+            regions = load_regions(config.regions)
+            table = normalize(load_embeddings(config.region_embeddings))
+            whitelist = load_whitelist(config.whitelist) if config.whitelist else None
+        if STAGE_CLEAN in stages:
+            cleaning = start_clean(
+                regions, table, whitelist, workers=config.workers, fraction=config.fraction,
+                seed=config.seed, min_regions=config.min_regions, tol=config.tol,
+                max_iter=config.max_iter, outlier_scope=config.outlier_scope,
+            )
     except Exception as exc:
         load_error = exc
     try:
-        with stage(STAGE_PARSE):
-            vocab = load_vocabulary(config.vocab)
+        parsed = load_annotations(annotations) if annotations is not None else None
+        vocab = load_vocabulary(config.vocab)
+        if parsed is None or STAGE_GENERATE in stages:
             lexicons = load_lexicons(config.lexicon_dir)
-            parsed, unmapped, parse_rejects = _parse_stage(config, vocab, lexicons)
-            stats.rows.append(_stage_row(STAGE_PARSE, parsed, added=count_kept(parsed)))
-        with stage(STAGE_GENERATE):
-            merged, audit, rejected, generated_rejects = generate_stage(
-                parsed, vocab, lexicons, config.generated_tags, config.generated_captions,
-                config.lexicon_dir, workers=config.workers,
-            )
-            stats.rows.append(_stage_row(STAGE_GENERATE, merged, added=len(audit)))
-        with stage(STAGE_CLEAN):
-            if cleaning is None:
-                raise load_error
-            events, counts = apply_removals(merged, finish_clean(cleaning), STAGE_CLEAN)
-            audit += events
-            stats.rows.append(_stage_row(STAGE_CLEAN, merged, removed=counts))
+        unmapped, parse_rejects = 0, RejectSummary()
+        if parsed is None:
+            with stage(STAGE_PARSE):
+                parsed, unmapped, parse_rejects = _parse_stage(config, vocab, lexicons)
+        stats.rows.append(_stage_row(STAGE_PARSE, parsed, added=count_kept(parsed)))
+        audit: list[AuditEvent] = []
+        rejected, generated_rejects = 0, RejectSummary()
+        if STAGE_GENERATE in stages:
+            with stage(STAGE_GENERATE):
+                records = [r for path in config.generated_tags for r in load_tag_id_records(path)]
+                caption_tags: dict[str, set[int]] = {}
+                for path in config.generated_captions:
+                    corpus = parse_corpus_file(path, config.lexicon_dir, workers=config.workers)
+                    generated_rejects.merge(corpus.rejects)
+                    for image_id, tags in corpus.image_tags.items():
+                        ids = {
+                            tid
+                            for tid in (map_tag(t.surface, vocab, lexicons) for t in tags)
+                            if tid is not None
+                        }
+                        if ids:
+                            caption_tags.setdefault(image_id, set()).update(ids)
+                merged, audit, rejected = generate_merge(
+                    parsed, records, caption_tags, set(vocab.tag_ids())
+                )
+                stats.rows.append(_stage_row(STAGE_GENERATE, merged, added=len(audit)))
+        else:
+            # the stages below remove from merged; parsed stays the baseline
+            merged = {image_id: dict(tags) for image_id, tags in parsed.items()}
+        if STAGE_CLEAN in stages:
+            with stage(STAGE_CLEAN):
+                if load_error is not None:
+                    raise load_error
+                events, counts = apply_removals(merged, finish_clean(cleaning), STAGE_CLEAN)
+                audit += events
+                stats.rows.append(_stage_row(STAGE_CLEAN, merged, removed=counts))
     finally:
         if cleaning is not None:
             cleaning.close()  # stops the helpers when a stage failed
-    with stage(STAGE_FILTER):
-        events, counts, filter_skipped = filter_stage(
-            merged, inputs, vocab, config.queries, config.thresholds, config.image_embeddings,
-            config.margin,
-        )
-        audit += events
-        stats.rows.append(_stage_row(STAGE_FILTER, merged, removed=counts))
+    filter_skipped: list[tuple[str, int, str]] = []
+    if STAGE_FILTER in stages:
+        with stage(STAGE_FILTER):
+            if load_error is not None:
+                raise load_error
+            queries = load_label_queries(config.queries, vocab)
+            profile = (
+                load_threshold_profile(config.thresholds) if config.thresholds
+                else ThresholdProfile()
+            )
+            profile.validate_against(queries.tag_ids)
+            whole = (
+                normalize(load_embeddings(config.image_embeddings)) if config.image_embeddings
+                else None
+            )
+            outcome = prediction_filter(
+                merged, regions, table, whole, queries, profile, margin=config.margin,
+                whitelist=whitelist,
+            )
+            events, counts = apply_removals(merged, outcome.removals, STAGE_FILTER)
+            audit += events
+            filter_skipped = outcome.skipped_pairs
+            stats.rows.append(_stage_row(STAGE_FILTER, merged, removed=counts))
 
     stats.validate_conservation()
     if replay_audit(parsed, audit) != kept_pairs(merged):
@@ -673,12 +654,21 @@ def run_engine(config: EngineConfig) -> EngineResult:
             "audit", "replaying the audit over the parsed annotations does not give the final "
             "ones", partial_stats=stats,
         )
-    out_dir = Path(config.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    write_annotations(parsed, out_dir / "parsed.jsonl")
-    write_annotations(merged, out_dir / "final.jsonl")
-    write_audit(audit, out_dir / "audit.jsonl")
-    write_stats(stats, out_dir / "stats.tsv")
+    if outputs is None:
+        out_dir = Path(config.out_dir)
+        out_dir.mkdir(parents=True, exist_ok=True)
+        outputs = {
+            "parsed": out_dir / "parsed.jsonl", "final": out_dir / "final.jsonl",
+            "audit": out_dir / "audit.jsonl", "stats": out_dir / "stats.tsv",
+        }
+    writers = {
+        "parsed": (write_annotations, parsed), "final": (write_annotations, merged),
+        "audit": (write_audit, audit), "stats": (write_stats, stats),
+    }
+    for name, path in outputs.items():
+        if path is not None:
+            write, value = writers[name]
+            write(value, path)
     return EngineResult(
         parsed=parsed,
         final=merged,

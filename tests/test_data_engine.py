@@ -567,14 +567,16 @@ def test_run_engine_refuses_an_audit_that_does_not_replay_to_final(
 
     from tagforge import data_engine
 
-    filter_stage = data_engine.filter_stage
+    apply_removals = data_engine.apply_removals
 
-    def drop_first_event(*args, **kwargs):
-        events, counts, skipped = filter_stage(*args, **kwargs)
+    def drop_first_filter_event(store, removals, stage):
+        events, counts = apply_removals(store, removals, stage)
+        if stage != "filter":
+            return events, counts
         assert events
-        return events[1:], counts, skipped  # the counts still balance
+        return events[1:], counts  # the counts still balance
 
-    monkeypatch.setattr(data_engine, "filter_stage", drop_first_event)
+    monkeypatch.setattr(data_engine, "apply_removals", drop_first_filter_event)
     out = tmp_path / "out"
     with pytest.raises(EngineError, match="replaying the audit") as exc:
         run_engine(dataclasses.replace(small_corpus.config, out_dir=out))

@@ -1,0 +1,179 @@
+"""`engine run`, `engine generate` and `engine clean` run the stages of one
+runner, data_engine.run_engine: each checks the stats and replays the audit,
+and each reports what its stages dropped."""
+
+import json
+import multiprocessing
+from pathlib import Path
+
+import pytest
+from click.testing import CliRunner
+
+from tagforge import data_engine
+from tagforge.cli import cli
+
+from engine_synth import build_synthetic_corpus
+
+
+@pytest.fixture(scope="module")
+def corpus(tmp_path_factory):
+    return build_synthetic_corpus(tmp_path_factory.mktemp("engine"), n_images=80, seed=57)
+
+
+@pytest.fixture(scope="module")
+def parsed(corpus, tmp_path_factory):
+    """The parsed annotations `engine run` writes, as `engine generate`'s input."""
+    out_dir = tmp_path_factory.mktemp("run")
+    result = CliRunner().invoke(cli, _run_argv(corpus, out_dir))
+    assert result.exit_code == 0, result.output
+    return out_dir / "parsed.jsonl"
+
+
+@pytest.fixture(scope="module")
+def merged(corpus, parsed, tmp_path_factory):
+    """`engine generate`'s output, which holds the false pairs, as `engine
+    clean`'s input."""
+    out_dir = tmp_path_factory.mktemp("generate")
+    result = CliRunner().invoke(cli, _generate_argv(corpus, parsed, out_dir))
+    assert result.exit_code == 0, result.output
+    return out_dir / "merged.jsonl"
+
+
+def _run_argv(corpus, out_dir: Path, regions=None) -> list[str]:
+    cfg = corpus.config
+    return [
+        "engine", "run", "--captions", str(cfg.captions), "--vocab", str(cfg.vocab),
+        "--regions", str(regions or cfg.regions),
+        "--region-embeddings", str(cfg.region_embeddings), "--queries", str(cfg.queries),
+        "--seed", str(cfg.seed), "--out-dir", str(out_dir),
+    ]
+
+
+def _generate_argv(corpus, annotations: Path, tmp_path: Path, generated=None) -> list[str]:
+    return [
+        "engine", "generate", "--annotations", str(annotations),
+        "--vocab", str(corpus.config.vocab),
+        "--generated-tags", str(generated or corpus.config.generated_tags[0]),
+        "--out", str(tmp_path / "merged.jsonl"), "--audit", str(tmp_path / "audit.jsonl"),
+    ]
+
+
+def _clean_argv(corpus, annotations: Path, tmp_path: Path, **flags) -> list[str]:
+    cfg = corpus.config
+    inputs = {
+        "regions": cfg.regions, "region-embeddings": cfg.region_embeddings,
+        "queries": cfg.queries, "image-embeddings": cfg.image_embeddings, "seed": cfg.seed,
+        **flags,
+    }
+    return [
+        "engine", "clean", "--annotations", str(annotations), "--vocab", str(cfg.vocab),
+        *(arg for flag, value in inputs.items() for arg in (f"--{flag}", str(value))),
+        "--out", str(tmp_path / "cleaned.jsonl"), "--audit", str(tmp_path / "audit.jsonl"),
+    ]
+
+
+def _drop_first_event(monkeypatch, stage: str) -> None:
+    """Make `stage` leave its first audit event out while its stats row
+    still balances."""
+    if stage == "generate":
+        generate_merge = data_engine.generate_merge
+
+        def merge(*args):
+            merged, audit, rejected = generate_merge(*args)
+            return merged, audit[1:] + audit[-1:], rejected  # as many events as additions
+
+        monkeypatch.setattr(data_engine, "generate_merge", merge)
+        return
+    apply_removals = data_engine.apply_removals
+
+    def removals(store, removed, name):
+        events, counts = apply_removals(store, removed, name)
+        return (events[1:] if name == stage else events), counts
+
+    monkeypatch.setattr(data_engine, "apply_removals", removals)
+
+
+# a removal's pair is never added back, so a dropped removal always shows;
+# a dropped addition shows when no later stage removes its pair
+@pytest.mark.parametrize("command, stage", [
+    ("run", "clean"), ("run", "filter"), ("generate", "generate"),
+    ("clean", "clean"), ("clean", "filter"),
+])
+def test_every_engine_command_replays_its_audit(
+    corpus, parsed, merged, tmp_path, monkeypatch, command, stage
+):
+    config = tmp_path / "engine.cfg"  # generation adds the false pairs clean and filter remove
+    config.write_text(f"generated_tags = {corpus.config.generated_tags[0]}\n")
+    argv = {
+        "run": _run_argv(corpus, tmp_path / "out") + ["--config", str(config)],
+        "generate": _generate_argv(corpus, parsed, tmp_path),
+        "clean": _clean_argv(corpus, merged, tmp_path),
+    }[command]
+    _drop_first_event(monkeypatch, stage)
+    result = CliRunner().invoke(cli, argv)
+    assert result.exit_code == 1, result.output
+    assert "engine stage 'audit' failed: replaying the audit" in result.stderr
+    assert list(tmp_path.iterdir()) == [config]
+
+
+def test_engine_run_reports_generated_records_naming_an_unknown_tag(corpus, parsed, tmp_path):
+    generated = tmp_path / "generated.jsonl"
+    generated.write_text(
+        corpus.config.generated_tags[0].read_text() + '{"image_id": "zz", "tag_ids": [99999]}\n'
+    )
+    config = tmp_path / "engine.cfg"
+    config.write_text(f"generated_tags = {generated}\n")
+    result = CliRunner().invoke(
+        cli, _run_argv(corpus, tmp_path / "out") + ["--config", str(config)]
+    )
+    assert result.exit_code == 0, result.output
+    assert "generated tags, 1 rejected records\n" in result.stderr
+
+    result = CliRunner().invoke(cli, _generate_argv(corpus, parsed, tmp_path, generated))
+    assert result.exit_code == 0, result.output
+    assert ", 1 rejected records, " in result.stderr
+
+
+def _regions_with_a_missing_key(corpus, tmp_path: Path) -> tuple[Path, dict]:
+    lines = corpus.config.regions.read_text().splitlines()
+    first = dict(json.loads(lines[0]), embedding_key="no-such-key")
+    regions = tmp_path / "regions.jsonl"
+    regions.write_text("\n".join([json.dumps(first), *lines[1:]]) + "\n")
+    return regions, first
+
+
+@pytest.mark.parametrize("command", ["run", "clean"])
+def test_the_filter_reports_the_pairs_it_skips(corpus, merged, tmp_path, command):
+    # clean skips every category, as it refuses a missing key; the filter
+    # skips the one pair whose region has none
+    regions, first = _regions_with_a_missing_key(corpus, tmp_path)
+    config = tmp_path / "engine.cfg"
+    config.write_text("min_regions = 1000000\n")
+    argv = {
+        "run": _run_argv(corpus, tmp_path / "out", regions) + ["--config", str(config)],
+        "clean": _clean_argv(corpus, merged, tmp_path, regions=regions, **{"min-regions": 10**6}),
+    }[command]
+    result = CliRunner().invoke(cli, argv)
+    assert result.exit_code == 0, result.output
+    skipped = [line for line in result.stderr.splitlines() if line.startswith("filter stage")]
+    assert skipped == [
+        f"filter stage, 1 skipped pairs, first: image {first['image_id']!r} tag "
+        f"{first['tag_id']}: missing region embedding 'no-such-key'"
+    ]
+
+
+def test_engine_clean_stops_its_helpers_on_a_bad_input(corpus, parsed, tmp_path):
+    malformed = tmp_path / "annotations.jsonl"
+    malformed.write_text(parsed.read_text() + '{"image_id": "zz"}\n')
+    lines = len(parsed.read_text().splitlines()) + 1
+    for annotations, flags, message in (
+        (malformed, {}, f"Error: {malformed}:{lines}: malformed annotation record\n"),
+        (parsed, {"queries": corpus.config.captions}, "Error: engine stage 'filter' failed: "),
+    ):
+        result = CliRunner().invoke(
+            cli, _clean_argv(corpus, annotations, tmp_path, workers=2, **flags)
+        )
+        assert result.exit_code == 1, result.output
+        assert result.stderr.startswith(message), result.stderr
+        assert multiprocessing.active_children() == []
+        assert not (tmp_path / "cleaned.jsonl").exists()
