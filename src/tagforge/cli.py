@@ -282,7 +282,7 @@ def engine_generate_cmd(
 @click.option("--image-embeddings", type=click.Path(exists=True, dir_okay=False), default=None)
 @click.option("--thresholds", type=click.Path(exists=True, dir_okay=False), default=None)
 @click.option("--whitelist", type=click.Path(exists=True, dir_okay=False), default=None,
-              help="tag_ids eligible for cleaning, one per line (default: all with regions).")
+              help="tag_ids to clean and filter, one per line (default: every tag_id).")
 @click.option("--fraction", type=float, default=DEFAULT_FRACTION, show_default=True,
               help="Outlier fraction per category.")
 @click.option("--outlier-scope", type=click.Choice(["category", "cluster"]),
@@ -347,6 +347,7 @@ def engine_run_cmd(config_path, **overrides):
     config = build_engine_config(values, base, overrides)
     result = run_engine(config)
     _echo_rejects("parse stage", result.parse_rejects)
+    click.echo(f"parse stage, {result.unmapped_surfaces} tags outside the vocabulary", err=True)
     if config.generated_captions:
         _echo_rejects("generate stage", result.generated_rejects)
     if config.generated_tags:

@@ -20,7 +20,8 @@ unless absolute; an empty optional path is unset. The keys:
                         contrary-prediction check)
     thresholds          threshold profile TSV (default: flat 0.2)
     whitelist           file of one tag_id per line; only these categories
-                        are cleaned (default: every category with regions)
+                        are cleaned and only their pairs filtered (default:
+                        every category)
     fraction            outlier fraction in [0, 1) (default DEFAULT_FRACTION)
     outlier_scope       "category" pools distances across the whole category,
                         "cluster" marks the fraction within each cluster

@@ -15,11 +15,10 @@ from __future__ import annotations
 
 import math
 from contextlib import contextmanager
-from dataclasses import dataclass, field
-from itertools import groupby, islice
-from operator import attrgetter
+from dataclasses import dataclass, field, replace
+from itertools import islice
 from pathlib import Path
-from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -74,12 +73,41 @@ class EngineError(TagforgeError):
 AnnotationStore = dict[str, dict[int, str]]
 
 
-class RegionRecord(NamedTuple):
-    image_id: str
-    region_id: str
-    tag_id: int
-    detector_score: float
-    embedding_key: str
+@dataclass(eq=False)
+class Regions:
+    """The (image_id, region_id, tag_id, embedding_key) records of a regions
+    file as columns, entry i from record i: its image_id's ordinal in
+    image_ids (sorted, distinct), its region_id's among the sorted distinct
+    region ids, its tag_id and its key. resolve adds rows, dropping found keys."""
+
+    image_ids: list[str]
+    image: np.ndarray
+    region: np.ndarray
+    tag_id: np.ndarray
+    keys: Sequence[str] | Mapping[int, str]
+    row: np.ndarray | None = None
+
+    @classmethod
+    def of(cls, records: Iterable[tuple[str, str, int, str]]) -> Regions:
+        images, region_ids, tag_ids, keys = tuple(zip(*records)) or ((),) * 4
+        image_ids, image = np.unique(np.array(images, object), return_inverse=True)
+        region = np.unique(np.array(region_ids, object), return_inverse=True)[1]
+        return cls(image_ids.tolist(), image, region, np.array(tag_ids, np.int64), keys)
+
+    def __len__(self) -> int:
+        return len(self.tag_id)
+
+    def resolve(self, table: EmbeddingTable) -> Regions:
+        """Each region's row in table, -1 if missing, keeping only those keys."""
+        row = table.row_indices(self.keys)
+        missing = np.flatnonzero(row < 0).tolist()
+        return replace(self, keys={i: self.keys[i] for i in missing}, row=row)
+
+    def categories(self) -> dict[int, np.ndarray]:
+        """Each tag_id's region indices in (image_id, region_id) order, ties in file order."""
+        order = np.lexsort((self.region, self.image, self.tag_id))
+        tag_ids, starts = np.unique(self.tag_id[order], return_index=True)
+        return dict(zip(tag_ids.tolist(), np.split(order, starts[1:])))
 
 
 @dataclass
@@ -201,7 +229,7 @@ class CategoryCleanResult:
     region_count: int
     k: int
     skipped: bool
-    outlier_regions: list[tuple[str, str]] = field(default_factory=list)
+    outliers: np.ndarray  # region indices, in (image_id, region_id) order
     removed_pairs: list[tuple[str, int]] = field(default_factory=list)
 
 
@@ -215,7 +243,8 @@ def _ceil_fraction(fraction: float, n: int) -> int:
 
 def clean_category(
     tag_id: int,
-    regions: Sequence[RegionRecord],
+    members: np.ndarray,
+    regions: Regions,
     region_embeddings: EmbeddingTable,
     fraction: float,
     seed: int,
@@ -224,8 +253,8 @@ def clean_category(
     max_iter: int = DEFAULT_MAX_ITER,
     outlier_scope: str = OUTLIER_SCOPE_CATEGORY,
 ) -> CategoryCleanResult:
-    """Cluster one category's regions and mark the farthest fraction as
-    outliers.
+    """Cluster one category's resolved regions, members as categories gives
+    them, and mark the farthest fraction as outliers.
 
     With the default "category" scope, exactly ceil(fraction * n) regions
     are marked (distance to assigned centroid descending, ties by
@@ -238,27 +267,25 @@ def clean_category(
         raise ValueError("fraction must be in [0, 1)")
     if outlier_scope not in (OUTLIER_SCOPE_CATEGORY, OUTLIER_SCOPE_CLUSTER):
         raise ValueError(f"unknown outlier scope {outlier_scope!r}")
-    regs = sorted(regions, key=attrgetter("image_id", "region_id"))
-    n = len(regs)
+    n = len(members)
     if n < min_regions:
-        return CategoryCleanResult(tag_id, n, 0, skipped=True)
+        return CategoryCleanResult(tag_id, n, 0, True, members[:0])
 
-    keys = [r.embedding_key for r in regs]
-    try:
-        points = region_embeddings.rows(keys)
-    except KeyError:
-        missing = [key for key in keys if key not in region_embeddings]
+    rows = regions.row[members]
+    missing = [regions.keys[i] for i in members[rows < 0].tolist()]
+    if missing:
         raise EngineError(
             STAGE_CLEAN,
             f"category {tag_id}: unresolvable embedding keys: {missing[:5]}"
             + ("" if len(missing) <= 5 else f" (+{len(missing) - 5} more)"),
-        ) from None
+        )
+    points = region_embeddings.matrix[rows]
 
     k = distinct_rows(points, stop_at=cluster_count(n))
     category_seed = derive_seed(seed, tag_id)
     result = lloyd(points, kmeanspp_init(points, k, category_seed), max_iter=max_iter, tol=tol)
 
-    # regs are in (image_id, region_id) order, so a stable sort by distance
+    # members are in (image_id, region_id) order, so a stable sort by distance
     # descending breaks ties by (image_id, region_id) ascending
     ranked = np.argsort(-result.distances, kind="stable")
     outlier = np.zeros(n, dtype=bool)
@@ -267,33 +294,24 @@ def clean_category(
     else:
         ranked_cluster = result.assignment[ranked]
         for cluster in range(k):
-            members = ranked[ranked_cluster == cluster]
-            outlier[members[: _ceil_fraction(fraction, len(members))]] = True
+            in_cluster = ranked[ranked_cluster == cluster]
+            outlier[in_cluster[: _ceil_fraction(fraction, len(in_cluster))]] = True
 
-    # regs are grouped by image; a pair goes when all its regions are outliers
-    flags = outlier.tolist()
-    removed = [
-        (image_id, tag_id)
-        for image_id, idxs in groupby(range(n), key=lambda i: regs[i].image_id)
-        if all(flags[i] for i in idxs)
-    ]
-    return CategoryCleanResult(
-        tag_id=tag_id,
-        region_count=n,
-        k=k,
-        skipped=False,
-        outlier_regions=[(regs[i].image_id, regs[i].region_id) for i in np.flatnonzero(outlier)],
-        removed_pairs=removed,
-    )
+    # members are grouped by image; a pair goes when all its regions are outliers
+    image = regions.image[members]
+    starts = np.flatnonzero(np.diff(image, prepend=-1))
+    removed = image[starts[np.logical_and.reduceat(outlier, starts)]].tolist()
+    removed_pairs = [(regions.image_ids[i], tag_id) for i in removed]
+    return CategoryCleanResult(tag_id, n, k, False, members[outlier], removed_pairs)
 
 
-def _clean_one(shared: tuple, tag_id: int) -> CategoryCleanResult:
-    by_tag, region_embeddings, params = shared
-    return clean_category(tag_id, by_tag[tag_id], region_embeddings, **params)
+def _clean_one(shared: tuple, task: tuple[int, np.ndarray]) -> CategoryCleanResult:
+    regions, region_embeddings, params = shared
+    return clean_category(*task, regions, region_embeddings, **params)
 
 
 def start_clean(
-    regions: Sequence[RegionRecord],
+    regions: Regions,
     region_embeddings: EmbeddingTable,
     whitelist: set[int] | None,
     workers: int = 1,
@@ -307,13 +325,9 @@ def start_clean(
     the regions and the embedding table shared. At more than one worker the
     helper processes start cleaning now; finish_clean joins them.
     """
-    by_tag: dict[int, list[RegionRecord]] = {}
-    for r in regions:
-        by_tag.setdefault(r.tag_id, []).append(r)
-    category_ids = sorted(by_tag) if whitelist is None else sorted(set(by_tag) & whitelist)
-    largest_first = sorted(category_ids, key=lambda t: (-len(by_tag[t]), t))
-    shared = (by_tag, region_embeddings, params)
-    return run_tasks(_clean_one, largest_first, shared, workers)
+    tasks = [(t, m) for t, m in regions.categories().items() if whitelist is None or t in whitelist]
+    tasks.sort(key=lambda task: (-len(task[1]), task[0]))
+    return run_tasks(_clean_one, tasks, (regions, region_embeddings, params), workers)
 
 
 def finish_clean(results: Iterable[CategoryCleanResult]) -> list[tuple[str, int, str]]:
@@ -353,7 +367,7 @@ def _row_dots(a: np.ndarray, a_rows, b: np.ndarray, b_rows) -> np.ndarray:
 
 def prediction_filter(
     store: AnnotationStore,
-    regions: Sequence[RegionRecord],
+    regions: Regions,
     region_embeddings: EmbeddingTable,
     whole_image_embeddings: EmbeddingTable | None,
     queries: LabelQueryMatrix,
@@ -370,43 +384,32 @@ def prediction_filter(
     touched; pairs with unresolvable embeddings are skipped and reported.
     """
     row_of = {tag_id: i for i, tag_id in enumerate(queries.tag_ids)}
-    # each pair's region rows in the table, and its first unresolvable key
-    rows_by_pair: dict[tuple[str, int], list[int | None]] = {}
-    first_missing: dict[tuple[str, int], str] = {}
-    table_rows = region_embeddings.row_indices([r.embedding_key for r in regions])
-    for r, row in zip(regions, table_rows):
-        pair = (r.image_id, r.tag_id)
-        rows_by_pair.setdefault(pair, []).append(row)
-        if row is None:
-            first_missing.setdefault(pair, r.embedding_key)
+    # the regions by pair, in (image_id, tag_id) order, and in file order within one
+    order = np.lexsort((regions.tag_id, regions.image))
+    image, tag = regions.image[order], regions.tag_id[order]
+    starts = np.flatnonzero(np.diff(image, prepend=-1) | np.diff(tag, prepend=0)).tolist()
+    image, tag, table_rows = image.tolist(), tag.tolist(), regions.row[order].tolist()
 
     result = FilterResult()
-    # the scored pairs, in (image_id, tag_id) order, and their region rows
-    pairs: list[tuple[str, int]] = []
-    pair_query_rows: list[int] = []
-    pair_starts: list[int] = []
-    region_rows: list[int] = []
-    for image_id in sorted(store):
-        tags = store[image_id]
-        for tag_id in sorted(tags):
-            if whitelist is not None and tag_id not in whitelist:
-                continue
-            rows = rows_by_pair.get((image_id, tag_id))
-            if rows is None:
-                continue
-            if tag_id not in row_of:
-                result.skipped_pairs.append((image_id, tag_id, "tag not in label queries"))
-                continue
-            missing = first_missing.get((image_id, tag_id))
-            if missing is not None:
-                result.skipped_pairs.append(
-                    (image_id, tag_id, f"missing region embedding {missing!r}")
-                )
-                continue
-            pairs.append((image_id, tag_id))
-            pair_query_rows.append(row_of[tag_id])
-            pair_starts.append(len(region_rows))
-            region_rows += rows
+    # the scored pairs, their query rows, where their region rows start, and those rows
+    pairs, pair_query_rows, pair_starts, region_rows = [], [], [], []
+    for start, stop in zip(starts, starts[1:] + [len(order)]):
+        image_id, tag_id = regions.image_ids[image[start]], tag[start]
+        kept = store.get(image_id, ())
+        if tag_id not in kept or whitelist is not None and tag_id not in whitelist:
+            continue
+        if tag_id not in row_of:
+            result.skipped_pairs.append((image_id, tag_id, "tag not in label queries"))
+            continue
+        rows = table_rows[start:stop]
+        if -1 in rows:
+            missing = regions.keys[int(order[start + rows.index(-1)])]
+            result.skipped_pairs.append((image_id, tag_id, f"missing region embedding {missing!r}"))
+            continue
+        pairs.append((image_id, tag_id))
+        pair_query_rows.append(row_of[tag_id])
+        pair_starts.append(len(region_rows))
+        region_rows += rows
     if not pairs:
         return result
 
@@ -481,21 +484,18 @@ def load_tag_id_records(path: str | Path) -> list[tuple[str, list[int]]]:
     return list(jsonl.read(path, "tag-id", _tag_id_record))
 
 
-def _region_record(obj) -> RegionRecord:
-    record = RegionRecord(
-        str(obj["image_id"]),
-        str(obj["region_id"]),
-        int(obj["tag_id"]),
-        float(obj["score"]),
-        str(obj["embedding_key"]),
-    )
-    if not 0.0 <= record.detector_score <= 1.0:
+def _region_record(obj) -> tuple[str, str, int, str]:
+    image_id, region_id = str(obj["image_id"]), str(obj["region_id"])
+    tag_id, score, key = int(obj["tag_id"]), float(obj["score"]), str(obj["embedding_key"])
+    if not -(2**63) <= tag_id < 2**63:
+        raise ValueError("tag_id outside int64")
+    if not 0.0 <= score <= 1.0:
         raise jsonl.RecordError("detector score outside [0, 1]")
-    return record
+    return image_id, region_id, tag_id, key
 
 
-def load_regions(path: str | Path) -> list[RegionRecord]:
-    return list(jsonl.read(path, "region", _region_record))
+def load_regions(path: str | Path) -> Regions:
+    return Regions.of(jsonl.read(path, "region", _region_record))
 
 
 def _parse_stage(
@@ -571,6 +571,7 @@ def run_engine(
         if STAGE_CLEAN in stages or STAGE_FILTER in stages:
             regions = load_regions(config.regions)
             table = normalize(load_embeddings(config.region_embeddings))
+            regions = regions.resolve(table)
             whitelist = load_whitelist(config.whitelist) if config.whitelist else None
         if STAGE_CLEAN in stages:
             cleaning = start_clean(

@@ -90,10 +90,10 @@ class EmbeddingTable:
             raise KeyError(key)
         return self.matrix[i]
 
-    def row_indices(self, keys: Iterable[str]) -> list[int | None]:
-        """The matrix row of each key, None for a key not in the table."""
+    def row_indices(self, keys: Iterable[str]) -> np.ndarray:
+        """The matrix row of each key as an int64 array, -1 for a key not in the table."""
         get = self._index.get
-        return [get(key) for key in keys]
+        return np.array([get(key, -1) for key in keys], dtype=np.int64)
 
     def rows(self, keys: Iterable[str]) -> np.ndarray:
         """The vectors of keys, stacked in order into a new (len(keys), dim) array."""

@@ -5,6 +5,7 @@ corrupted tag set (40% of true tags dropped), a generated-tags file restoring
 the dropped tags plus injected false tags, regions whose embeddings sit on
 the tag query (true pairs) or orthogonal to it (false pairs), whole-image
 embeddings, label queries, vocabulary, whitelist, and the engine config.
+`Region` and `clean_regions` let tests build regions and clean one category.
 """
 
 from __future__ import annotations
@@ -12,10 +13,12 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
 from tagforge.config import EngineConfig
+from tagforge.data_engine import Regions, clean_category
 from tagforge.embedding_store import EmbeddingTable, save_embeddings
 from tagforge.label_system import TagVocabulary, build_label_system, save_vocabulary
 from tagforge.similarity_tagger import build_label_queries, prompt_key, save_label_queries
@@ -29,6 +32,23 @@ TAG_SURFACES = (
 
 DIM = 16
 TEMPLATES = ["a photo of a {tag}", "an image of a {tag}"]
+
+
+class Region(NamedTuple):
+    """One record of a regions file, as Regions.of takes it."""
+
+    image_id: str
+    region_id: str
+    tag_id: int
+    embedding_key: str
+
+
+def clean_regions(tag_id, records, table, *args, **kwargs):
+    """clean_category on the regions of records, all of tag_id, and the
+    (image_id, region_id) of its outliers."""
+    regions = Regions.of(records).resolve(table)
+    result = clean_category(tag_id, regions.categories()[tag_id], regions, table, *args, **kwargs)
+    return result, [tuple(records[i][:2]) for i in result.outliers.tolist()]
 
 
 @dataclass

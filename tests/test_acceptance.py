@@ -15,7 +15,7 @@ from click.testing import CliRunner
 from tagforge.caption_parser import extract_tags, parse_corpus_file
 from tagforge.cli import cli
 from tagforge.clustering import kmeanspp_init, lloyd
-from tagforge.data_engine import RegionRecord, clean_category, kept_pairs, replay_audit, run_engine
+from tagforge.data_engine import kept_pairs, replay_audit, run_engine
 from tagforge.embedding_store import EmbeddingTable
 from tagforge.label_system import SynonymLexicon, build_label_system, save_vocabulary
 from tagforge.metrics import EvalInstances, average_precision, mean_ap, precision_recall
@@ -28,7 +28,7 @@ from tagforge.similarity_tagger import (
     score,
 )
 
-from engine_synth import build_synthetic_corpus
+from engine_synth import Region, build_synthetic_corpus, clean_regions
 
 DATA = Path(__file__).parent / "data"
 
@@ -234,7 +234,7 @@ def test_acceptance_5_planted_outlier_cleaning():
         v /= np.linalg.norm(v)
         key = f"r{idx:04d}"
         vectors[key] = v
-        regions.append(RegionRecord(f"img{idx:04d}", key, 9, 0.9, key))
+        regions.append(Region(f"img{idx:04d}", key, 9, key))
         idx += 1
     for _ in range(30):
         v = rng.normal(size=dim)
@@ -244,14 +244,14 @@ def test_acceptance_5_planted_outlier_cleaning():
         key = f"r{idx:04d}"
         vectors[key] = v
         noise_keys.add(key)
-        regions.append(RegionRecord(f"img{idx:04d}", key, 9, 0.9, key))
+        regions.append(Region(f"img{idx:04d}", key, 9, key))
         idx += 1
     table = EmbeddingTable.from_vectors(vectors, normalized=True)
 
     worst = 30
     for seed in range(20):
-        result = clean_category(9, regions, table, fraction=0.10, seed=seed)
-        marked = {rid for _, rid in result.outlier_regions}
+        _, outliers = clean_regions(9, regions, table, fraction=0.10, seed=seed)
+        marked = {rid for _, rid in outliers}
         assert len(marked) == 30
         found = len(marked & noise_keys)
         assert found >= 24

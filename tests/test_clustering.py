@@ -5,9 +5,11 @@ import numpy as np
 import pytest
 
 from tagforge.clustering import distinct_rows, kmeanspp_init, lloyd
-from tagforge.data_engine import RegionRecord, clean_category, cluster_count
+from tagforge.data_engine import cluster_count
 from tagforge.embedding_store import EmbeddingTable
 from tagforge.rng import Xoshiro256StarStar, derive_seed
+
+from engine_synth import Region, clean_regions
 
 
 def brute_force_optimum(points: np.ndarray, k: int) -> float:
@@ -329,11 +331,13 @@ def test_clean_category_ranking_matches_reference():
         vectors = {f"e{i}": palette[rng.integers(len(palette))] for i in range(n)}
         table = EmbeddingTable.from_vectors(vectors)
         regions = [
-            RegionRecord(f"img{int(rng.integers(n // 2)):03d}", f"r{i:03d}", 5, 0.9, f"e{i}")
+            Region(f"img{int(rng.integers(n // 2)):03d}", f"r{i:03d}", 5, f"e{i}")
             for i in rng.permutation(n)
         ]
         for scope in ("category", "cluster"):
-            got = clean_category(5, regions, table, fraction=0.2, seed=trial, outlier_scope=scope)
+            got, got_outliers = clean_regions(
+                5, regions, table, fraction=0.2, seed=trial, outlier_scope=scope
+            )
             want_outliers, want_removed = _ref_clean_outliers(regions, table, 0.2, trial, scope)
-            assert got.outlier_regions == want_outliers, (trial, scope)
+            assert got_outliers == want_outliers, (trial, scope)
             assert got.removed_pairs == want_removed, (trial, scope)

@@ -20,7 +20,6 @@ from tagforge.data_engine import (
     EngineStats,
     StageStats,
     apply_removals,
-    clean_category,
     cluster_count,
     generate_merge,
     kept_pairs,
@@ -31,14 +30,14 @@ from tagforge.data_engine import (
     prediction_filter,
     replay_audit,
     run_engine,
-    RegionRecord,
+    Regions,
     write_stats,
 )
 from tagforge.embedding_store import EmbeddingTable
 from tagforge.errors import TagforgeError
 from tagforge.similarity_tagger import LabelQueryMatrix, ThresholdProfile
 
-from engine_synth import build_synthetic_corpus
+from engine_synth import Region, build_synthetic_corpus, clean_regions
 
 
 def _store(pairs):
@@ -110,7 +109,7 @@ def _region_cloud(rng, tag_id, n_true, n_noise, dim=32):
         v /= np.linalg.norm(v)
         key = f"r{idx:04d}"
         vectors[key] = v
-        regions.append(RegionRecord(f"img{idx:04d}", key, tag_id, 0.9, key))
+        regions.append(Region(f"img{idx:04d}", key, tag_id, key))
         idx += 1
     noise_keys = []
     for _ in range(n_noise):
@@ -120,7 +119,7 @@ def _region_cloud(rng, tag_id, n_true, n_noise, dim=32):
         key = f"r{idx:04d}"
         vectors[key] = v
         noise_keys.append(key)
-        regions.append(RegionRecord(f"img{idx:04d}", key, tag_id, 0.9, key))
+        regions.append(Region(f"img{idx:04d}", key, tag_id, key))
         idx += 1
     table = EmbeddingTable.from_vectors(vectors, normalized=True)
     return regions, table, set(noise_keys)
@@ -129,25 +128,25 @@ def _region_cloud(rng, tag_id, n_true, n_noise, dim=32):
 def test_clean_fraction_zero_removes_nothing():
     rng = np.random.default_rng(1)
     regions, table, _ = _region_cloud(rng, 7, 40, 0)
-    result = clean_category(7, regions, table, fraction=0.0, seed=5)
-    assert result.outlier_regions == [] and result.removed_pairs == []
+    result, outliers = clean_regions(7, regions, table, fraction=0.0, seed=5)
+    assert outliers == [] and result.removed_pairs == []
 
 
 def test_clean_marks_exactly_ceil_fraction():
     rng = np.random.default_rng(2)
     regions, table, _ = _region_cloud(rng, 7, 270, 30)
-    result = clean_category(7, regions, table, fraction=0.10, seed=5)
+    result, outliers = clean_regions(7, regions, table, fraction=0.10, seed=5)
     assert result.region_count == 300
-    assert len(result.outlier_regions) == 30
-    result2 = clean_category(7, regions[:25], table, fraction=0.10, seed=5)
-    assert len(result2.outlier_regions) == 3  # ceil(2.5)
+    assert len(outliers) == 30
+    _, outliers2 = clean_regions(7, regions[:25], table, fraction=0.10, seed=5)
+    assert len(outliers2) == 3  # ceil(2.5)
 
 
 def test_clean_planted_outliers_found():
     rng = np.random.default_rng(3)
     regions, table, noise_keys = _region_cloud(rng, 2, 270, 30)
-    result = clean_category(2, regions, table, fraction=0.10, seed=11)
-    marked = {rid for _, rid in result.outlier_regions}
+    _, outliers = clean_regions(2, regions, table, fraction=0.10, seed=11)
+    marked = {rid for _, rid in outliers}
     assert len(marked) == 30
     assert len(marked & noise_keys) >= 24
 
@@ -155,7 +154,7 @@ def test_clean_planted_outliers_found():
 def test_clean_min_regions_skip():
     rng = np.random.default_rng(4)
     regions, table, _ = _region_cloud(rng, 7, 12, 0)
-    result = clean_category(7, regions, table, fraction=0.10, seed=5, min_regions=20)
+    result, _ = clean_regions(7, regions, table, fraction=0.10, seed=5, min_regions=20)
     assert result.skipped
     assert result.removed_pairs == []
 
@@ -167,14 +166,14 @@ def test_clean_removal_rule_matches_recount():
     base_regions, table, _ = _region_cloud(rng, 5, 80, 20)
     # collapse regions onto fewer images so images own several regions each
     regions = [
-        RegionRecord(f"img{int(i) % 17:02d}", r.region_id, r.tag_id, r.detector_score, r.embedding_key)
+        Region(f"img{int(i) % 17:02d}", r.region_id, r.tag_id, r.embedding_key)
         for i, r in enumerate(base_regions)
     ]
-    result = clean_category(5, regions, table, fraction=0.15, seed=21)
-    marked = set(result.outlier_regions)
+    result, outliers = clean_regions(5, regions, table, fraction=0.15, seed=21)
+    marked = set(outliers)
     assert len(marked) == int(np.ceil(0.15 * len(regions)))
 
-    by_image: dict[str, list[RegionRecord]] = {}
+    by_image: dict[str, list[Region]] = {}
     for r in regions:
         by_image.setdefault(r.image_id, []).append(r)
     expected_removed = sorted(
@@ -197,31 +196,31 @@ def test_clean_removal_rule_matches_recount():
 def test_clean_cluster_scope_marks_within_each_cluster():
     rng = np.random.default_rng(9)
     regions, table, _ = _region_cloud(rng, 4, 120, 0)  # three tight clusters, no noise
-    result = clean_category(
+    result, outliers = clean_regions(
         4, regions, table, fraction=0.10, seed=13, outlier_scope="cluster"
     )
     assert not result.skipped
     # every cluster contributes its own ceil(fraction * size), so the total
     # can exceed the category-pooled ceil but stays close to it
-    assert len(result.outlier_regions) >= int(np.ceil(0.10 * 120))
-    assert len(result.outlier_regions) <= int(np.ceil(0.10 * 120)) + result.k
+    assert len(outliers) >= int(np.ceil(0.10 * 120))
+    assert len(outliers) <= int(np.ceil(0.10 * 120)) + result.k
     with pytest.raises(ValueError, match="scope"):
-        clean_category(4, regions, table, fraction=0.1, seed=13, outlier_scope="bogus")
+        clean_regions(4, regions, table, fraction=0.1, seed=13, outlier_scope="bogus")
 
 
 def test_clean_unresolvable_key_errors():
-    regions = [RegionRecord(f"i{n}", f"r{n}", 1, 0.5, f"missing{n}") for n in range(25)]
+    regions = [Region(f"i{n}", f"r{n}", 1, f"missing{n}") for n in range(25)]
     table = EmbeddingTable.from_vectors({"other": np.ones(4)})
     with pytest.raises(EngineError, match="unresolvable"):
-        clean_category(1, regions, table, fraction=0.1, seed=0)
+        clean_regions(1, regions, table, fraction=0.1, seed=0)
 
 
 def test_clean_deterministic_and_order_independent():
     rng = np.random.default_rng(6)
     regions, table, _ = _region_cloud(rng, 3, 90, 10)
-    a = clean_category(3, regions, table, fraction=0.1, seed=42)
-    b = clean_category(3, list(reversed(regions)), table, fraction=0.1, seed=42)
-    assert a.outlier_regions == b.outlier_regions
+    a, a_outliers = clean_regions(3, regions, table, fraction=0.1, seed=42)
+    b, b_outliers = clean_regions(3, list(reversed(regions)), table, fraction=0.1, seed=42)
+    assert a_outliers == b_outliers
     assert a.removed_pairs == b.removed_pairs
 
 
@@ -240,12 +239,16 @@ def _queries(dim=8, n_tags=3):
     return LabelQueryMatrix("v", tuple(range(n_tags)), tuple(f"t{i}" for i in range(n_tags)), rows)
 
 
+def _filter(store, records, table, *args, **kwargs):
+    return prediction_filter(store, Regions.of(records).resolve(table), table, *args, **kwargs)
+
+
 def test_filter_keeps_pair_with_matching_region():
     queries = _queries()
     store = _store([("i1", 0, PROV_PARSED)])
-    regions = [RegionRecord("i1", "r0", 0, 0.9, "r0")]
+    regions = [Region("i1", "r0", 0, "r0")]
     table = EmbeddingTable.from_vectors({"r0": queries.matrix[0]}, normalized=True)
-    result = prediction_filter(store, regions, table, None, queries, ThresholdProfile(0.9))
+    result = _filter(store, regions, table, None, queries, ThresholdProfile(0.9))
     assert result.removals == []
 
 
@@ -253,9 +256,9 @@ def test_filter_removes_no_prediction():
     queries = _queries()
     store = _store([("i1", 0, PROV_PARSED)])
     orth = np.eye(8)[7]
-    regions = [RegionRecord("i1", "r0", 0, 0.9, "r0")]
+    regions = [Region("i1", "r0", 0, "r0")]
     table = EmbeddingTable.from_vectors({"r0": orth}, normalized=True)
-    result = prediction_filter(store, regions, table, None, queries, ThresholdProfile(0.2))
+    result = _filter(store, regions, table, None, queries, ThresholdProfile(0.2))
     assert result.removals == [("i1", 0, REASON_NO_PREDICTION)]
 
 
@@ -264,14 +267,14 @@ def test_filter_contrary_needs_whole_image_hit():
     store = _store([("i1", 0, PROV_PARSED), ("i2", 0, PROV_PARSED)])
     orth = np.eye(8)[7]
     regions = [
-        RegionRecord("i1", "r0", 0, 0.9, "r0"),
-        RegionRecord("i2", "r1", 0, 0.9, "r1"),
+        Region("i1", "r0", 0, "r0"),
+        Region("i2", "r1", 0, "r1"),
     ]
     table = EmbeddingTable.from_vectors({"r0": orth, "r1": orth}, normalized=True)
     whole = EmbeddingTable.from_vectors(
         {"i1": queries.matrix[0], "i2": orth}, normalized=True
     )
-    result = prediction_filter(
+    result = _filter(
         store, regions, table, whole, queries, ThresholdProfile(0.2), margin=0.05
     )
     reasons = {(img, tid): reason for img, tid, reason in result.removals}
@@ -284,10 +287,10 @@ def test_filter_margin_boundary_is_no_prediction():
     store = _store([("i1", 0, PROV_PARSED)])
     # region score 0.18: below threshold 0.2 but above threshold - margin = 0.15
     v = 0.18 * queries.matrix[0] + np.sqrt(1 - 0.18**2) * np.eye(8)[7]
-    regions = [RegionRecord("i1", "r0", 0, 0.9, "r0")]
+    regions = [Region("i1", "r0", 0, "r0")]
     table = EmbeddingTable.from_vectors({"r0": v}, normalized=True)
     whole = EmbeddingTable.from_vectors({"i1": queries.matrix[0]}, normalized=True)
-    result = prediction_filter(
+    result = _filter(
         store, regions, table, whole, queries, ThresholdProfile(0.2), margin=0.05
     )
     assert result.removals == [("i1", 0, REASON_NO_PREDICTION)]
@@ -298,16 +301,16 @@ def test_filter_pairs_without_regions_untouched():
     store = _store([("i1", 0, PROV_PARSED), ("i1", 1, PROV_PARSED)])
     regions = []
     table = EmbeddingTable.from_vectors({"unused": np.eye(8)[0]}, normalized=True)
-    result = prediction_filter(store, regions, table, None, queries, ThresholdProfile(0.99))
+    result = _filter(store, regions, table, None, queries, ThresholdProfile(0.99))
     assert result.removals == []
 
 
 def test_filter_missing_embedding_skips_and_reports():
     queries = _queries()
     store = _store([("i1", 0, PROV_PARSED)])
-    regions = [RegionRecord("i1", "r0", 0, 0.9, "not-there")]
+    regions = [Region("i1", "r0", 0, "not-there")]
     table = EmbeddingTable.from_vectors({"other": np.eye(8)[0]}, normalized=True)
-    result = prediction_filter(store, regions, table, None, queries, ThresholdProfile(0.2))
+    result = _filter(store, regions, table, None, queries, ThresholdProfile(0.2))
     assert result.removals == []
     assert len(result.skipped_pairs) == 1
 
@@ -317,11 +320,11 @@ def test_filter_whitelist_restricts():
     store = _store([("i1", 0, PROV_PARSED), ("i1", 1, PROV_PARSED)])
     orth = np.eye(8)[7]
     regions = [
-        RegionRecord("i1", "r0", 0, 0.9, "r0"),
-        RegionRecord("i1", "r1", 1, 0.9, "r1"),
+        Region("i1", "r0", 0, "r0"),
+        Region("i1", "r1", 1, "r1"),
     ]
     table = EmbeddingTable.from_vectors({"r0": orth, "r1": orth}, normalized=True)
-    result = prediction_filter(
+    result = _filter(
         store, regions, table, None, queries, ThresholdProfile(0.2), whitelist={1}
     )
     assert result.removals == [("i1", 1, REASON_NO_PREDICTION)]

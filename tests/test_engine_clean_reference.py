@@ -21,7 +21,7 @@ from tagforge.data_engine import (
     REASON_CONTRARY,
     REASON_NO_PREDICTION,
     FilterResult,
-    RegionRecord,
+    Regions,
     _row_dots,
     load_regions,
     prediction_filter,
@@ -29,6 +29,8 @@ from tagforge.data_engine import (
 from tagforge.embedding_store import EmbeddingFormatError, EmbeddingTable, load_embeddings
 from tagforge.errors import TagforgeError
 from tagforge.similarity_tagger import LabelQueryMatrix, ThresholdProfile
+
+from engine_synth import Region
 
 # -- the per-record references ----------------------------------------------------
 
@@ -108,6 +110,8 @@ def reference_load_regions(path):
                     detector_score=float(obj["score"]),
                     embedding_key=str(obj["embedding_key"]),
                 )
+                if not -(2**63) <= record.tag_id < 2**63:
+                    raise OverflowError("tag_id outside int64")
             except (ValueError, KeyError, TypeError, OverflowError, RecursionError):
                 raise TagforgeError(f"{path}:{lineno}: malformed region record") from None
             if not 0.0 <= record.detector_score <= 1.0:
@@ -290,14 +294,17 @@ def _region_line(rng, i):
 
 def _region_outcome(loader, path):
     try:
-        records = loader(path)
+        loaded = loader(path)
     except (TagforgeError, OverflowError, RecursionError) as exc:
         return ("error", type(exc).__name__, str(exc))
+    if isinstance(loaded, Regions):
+        images = [loaded.image_ids[i] for i in loaded.image.tolist()]
+        records = zip(images, loaded.region.tolist(), loaded.tag_id.tolist(), loaded.keys)
+    else:  # the reference's records as Regions holds them: no score, region ids as ordinals
+        ordinal = {r: i for i, r in enumerate(sorted({r.region_id for r in loaded}))}
+        records = ((r.image_id, ordinal[r.region_id], r.tag_id, r.embedding_key) for r in loaded)
     # repr tells 1 from 1.0 and True from 1
-    return ("records", [
-        repr((r.image_id, r.region_id, r.tag_id, r.detector_score, r.embedding_key))
-        for r in records
-    ])
+    return ("records", [repr(record) for record in records])
 
 
 def _assert_same_regions(path):
@@ -316,9 +323,10 @@ def test_load_regions_matches_reference_on_seeded_files(tmp_path, seed):
     path.write_text("\n".join(lines) + ("\n" if seed % 2 else ""), encoding="utf-8")
     outcome = _assert_same_regions(path)
     assert outcome[0] == "records"
-    records = load_regions(path)
-    assert all(type(r) is RegionRecord for r in records)
-    assert [r.region_id for r in records] == [json.loads(l)["region_id"] for l in lines if l.strip()]
+    regions = load_regions(path)
+    region_ids = [json.loads(l)["region_id"] for l in lines if l.strip()]
+    assert type(regions) is Regions and len(regions) == len(region_ids)
+    assert regions.region.tolist() == [sorted(set(region_ids)).index(r) for r in region_ids]
 
 
 GOOD = '{"image_id": "i", "region_id": "r", "tag_id": 1, "score": 0.5, "embedding_key": "k"}'
@@ -337,6 +345,8 @@ ODD_REGION_FILES = {
     "brackets in a string": GOOD.replace('"k"', '"k[0]"') + "\n" + GOOD + "\n",
     "extra fields and duplicate keys": GOOD[:-1] + ', "x": {"y": 1}, "score": 0.75}\n',
     "negative zero score": GOOD.replace("0.5", "-0.0") + "\n",
+    "int64 limits as tag ids": GOOD.replace('"tag_id": 1', f'"tag_id": {-(2**63)}') + "\n"
+                               + GOOD.replace('"tag_id": 1', f'"tag_id": {2**63 - 1}') + "\n",
     "line separator inside a string": GOOD.replace('"k"', '"a\u2028b"') + "\n",
 }
 
@@ -351,7 +361,10 @@ def test_load_regions_odd_files_match_reference(tmp_path, case):
 def test_load_regions_keeps_line_separators_inside_strings(tmp_path):
     path = tmp_path / "regions.jsonl"
     path.write_text(ODD_REGION_FILES["line separator inside a string"], encoding="utf-8")
-    assert load_regions(path) == [RegionRecord("i", "r", 1, 0.5, "a\u2028b")]
+    regions = load_regions(path)
+    assert (regions.image_ids, regions.tag_id.tolist(), list(regions.keys)) == (
+        ["i"], [1], ["a\u2028b"]
+    )
 
 
 BAD_REGION_FILES = {
@@ -367,6 +380,7 @@ BAD_REGION_FILES = {
                                          + GOOD.replace('"tag_id": 1', '"tag_id": 1e400') + "\n",
     "huge integer score": GOOD.replace("0.5", "1" + "0" * 400) + "\n",
     "nan tag id": GOOD.replace('"tag_id": 1', '"tag_id": NaN') + "\n",
+    "tag id outside int64": GOOD.replace('"tag_id": 1', f'"tag_id": {2**63}') + "\n",
     "score above 1": f"{GOOD}\n" + GOOD.replace("0.5", "1.5") + "\n",
     "nan score": GOOD.replace("0.5", "NaN") + "\n",
     "bad score string": GOOD.replace("0.5", '"high"') + "\n",
@@ -391,12 +405,38 @@ def test_load_regions_errors_match_reference(tmp_path, case):
     assert _assert_same_regions(path)[0] == "error"
 
 
-@pytest.mark.parametrize("case", ["deep nesting", "huge integer score", "infinite tag id"])
+@pytest.mark.parametrize(
+    "case", ["deep nesting", "huge integer score", "infinite tag id", "tag id outside int64"]
+)
 def test_load_regions_hostile_lines_name_file_and_line(tmp_path, case):
     path = tmp_path / "regions.jsonl"
     path.write_text(BAD_REGION_FILES[case], encoding="utf-8")
     with pytest.raises(TagforgeError, match=f"^{re.escape(str(path))}:1: malformed region record$"):
         load_regions(path)
+
+
+def test_loaded_regions_hold_few_bytes_each(tmp_path):
+    # records as the benchmark's engine corpus writes them: 5000 images with
+    # two to six tagged regions each
+    rng = np.random.default_rng(3)
+    path = tmp_path / "regions.jsonl"
+    with open(path, "w", encoding="utf-8") as fh:
+        for image in range(5000):
+            for tag_id in rng.choice(150, size=int(rng.integers(2, 7)), replace=False).tolist():
+                region_id = f"img{image:06d}-t{tag_id}-r0"
+                fh.write(json.dumps({
+                    "image_id": f"img{image:06d}", "region_id": region_id, "tag_id": tag_id,
+                    "score": 0.5, "embedding_key": f"emb:{region_id}",
+                }) + "\n")
+    tracemalloc.start()
+    try:
+        regions = load_regions(path)
+        held, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # three int64 columns, the key strings and the distinct image ids; one
+    # object per region with all five fields took 316 bytes
+    assert len(regions) > 15000 and held / len(regions) < 160
 
 
 # -- prediction filter ---------------------------------------------------------------
@@ -434,7 +474,7 @@ def test_prediction_filter_matches_reference(seed):
                 store.setdefault(image_id, {})[tag_id] = PROV_PARSED
             for r in range(int(rng.integers(0, 4))):  # some pairs have no regions
                 key = f"{image_id}-{tag_id}-{r}"
-                regions.append(RegionRecord(image_id, key, tag_id, 0.9, key))
+                regions.append(Region(image_id, key, tag_id, key))
                 if rng.random() < 0.97:  # a few keys are missing from the table
                     vectors[key] = _unit_rows(rng, 1, dim)[0]
     # a kept pair with a missing region, a region of an unannotated pair,
@@ -443,9 +483,10 @@ def test_prediction_filter_matches_reference(seed):
         r.embedding_key for r in regions
         if r.tag_id < n_tags - 2 and r.tag_id in store.get(r.image_id, {})
     ), None)
-    regions.append(RegionRecord("img999", "x", 0, 0.9, regions[0].embedding_key))
+    regions.append(Region("img999", "x", 0, regions[0].embedding_key))
     regions = [regions[i] for i in rng.permutation(len(regions))]
     table = EmbeddingTable(list(vectors), np.asarray(list(vectors.values())), normalized=True)
+    resolved = Regions.of(regions).resolve(table)
 
     # best region score of each pair the filter scores
     best, unscored = {}, set()
@@ -479,7 +520,7 @@ def test_prediction_filter_matches_reference(seed):
             args = (store, regions, table, whole_table, queries, profile)
             kwargs = dict(margin=margin, whitelist=whitelist)
             want = reference_prediction_filter(*args, **kwargs)
-            assert prediction_filter(*args, **kwargs) == want
+            assert prediction_filter(store, resolved, *args[2:], **kwargs) == want
             results[whitelist is None, whole_table is not None] = want
     everything = results[True, True]
     assert (image1, 1, REASON_NO_PREDICTION) in everything.removals

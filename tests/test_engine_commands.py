@@ -177,3 +177,50 @@ def test_engine_clean_stops_its_helpers_on_a_bad_input(corpus, parsed, tmp_path)
         assert result.stderr.startswith(message), result.stderr
         assert multiprocessing.active_children() == []
         assert not (tmp_path / "cleaned.jsonl").exists()
+
+
+def test_engine_run_reports_the_tags_outside_the_vocabulary(corpus, tmp_path):
+    # two parsed surfaces the vocabulary lacks, and one seed-annotation tag id
+    captions = tmp_path / "captions.jsonl"
+    captions.write_text(
+        corpus.config.captions.read_text()
+        + '{"image_id": "zz", "caption": "a unicorn on a skateboard"}\n'
+    )
+    seeds = tmp_path / "seeds.jsonl"
+    seeds.write_text('{"image_id": "zz", "tag_ids": [0, 99999]}\n')
+    config = tmp_path / "engine.cfg"
+    config.write_text(f"seed_annotations = {seeds}\n")
+    for extra, count in ((False, 0), (True, 3)):
+        argv = _run_argv(corpus, tmp_path / "out")
+        if extra:
+            argv[argv.index("--captions") + 1] = str(captions)
+            argv += ["--config", str(config)]
+        result = CliRunner().invoke(cli, argv)
+        assert result.exit_code == 0, result.output
+        lines = result.stderr.splitlines()
+        parse = lines.index("parse stage, 0 rejected records")
+        outside = [line for line in lines if "outside the vocabulary" in line]
+        assert outside == [lines[parse + 1]] == [f"parse stage, {count} tags outside the vocabulary"]
+
+
+@pytest.mark.parametrize("command", ["run", "clean"])
+@pytest.mark.parametrize("workers", [1, 2])
+def test_a_bad_regions_file_is_named_before_a_bad_region_embeddings_file(
+    corpus, merged, tmp_path, command, workers
+):
+    regions = tmp_path / "regions.jsonl"
+    regions.write_text(corpus.config.regions.read_text() + "{broken\n")
+    line = len(corpus.config.regions.read_text().splitlines()) + 1
+    embeddings = tmp_path / "regions.emb"
+    embeddings.write_bytes(b"EMB2")
+    argv = {
+        "run": _run_argv(corpus, tmp_path / "out", regions),
+        "clean": _clean_argv(corpus, merged, tmp_path, regions=regions),
+    }[command]
+    argv[argv.index("--region-embeddings") + 1] = str(embeddings)
+    result = CliRunner().invoke(cli, argv + ["--workers", str(workers)])
+    assert result.exit_code == 1, result.output
+    assert result.stderr == (
+        f"Error: engine stage 'clean' failed: {regions}:{line}: malformed region record\n"
+    )
+    assert multiprocessing.active_children() == []

@@ -6,15 +6,11 @@ import numpy as np
 import pytest
 
 from tagforge.caption_parser import parse_corpus_file
-from tagforge.data_engine import (
-    EngineError,
-    RegionRecord,
-    clean_category,
-    finish_clean,
-    start_clean,
-)
+from tagforge.data_engine import EngineError, Regions, finish_clean, start_clean
 from tagforge.embedding_store import EmbeddingTable
 from tagforge.pool import run_tasks
+
+from engine_synth import Region, clean_regions
 
 
 def _scaled(factor, task):
@@ -89,7 +85,8 @@ def test_an_error_in_the_caller_or_a_helper_reaches_the_caller(where):
     assert multiprocessing.active_children() == []
 
 
-def clean_stage(regions, table, whitelist, **params):
+def clean_stage(records, table, whitelist, **params):
+    regions = Regions.of(records).resolve(table)
     return finish_clean(start_clean(regions, table, whitelist, **params))
 
 
@@ -100,7 +97,7 @@ def _categories(sizes, dim=4, seed=0):
         for i in range(n):
             key = f"t{tag_id}-r{i}"
             vectors[key] = rng.normal(size=dim)
-            regions.append(RegionRecord(f"img{i}", key, tag_id, 0.9, key))
+            regions.append(Region(f"img{i}", key, tag_id, key))
     return regions, EmbeddingTable.from_vectors(vectors)
 
 
@@ -116,7 +113,7 @@ def test_one_worker_or_one_task_starts_no_pool(tmp_path, monkeypatch):
 
     regions, table = _categories({1: 30, 2: 25})
     removed = {
-        t: clean_category(t, [r for r in regions if r.tag_id == t], table, 0.2, 5).removed_pairs
+        t: clean_regions(t, [r for r in regions if r.tag_id == t], table, 0.2, 5)[0].removed_pairs
         for t in (1, 2)
     }
     assert removed[1] and removed[2]
