@@ -26,6 +26,7 @@ import re
 from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import chain
 from pathlib import Path
 from typing import Iterable, Mapping, NamedTuple
 
@@ -303,9 +304,15 @@ class CorpusParse:
         return frequencies
 
 
-def _canonical_tag_order(tags: Iterable[tuple[str, str]]) -> list[ParsedTag]:
-    ordered = sorted(set(tags), key=lambda t: (KIND_ORDER[t[1]], t[0]))
-    return [ParsedTag(s, k) for s, k in ordered]
+def _canonical_tag_order(tags: Iterable[tuple[str, str]]) -> list[tuple[str, str]]:
+    return sorted(set(tags), key=lambda t: (KIND_ORDER[t[1]], t[0]))
+
+
+def _as_parsed_tags(image_tags: dict[str, list[tuple[str, str]]]) -> dict[str, list[ParsedTag]]:
+    """The same lists as ParsedTags, one ParsedTag object per distinct tag."""
+    distinct = dict.fromkeys(chain.from_iterable(image_tags.values()))
+    parsed = {tag: ParsedTag(*tag) for tag in distinct}
+    return {img: [parsed[tag] for tag in tags] for img, tags in image_tags.items()}
 
 
 def _coerce_record(obj) -> CaptionRecord | str:
@@ -330,15 +337,12 @@ def _coerce_record(obj) -> CaptionRecord | str:
     return rec
 
 
-def parse_corpus(records: Iterable, lexicons: LexiconBundle) -> CorpusParse:
-    """Parse a stream of caption records; per-image tags are unioned.
-
-    Records are CaptionRecords or decoded JSON values; jsonl.INVALID (a
-    line that is not JSON) and other non-captions are counted as rejects.
-    The frequency table counts each (image, surface) pair once, no matter
-    how many captions of that image mention it. Output is independent of
-    record order.
-    """
+def _parse_records(
+    records: Iterable, lexicons: LexiconBundle
+) -> tuple[dict[str, list[tuple[str, str]]], RejectSummary]:
+    """parse_corpus's per-image tags as (surface, kind) tuples, and its
+    rejects. Equal tags are one tuple object, so a pickle of the result holds
+    each distinct tag once."""
     per_image: dict[str, set[tuple[str, str]]] = {}
     rejects = RejectSummary()
     for obj in records:
@@ -348,8 +352,25 @@ def parse_corpus(records: Iterable, lexicons: LexiconBundle) -> CorpusParse:
             continue
         tags = extract_tags(rec.caption, lexicons)
         per_image.setdefault(rec.image_id, set()).update(tags)
-    image_tags = {img: _canonical_tag_order(tags) for img, tags in per_image.items()}
-    return CorpusParse(image_tags, rejects)
+    shared: dict[tuple[str, str], tuple[str, str]] = {}
+    image_tags = {
+        img: [shared.setdefault(tag, tag) for tag in _canonical_tag_order(tags)]
+        for img, tags in per_image.items()
+    }
+    return image_tags, rejects
+
+
+def parse_corpus(records: Iterable, lexicons: LexiconBundle) -> CorpusParse:
+    """Parse a stream of caption records; per-image tags are unioned.
+
+    Records are CaptionRecords or decoded JSON values; jsonl.INVALID (a
+    line that is not JSON) and other non-captions are counted as rejects.
+    The frequency table counts each (image, surface) pair once, no matter
+    how many captions of that image mention it. Output is independent of
+    record order.
+    """
+    image_tags, rejects = _parse_records(records, lexicons)
+    return CorpusParse(_as_parsed_tags(image_tags), rejects)
 
 
 # -- corpus file parsing ----------------------------------------------------
@@ -371,7 +392,9 @@ def _shard_boundaries(path: Path, shards: int) -> list[tuple[int, int | None]]:
     return [(a, b) for a, b in zip(cuts, cuts[1:]) if b > a]
 
 
-def _parse_range(lexicons: LexiconBundle, task: tuple[str, int, int | None]) -> CorpusParse:
+def _parse_range(
+    lexicons: LexiconBundle, task: tuple[str, int, int | None]
+) -> tuple[dict[str, list[tuple[str, str]]], RejectSummary]:
     path, start, end = task
     with open(path, "rb") as fh:
         if start:  # a pipe, one range from 0, cannot seek
@@ -380,7 +403,7 @@ def _parse_range(lexicons: LexiconBundle, task: tuple[str, int, int | None]) -> 
     # decoded lazily; newline=None reads lines as a text-mode file does
     lines = io.TextIOWrapper(io.BytesIO(blob), encoding="utf-8", newline=None)
     try:
-        return parse_corpus(jsonl.values(lines), lexicons)
+        return _parse_records(jsonl.values(lines), lexicons)
     except UnicodeDecodeError:
         # named from the whole stream, so every range gives one message; a
         # pipe cannot be read again, so what was read names its line
@@ -395,22 +418,24 @@ def parse_corpus_file(
     """Parse a JSONL caption file through pool.run_tasks, one byte range per
     worker, split at line boundaries; a pipe is one range.
 
-    Each range returns canonical per-image tag lists, and images whose
-    captions straddle a range boundary are re-merged here, so the result is
-    identical for every worker count and range boundary.
+    Each range returns canonical per-image lists of (surface, kind) tuples,
+    which cross the process boundary smaller than ParsedTags would. Images
+    whose captions straddle a range boundary are re-merged here, and the
+    ParsedTags are built once, at the end, so the result is identical for
+    every worker count and range boundary.
     """
     path = Path(path)
     lexicons = load_lexicons(lexicon_dir)
     tasks = [(str(path), a, b) for a, b in _shard_boundaries(path, workers)]
-    image_tags: dict[str, list[ParsedTag]] = {}
+    image_tags: dict[str, list[tuple[str, str]]] = {}
     rejects = RejectSummary()
-    for partial in run_tasks(_parse_range, tasks, lexicons, workers):
-        for img, tags in partial.image_tags.items():
+    for range_tags, range_rejects in run_tasks(_parse_range, tasks, lexicons, workers):
+        for img, tags in range_tags.items():
             if img in image_tags:
                 tags = _canonical_tag_order(image_tags[img] + tags)
             image_tags[img] = tags
-        rejects.merge(partial.rejects)
-    return CorpusParse(image_tags, rejects)
+        rejects.merge(range_rejects)
+    return CorpusParse(_as_parsed_tags(image_tags), rejects)
 
 
 # -- output writers / readers -----------------------------------------------

@@ -102,14 +102,21 @@ def _echo_rejects(prefix: str, rejects: RejectSummary) -> None:
         click.echo(f"  reject reason: {reason} ({count})", err=True)
 
 
-def _echo_skipped(skipped: list[tuple[str, int, str]]) -> None:
-    """Report on one stderr line the pairs the filter could not score, and
-    why it skipped the first."""
+def _echo_filter(result) -> None:
+    """Report on stderr the pairs the filter could not score, and why it
+    skipped the first, then any images it found without a whole-image
+    embedding."""
+    skipped = result.filter_skipped
     line = f"filter stage, {len(skipped)} skipped pairs"
     if skipped:
         image_id, tag_id, reason = skipped[0]
         line += f", first: image {image_id!r} tag {tag_id}: {reason}"
     click.echo(line, err=True)
+    if result.images_without_whole_embedding:
+        click.echo(
+            f"filter stage, {result.images_without_whole_embedding} images without a "
+            "whole-image embedding", err=True,
+        )
 
 
 @click.group()
@@ -318,7 +325,7 @@ def engine_clean_cmd(
         f"cleaning: -{clean_row.removed_total} outlier, -{filter_row.removed_total} filtered, "
         f"{engine.count_kept(result.final)} kept", err=True,
     )
-    _echo_skipped(result.filter_skipped)
+    _echo_filter(result)
 
 
 # engine run's flag paths resolve against the CWD, its config paths against
@@ -352,7 +359,7 @@ def engine_run_cmd(config_path, **overrides):
         _echo_rejects("generate stage", result.generated_rejects)
     if config.generated_tags:
         click.echo(f"generated tags, {result.rejected_generated} rejected records", err=True)
-    _echo_skipped(result.filter_skipped)
+    _echo_filter(result)
     for row in result.stats.rows:
         click.echo(
             f"{row.stage}\timages={row.images}\ttags={row.tags}\t"

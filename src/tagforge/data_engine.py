@@ -57,15 +57,25 @@ _CEIL_EPS = 1e-9
 
 
 class EngineError(TagforgeError):
-    def __init__(self, stage: str, message: str, partial_stats: "EngineStats | None" = None):
+    def __init__(self, stage: str, message: str):
         self.stage = stage
         self.message = message
-        self.partial_stats = partial_stats
         super().__init__(f"engine stage {stage!r} failed: {message}")
 
     def __reduce__(self):
         # lets an error raised in a clean worker process reach the parent
-        return type(self), (self.stage, self.message, self.partial_stats)
+        return type(self), (self.stage, self.message)
+
+
+@contextmanager
+def _stage(name: str):
+    """Raises an error inside, other than an EngineError, as EngineError(name, its message)."""
+    try:
+        yield
+    except EngineError:
+        raise
+    except Exception as exc:
+        raise EngineError(name, str(exc)) from exc
 
 
 # image_id -> {tag_id -> provenance}, kept tags only: a removal deletes the
@@ -89,7 +99,13 @@ class Regions:
 
     @classmethod
     def of(cls, records: Iterable[tuple[str, str, int, str]]) -> Regions:
-        images, region_ids, tag_ids, keys = tuple(zip(*records)) or ((),) * 4
+        # the columns grow as records arrive, so no record outlives its line
+        images, region_ids, tag_ids, keys = [], [], [], []
+        for image_id, region_id, tag_id, key in records:
+            images.append(image_id)
+            region_ids.append(region_id)
+            tag_ids.append(tag_id)
+            keys.append(key)
         image_ids, image = np.unique(np.array(images, object), return_inverse=True)
         region = np.unique(np.array(region_ids, object), return_inverse=True)[1]
         return cls(image_ids.tolist(), image, region, np.array(tag_ids, np.int64), keys)
@@ -468,15 +484,17 @@ class EngineResult:
     unmapped_surfaces: int
     rejected_generated: int
     filter_skipped: list[tuple[str, int, str]]
+    images_without_whole_embedding: int  # images the filter could not check for contrary
     parse_rejects: RejectSummary  # malformed caption records skipped by parse
     generated_rejects: RejectSummary  # malformed generated-caption records skipped
 
 
 def _tag_id_record(obj) -> tuple[str, list[int]]:
-    tag_ids = obj["tag_ids"]
-    if not isinstance(tag_ids, list):  # a string would be read digit by digit
-        raise TypeError("tag_ids must be a list")
-    return obj["image_id"], [int(t) for t in tag_ids]
+    image_id, tag_ids = obj["image_id"], obj["tag_ids"]
+    # image ids are sorted as strings; a string of tag_ids would be read digit by digit
+    if not isinstance(image_id, str) or not isinstance(tag_ids, list):
+        raise TypeError("image_id must be a string and tag_ids a list")
+    return image_id, [int(t) for t in tag_ids]
 
 
 def load_tag_id_records(path: str | Path) -> list[tuple[str, list[int]]]:
@@ -537,7 +555,7 @@ def run_engine(
     """Parse config.captions, or read the annotations file in its place, run
     the given stages of generate -> clean -> filter, collect the accounting,
     check it and the audit, and write the outputs. Any stage error aborts
-    with the stage name and the stats accumulated so far.
+    with the stage name.
 
     outputs maps "parsed", "final", "audit" and "stats" to the paths to write
     them to, and a name mapped to None is not written; by default all four
@@ -546,55 +564,58 @@ def run_engine(
     regions and region_embeddings when neither clean nor filter runs, and
     queries when filter does not.
 
-    The clean inputs load first and the clean tasks start before parse, so
-    at more than one worker the helper processes clean while this process
-    parses and generates; then it joins the cleaning. Parse and generate
-    split their caption files over workers processes as `parse` does, so a
-    caption file that outlasts the cleaning does not leave the helpers'
-    cores idle. A clean input that fails to load is reported by the stage
-    that reads it, so a parse, generate or annotations error still comes
-    first."""
+    The inputs that clean and the filter read load before parse, and a bad
+    one fails the run at once: the regions, region embeddings and whitelist
+    under stage clean (filter when clean does not run), then the annotations
+    and the vocabulary, then the label queries, thresholds and image
+    embeddings under stage filter. The clean tasks start once their inputs
+    load, so at more than one worker the helper processes clean while this
+    process parses and generates; then it joins the cleaning. Parse and
+    generate split their caption files over workers processes as `parse`
+    does, so a caption file that outlasts the cleaning does not leave the
+    helpers' cores idle."""
     stats = EngineStats()
-
-    @contextmanager
-    def stage(name: str):
-        try:
-            yield
-        except EngineError as exc:
-            exc.partial_stats = stats
-            raise
-        except Exception as exc:
-            raise EngineError(name, str(exc), partial_stats=stats) from exc
-
-    cleaning = load_error = None
+    cleaning = None
     try:
         if STAGE_CLEAN in stages or STAGE_FILTER in stages:
-            regions = load_regions(config.regions)
-            table = normalize(load_embeddings(config.region_embeddings))
-            regions = regions.resolve(table)
-            whitelist = load_whitelist(config.whitelist) if config.whitelist else None
-        if STAGE_CLEAN in stages:
-            cleaning = start_clean(
-                regions, table, whitelist, workers=config.workers, fraction=config.fraction,
-                seed=config.seed, min_regions=config.min_regions, tol=config.tol,
-                max_iter=config.max_iter, outlier_scope=config.outlier_scope,
-            )
-    except Exception as exc:
-        load_error = exc
-    try:
-        parsed = load_annotations(annotations) if annotations is not None else None
+            with _stage(STAGE_CLEAN if STAGE_CLEAN in stages else STAGE_FILTER):
+                regions = load_regions(config.regions)
+                table = normalize(load_embeddings(config.region_embeddings))
+                regions = regions.resolve(table)
+                whitelist = load_whitelist(config.whitelist) if config.whitelist else None
+                if STAGE_CLEAN in stages:
+                    cleaning = start_clean(
+                        regions, table, whitelist, workers=config.workers, fraction=config.fraction,
+                        seed=config.seed, min_regions=config.min_regions, tol=config.tol,
+                        max_iter=config.max_iter, outlier_scope=config.outlier_scope,
+                    )
+        parsed = None
+        if annotations is not None:
+            parsed = dict(jsonl.read(annotations, "annotation", _input_annotation))
         vocab = load_vocabulary(config.vocab)
+        if STAGE_FILTER in stages:
+            with _stage(STAGE_FILTER):
+                queries = load_label_queries(config.queries, vocab)
+                profile = (
+                    load_threshold_profile(config.thresholds) if config.thresholds
+                    else ThresholdProfile()
+                )
+                profile.validate_against(queries.tag_ids)
+                whole = (
+                    normalize(load_embeddings(config.image_embeddings)) if config.image_embeddings
+                    else None
+                )
         if parsed is None or STAGE_GENERATE in stages:
             lexicons = load_lexicons(config.lexicon_dir)
         unmapped, parse_rejects = 0, RejectSummary()
         if parsed is None:
-            with stage(STAGE_PARSE):
+            with _stage(STAGE_PARSE):
                 parsed, unmapped, parse_rejects = _parse_stage(config, vocab, lexicons)
         stats.rows.append(_stage_row(STAGE_PARSE, parsed, added=count_kept(parsed)))
         audit: list[AuditEvent] = []
         rejected, generated_rejects = 0, RejectSummary()
         if STAGE_GENERATE in stages:
-            with stage(STAGE_GENERATE):
+            with _stage(STAGE_GENERATE):
                 records = [r for path in config.generated_tags for r in load_tag_id_records(path)]
                 caption_tags: dict[str, set[int]] = {}
                 for path in config.generated_captions:
@@ -616,9 +637,7 @@ def run_engine(
             # the stages below remove from merged; parsed stays the baseline
             merged = {image_id: dict(tags) for image_id, tags in parsed.items()}
         if STAGE_CLEAN in stages:
-            with stage(STAGE_CLEAN):
-                if load_error is not None:
-                    raise load_error
+            with _stage(STAGE_CLEAN):
                 events, counts = apply_removals(merged, finish_clean(cleaning), STAGE_CLEAN)
                 audit += events
                 stats.rows.append(_stage_row(STAGE_CLEAN, merged, removed=counts))
@@ -626,20 +645,9 @@ def run_engine(
         if cleaning is not None:
             cleaning.close()  # stops the helpers when a stage failed
     filter_skipped: list[tuple[str, int, str]] = []
+    without_whole = 0
     if STAGE_FILTER in stages:
-        with stage(STAGE_FILTER):
-            if load_error is not None:
-                raise load_error
-            queries = load_label_queries(config.queries, vocab)
-            profile = (
-                load_threshold_profile(config.thresholds) if config.thresholds
-                else ThresholdProfile()
-            )
-            profile.validate_against(queries.tag_ids)
-            whole = (
-                normalize(load_embeddings(config.image_embeddings)) if config.image_embeddings
-                else None
-            )
+        with _stage(STAGE_FILTER):
             outcome = prediction_filter(
                 merged, regions, table, whole, queries, profile, margin=config.margin,
                 whitelist=whitelist,
@@ -647,13 +655,13 @@ def run_engine(
             events, counts = apply_removals(merged, outcome.removals, STAGE_FILTER)
             audit += events
             filter_skipped = outcome.skipped_pairs
+            without_whole = outcome.images_without_whole_embedding
             stats.rows.append(_stage_row(STAGE_FILTER, merged, removed=counts))
 
     stats.validate_conservation()
     if replay_audit(parsed, audit) != kept_pairs(merged):
         raise EngineError(
-            "audit", "replaying the audit over the parsed annotations does not give the final "
-            "ones", partial_stats=stats,
+            "audit", "replaying the audit over the parsed annotations does not give the final ones"
         )
     if outputs is None:
         out_dir = Path(config.out_dir)
@@ -678,6 +686,7 @@ def run_engine(
         unmapped_surfaces=unmapped,
         rejected_generated=rejected,
         filter_skipped=filter_skipped,
+        images_without_whole_embedding=without_whole,
         parse_rejects=parse_rejects,
         generated_rejects=generated_rejects,
     )
@@ -711,7 +720,17 @@ def _annotation(obj) -> tuple[str, dict[int, str]]:
     return image_id, tags
 
 
+def _input_annotation(obj) -> tuple[str, dict[int, str]]:
+    image_id, tags = _annotation(obj)
+    # run_engine sorts the image ids and matches them to the regions' strings
+    if not isinstance(image_id, str):
+        raise TypeError("image_id must be a string")
+    return image_id, tags
+
+
 def load_annotations(path: str | Path) -> AnnotationStore:
+    """Any annotations file, image ids as JSON gives them; run_engine reads
+    its annotations input with string image ids only."""
     return dict(jsonl.read(path, "annotation", _annotation))
 
 

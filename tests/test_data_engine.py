@@ -470,8 +470,6 @@ def test_run_engine_stage_error_names_stage(small_corpus, tmp_path):
         with pytest.raises(EngineError) as exc:
             run_engine(bad)
         assert exc.value.stage == "clean"
-        assert exc.value.partial_stats is not None
-        assert [r.stage for r in exc.value.partial_stats.rows] == ["parse", "generate"]
 
 
 def _bad_captions(small_corpus, tmp_path):
@@ -490,7 +488,7 @@ def test_run_engine_parse_error_stops_the_clean_helpers(small_corpus, tmp_path):
     )
     with pytest.raises(EngineError, match="invalid UTF-8") as exc:
         run_engine(config)
-    assert exc.value.stage == "parse" and exc.value.partial_stats.rows == []
+    assert exc.value.stage == "parse"
     assert multiprocessing.active_children() == []
 
 
@@ -513,18 +511,20 @@ def test_run_engine_splits_the_captions_over_its_workers(small_corpus, tmp_path,
     assert calls == [(2, 2)]
 
 
-def test_run_engine_reports_a_parse_error_before_a_clean_input_error(small_corpus, tmp_path):
+def test_run_engine_reports_a_clean_input_error_before_a_parse_error(small_corpus, tmp_path):
     import dataclasses
     import multiprocessing
 
+    regions = small_corpus.config.captions
     for workers in (1, 2):
         config = dataclasses.replace(
             small_corpus.config, captions=_bad_captions(small_corpus, tmp_path),
-            regions=small_corpus.config.captions, out_dir=tmp_path / "out", workers=workers,
+            regions=regions, out_dir=tmp_path / "out", workers=workers,
         )
-        with pytest.raises(EngineError, match="invalid UTF-8") as exc:
+        with pytest.raises(EngineError) as exc:
             run_engine(config)
-        assert exc.value.stage == "parse", workers
+        assert exc.value.stage == "clean", workers
+        assert exc.value.message == f"{regions}:1: malformed region record"
         assert multiprocessing.active_children() == []
 
 
@@ -559,8 +559,41 @@ def test_run_engine_filter_error_names_stage(small_corpus, tmp_path):
     with pytest.raises(EngineError, match="sidecar") as exc:
         run_engine(bad)
     assert exc.value.stage == "filter"
-    assert [r.stage for r in exc.value.partial_stats.rows] == ["parse", "generate", "clean"]
     assert not (tmp_path / "bad").exists()
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_run_engine_refuses_a_bad_filter_input_before_it_parses(
+    small_corpus, tmp_path, monkeypatch, workers
+):
+    import dataclasses
+    import multiprocessing
+
+    from tagforge import data_engine
+
+    def parse_corpus_file(*args, **kwargs):
+        raise AssertionError("parsed before the filter inputs were checked")
+
+    monkeypatch.setattr(data_engine, "parse_corpus_file", parse_corpus_file)
+    thresholds = tmp_path / "thresholds.tsv"
+    thresholds.write_text("*\t0.2\n999999\t0.5\n")
+    embeddings = tmp_path / "images.emb"
+    embeddings.write_bytes(b"EMB2")
+    out = tmp_path / "out"
+    for bad, message in (
+        (
+            {"queries": small_corpus.config.captions},
+            f"missing sidecar header {small_corpus.config.captions}.meta.json",
+        ),
+        ({"thresholds": thresholds}, "threshold overrides reference unknown tag_ids: [999999]"),
+        ({"image_embeddings": embeddings}, f"{embeddings}: bad magic at offset 0, expected b'EMB1'"),
+    ):
+        config = dataclasses.replace(small_corpus.config, out_dir=out, workers=workers, **bad)
+        with pytest.raises(EngineError) as exc:
+            run_engine(config)
+        assert (exc.value.stage, exc.value.message) == ("filter", message)
+        assert multiprocessing.active_children() == []
+        assert not out.exists()
 
 
 def test_run_engine_refuses_an_audit_that_does_not_replay_to_final(
@@ -584,9 +617,6 @@ def test_run_engine_refuses_an_audit_that_does_not_replay_to_final(
     with pytest.raises(EngineError, match="replaying the audit") as exc:
         run_engine(dataclasses.replace(small_corpus.config, out_dir=out))
     assert exc.value.stage == "audit"
-    assert [r.stage for r in exc.value.partial_stats.rows] == [
-        "parse", "generate", "clean", "filter",
-    ]
     assert not out.exists()
 
 
@@ -610,7 +640,94 @@ def test_run_engine_clean_worker_error_names_stage(small_corpus, tmp_path):
         with pytest.raises(EngineError, match="no-such-key") as exc:
             run_engine(config)
         assert exc.value.stage == "clean"
-        assert [r.stage for r in exc.value.partial_stats.rows] == ["parse", "generate"]
+
+
+@pytest.mark.parametrize("case", ["annotations", "generated tags", "seed annotations"])
+def test_engine_commands_refuse_an_image_id_that_is_not_a_string(small_corpus, tmp_path, case):
+    # the engine sorts image ids and matches them to the regions', which are
+    # strings; an int id among string ids cannot be sorted
+    from click.testing import CliRunner
+
+    from tagforge.cli import cli
+
+    cfg = small_corpus.config
+    tag_id = json.loads(cfg.generated_tags[0].read_text().splitlines()[0])["tag_ids"][0]
+    good = tmp_path / "good.jsonl"
+    good.write_text(f'{{"image_id": "a", "tags": [{{"tag_id": {tag_id}}}]}}\n')
+    mixed = tmp_path / "mixed.jsonl"
+    mixed.write_text(good.read_text() + f'{{"image_id": 5, "tags": [{{"tag_id": {tag_id}}}]}}\n')
+    tag_ids = tmp_path / "tag_ids.jsonl"
+    tag_ids.write_text(f'{{"image_id": "b", "tag_ids": [{tag_id}]}}\n')
+    int_tag_ids = tmp_path / "int_tag_ids.jsonl"
+    int_tag_ids.write_text(tag_ids.read_text() + f'{{"image_id": 7, "tag_ids": [{tag_id}]}}\n')
+    config = tmp_path / "engine.cfg"
+    config.write_text(f"seed_annotations = {int_tag_ids}\n")
+    generate = ["engine", "generate", "--vocab", str(cfg.vocab), "--out", str(tmp_path / "m.jsonl")]
+    argv, message = {
+        "annotations": (
+            generate + ["--annotations", str(mixed), "--generated-tags", str(tag_ids)],
+            f"{mixed}:2: malformed annotation record",
+        ),
+        "generated tags": (
+            generate + ["--annotations", str(good), "--generated-tags", str(int_tag_ids)],
+            f"engine stage 'generate' failed: {int_tag_ids}:2: malformed tag-id record",
+        ),
+        "seed annotations": (
+            [
+                "engine", "run", "--captions", str(cfg.captions), "--vocab", str(cfg.vocab),
+                "--regions", str(cfg.regions), "--region-embeddings", str(cfg.region_embeddings),
+                "--queries", str(cfg.queries), "--out-dir", str(tmp_path / "out"),
+                "--config", str(config),
+            ],
+            f"engine stage 'parse' failed: {int_tag_ids}:2: malformed tag-id record",
+        ),
+    }[case]
+    result = CliRunner().invoke(cli, argv)
+    assert (result.exit_code, result.stderr) == (1, f"Error: {message}\n"), result.output
+    assert not (tmp_path / "m.jsonl").exists() and not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command", ["run", "clean"])
+def test_engine_commands_report_the_images_without_a_whole_image_embedding(
+    small_corpus, tmp_path, command
+):
+    import dataclasses
+
+    from click.testing import CliRunner
+
+    from tagforge.cli import cli
+    from tagforge.embedding_store import load_embeddings, save_embeddings
+
+    cfg = small_corpus.config
+    whole = load_embeddings(cfg.image_embeddings)
+    half = tmp_path / "half.emb"
+    save_embeddings(EmbeddingTable(whole.keys[::2], whole.matrix[::2]), half)
+    merged = tmp_path / "merged.jsonl"
+    run_engine(dataclasses.replace(cfg, out_dir=None), stages=["generate"], outputs={"final": merged})
+    config = tmp_path / "engine.cfg"
+    config.write_text(f"image_embeddings = {half}\ngenerated_tags = {cfg.generated_tags[0]}\n")
+    inputs = [
+        "--vocab", str(cfg.vocab), "--regions", str(cfg.regions),
+        "--region-embeddings", str(cfg.region_embeddings), "--queries", str(cfg.queries),
+    ]
+    argv = {
+        "run": ["engine", "run", "--captions", str(cfg.captions), *inputs,
+                "--out-dir", str(tmp_path), "--config", str(config)],
+        "clean": ["engine", "clean", "--annotations", str(merged), *inputs,
+                  "--image-embeddings", str(half), "--out", str(tmp_path / "final.jsonl"),
+                  "--audit", str(tmp_path / "audit.jsonl")],
+    }[command]
+    result = CliRunner().invoke(cli, argv)
+    assert result.exit_code == 0, result.output
+    kept = set(whole.keys[::2])
+    without = {
+        e.image_id for e in load_audit(tmp_path / "audit.jsonl")
+        if e.stage == "filter" and e.image_id not in kept
+    }
+    assert without
+    assert f"filter stage, {len(without)} images without a whole-image embedding\n" in (
+        result.stderr
+    )
 
 
 # sha256 of the engine outputs on the small corpus, as written before the

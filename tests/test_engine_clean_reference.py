@@ -16,6 +16,7 @@ import numpy as np
 import pytest
 
 import tagforge
+from tagforge import jsonl
 from tagforge.data_engine import (
     PROV_PARSED,
     REASON_CONTRARY,
@@ -437,6 +438,30 @@ def test_loaded_regions_hold_few_bytes_each(tmp_path):
     # three int64 columns, the key strings and the distinct image ids; one
     # object per region with all five fields took 316 bytes
     assert len(regions) > 15000 and held / len(regions) < 160
+
+
+def test_loading_regions_peaks_at_few_bytes_each(tmp_path, monkeypatch):
+    # the same records, decoded 1024 lines at a time so that the decoder's
+    # batch of dicts does not hide the columns' peak; holding a tuple per
+    # record until every record was read peaked at 355-362 bytes per region
+    monkeypatch.setattr(jsonl, "BATCH_LINES", 1024)
+    rng = np.random.default_rng(3)
+    path = tmp_path / "regions.jsonl"
+    with open(path, "w", encoding="utf-8") as fh:
+        for image in range(5000):
+            for tag_id in rng.choice(150, size=int(rng.integers(2, 7)), replace=False).tolist():
+                region_id = f"img{image:06d}-t{tag_id}-r0"
+                fh.write(json.dumps({
+                    "image_id": f"img{image:06d}", "region_id": region_id, "tag_id": tag_id,
+                    "score": 0.5, "embedding_key": f"emb:{region_id}",
+                }) + "\n")
+    tracemalloc.start()
+    try:
+        regions = load_regions(path)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(regions) > 15000 and peak / len(regions) < 325
 
 
 # -- prediction filter ---------------------------------------------------------------
