@@ -26,9 +26,8 @@ import re
 from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import chain
 from pathlib import Path
-from typing import Iterable, Mapping, NamedTuple
+from typing import Iterable, Mapping
 
 from . import jsonl, textfile
 from .errors import TagforgeError
@@ -57,17 +56,6 @@ _ES_STEM_ENDINGS = ("ch", "sh", "ss", "x", "zz", "o")
 
 # Doubled finals kept intact when undoubling ("falling", "kissing", "sniffing").
 _NO_UNDOUBLE = frozenset("aeiouflsz")
-
-
-class CaptionRecord(NamedTuple):
-    image_id: str
-    caption: str
-    source: str = ""
-
-
-class ParsedTag(NamedTuple):
-    surface: str
-    kind: str
 
 
 @dataclass(frozen=True)
@@ -287,9 +275,10 @@ class RejectSummary:
 
 @dataclass
 class CorpusParse:
-    """Per-image tags (canonical order), reject summary, corpus frequencies."""
+    """Per-image (surface, kind) tags in canonical order, reject summary,
+    corpus frequencies."""
 
-    image_tags: dict[str, list[ParsedTag]]
+    image_tags: dict[str, list[tuple[str, str]]]
     rejects: RejectSummary
 
     @cached_property
@@ -305,72 +294,52 @@ class CorpusParse:
 
 
 def _canonical_tag_order(tags: Iterable[tuple[str, str]]) -> list[tuple[str, str]]:
+    """Distinct tags, objects then attributes then actions, each by surface."""
     return sorted(set(tags), key=lambda t: (KIND_ORDER[t[1]], t[0]))
 
 
-def _as_parsed_tags(image_tags: dict[str, list[tuple[str, str]]]) -> dict[str, list[ParsedTag]]:
-    """The same lists as ParsedTags, one ParsedTag object per distinct tag."""
-    distinct = dict.fromkeys(chain.from_iterable(image_tags.values()))
-    parsed = {tag: ParsedTag(*tag) for tag in distinct}
-    return {img: [parsed[tag] for tag in tags] for img, tags in image_tags.items()}
-
-
-def _coerce_record(obj) -> CaptionRecord | str:
-    """Returns a CaptionRecord or a reject reason string."""
+def _coerce_record(obj) -> tuple[str, str] | str:
+    """Returns (image_id, caption) or a reject reason string; any other
+    field, such as "source", is not read."""
     if obj is jsonl.INVALID:
         return "invalid JSON"
-    if isinstance(obj, CaptionRecord):
-        rec = obj
-    elif isinstance(obj, dict):
-        image_id = obj.get("image_id")
-        caption = obj.get("caption")
-        source = obj.get("source", "")
-        if not isinstance(image_id, str):
-            return "image_id missing or not a string"
-        if not isinstance(caption, str):
-            return "caption missing or not a string"
-        rec = CaptionRecord(image_id, caption, source if isinstance(source, str) else "")
-    else:
+    if not isinstance(obj, dict):
         return f"unsupported record type {type(obj).__name__}"
-    if not rec.image_id:
+    image_id = obj.get("image_id")
+    caption = obj.get("caption")
+    if not isinstance(image_id, str):
+        return "image_id missing or not a string"
+    if not isinstance(caption, str):
+        return "caption missing or not a string"
+    if not image_id:
         return "image_id empty"
-    return rec
+    return image_id, caption
 
 
-def _parse_records(
-    records: Iterable, lexicons: LexiconBundle
-) -> tuple[dict[str, list[tuple[str, str]]], RejectSummary]:
-    """parse_corpus's per-image tags as (surface, kind) tuples, and its
-    rejects. Equal tags are one tuple object, so a pickle of the result holds
-    each distinct tag once."""
-    per_image: dict[str, set[tuple[str, str]]] = {}
+def parse_corpus(records: Iterable, lexicons: LexiconBundle) -> CorpusParse:
+    """Parse a stream of decoded JSON caption records; per-image tags are
+    unioned.
+
+    jsonl.INVALID (a line that is not JSON) and other non-captions are
+    counted as rejects. The frequency table counts each (image, surface)
+    pair once, no matter how many captions of that image mention it. Output
+    is independent of record order. Equal tags are one tuple object, so a
+    pickle of the result holds each distinct tag once.
+    """
+    shared: dict[tuple[str, str], tuple[str, str]] = {}
+    image_tags: dict[str, list[tuple[str, str]]] = {}
     rejects = RejectSummary()
     for obj in records:
         rec = _coerce_record(obj)
         if isinstance(rec, str):
             rejects.add(rec)
             continue
-        tags = extract_tags(rec.caption, lexicons)
-        per_image.setdefault(rec.image_id, set()).update(tags)
-    shared: dict[tuple[str, str], tuple[str, str]] = {}
-    image_tags = {
-        img: [shared.setdefault(tag, tag) for tag in _canonical_tag_order(tags)]
-        for img, tags in per_image.items()
-    }
-    return image_tags, rejects
-
-
-def parse_corpus(records: Iterable, lexicons: LexiconBundle) -> CorpusParse:
-    """Parse a stream of caption records; per-image tags are unioned.
-
-    Records are CaptionRecords or decoded JSON values; jsonl.INVALID (a
-    line that is not JSON) and other non-captions are counted as rejects.
-    The frequency table counts each (image, surface) pair once, no matter
-    how many captions of that image mention it. Output is independent of
-    record order.
-    """
-    image_tags, rejects = _parse_records(records, lexicons)
-    return CorpusParse(_as_parsed_tags(image_tags), rejects)
+        image_id, caption = rec
+        tags = [shared.setdefault(tag, tag) for tag in extract_tags(caption, lexicons)]
+        image_tags.setdefault(image_id, []).extend(tags)
+    for image_id, tags in image_tags.items():
+        image_tags[image_id] = _canonical_tag_order(tags)
+    return CorpusParse(image_tags, rejects)
 
 
 # -- corpus file parsing ----------------------------------------------------
@@ -392,9 +361,7 @@ def _shard_boundaries(path: Path, shards: int) -> list[tuple[int, int | None]]:
     return [(a, b) for a, b in zip(cuts, cuts[1:]) if b > a]
 
 
-def _parse_range(
-    lexicons: LexiconBundle, task: tuple[str, int, int | None]
-) -> tuple[dict[str, list[tuple[str, str]]], RejectSummary]:
+def _parse_range(lexicons: LexiconBundle, task: tuple[str, int, int | None]) -> CorpusParse:
     path, start, end = task
     with open(path, "rb") as fh:
         if start:  # a pipe, one range from 0, cannot seek
@@ -403,7 +370,7 @@ def _parse_range(
     # decoded lazily; newline=None reads lines as a text-mode file does
     lines = io.TextIOWrapper(io.BytesIO(blob), encoding="utf-8", newline=None)
     try:
-        return _parse_records(jsonl.values(lines), lexicons)
+        return parse_corpus(jsonl.values(lines), lexicons)
     except UnicodeDecodeError:
         # named from the whole stream, so every range gives one message; a
         # pipe cannot be read again, so what was read names its line
@@ -418,24 +385,23 @@ def parse_corpus_file(
     """Parse a JSONL caption file through pool.run_tasks, one byte range per
     worker, split at line boundaries; a pipe is one range.
 
-    Each range returns canonical per-image lists of (surface, kind) tuples,
-    which cross the process boundary smaller than ParsedTags would. Images
-    whose captions straddle a range boundary are re-merged here, and the
-    ParsedTags are built once, at the end, so the result is identical for
-    every worker count and range boundary.
+    Each range returns canonical per-image lists of (surface, kind) tuples.
+    Images whose captions straddle a range boundary are merged here by the
+    same rule, so the result is identical for every worker count and range
+    boundary.
     """
     path = Path(path)
     lexicons = load_lexicons(lexicon_dir)
     tasks = [(str(path), a, b) for a, b in _shard_boundaries(path, workers)]
     image_tags: dict[str, list[tuple[str, str]]] = {}
     rejects = RejectSummary()
-    for range_tags, range_rejects in run_tasks(_parse_range, tasks, lexicons, workers):
-        for img, tags in range_tags.items():
+    for part in run_tasks(_parse_range, tasks, lexicons, workers):
+        for img, tags in part.image_tags.items():
             if img in image_tags:
                 tags = _canonical_tag_order(image_tags[img] + tags)
             image_tags[img] = tags
-        rejects.merge(range_rejects)
-    return CorpusParse(_as_parsed_tags(image_tags), rejects)
+        rejects.merge(part.rejects)
+    return CorpusParse(image_tags, rejects)
 
 
 # -- output writers / readers -----------------------------------------------
@@ -449,8 +415,8 @@ def write_image_tags(corpus: CorpusParse, path: str | Path) -> None:
     jsonl.write_lines(path, (
         f'{{"image_id": {dumps(image_id)}, "tags": ['
         + ", ".join(
-            f'{{"surface": {dumps(t.surface)}, "kind": {dumps(t.kind)}}}'
-            for t in corpus.image_tags[image_id]
+            f'{{"surface": {dumps(surface)}, "kind": {dumps(kind)}}}'
+            for surface, kind in corpus.image_tags[image_id]
         )
         + "]}\n"
         for image_id in sorted(corpus.image_tags)

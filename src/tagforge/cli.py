@@ -229,7 +229,7 @@ def tag_cmd(embeddings, queries, vocab, thresholds, out_path, seed, workers, con
 
     vocabulary = ls.load_vocabulary(vocab)
     query_matrix = st.load_label_queries(queries, vocabulary)
-    profile = st.load_threshold_profile(thresholds) if thresholds else st.ThresholdProfile()
+    profile = st.load_threshold_profile(thresholds)
     profile.validate_against(query_matrix.tag_ids)
     table = normalize(load_embeddings(embeddings))
     st.write_predictions(table, query_matrix, profile, out_path)
@@ -389,10 +389,10 @@ def eval_cmd(
 ):
     """Evaluate predictions: per-class AP, mAP, micro/macro P/R at threshold."""
     from . import metrics as mx
-    from .similarity_tagger import ThresholdProfile, load_threshold_profile
+    from .similarity_tagger import load_threshold_profile
 
     instances = mx.load_eval_instances(predictions, ground_truth)
-    profile = load_threshold_profile(thresholds) if thresholds else ThresholdProfile()
+    profile = load_threshold_profile(thresholds)
     filter_set = None
     if class_filter:
         from .label_system import load_whitelist

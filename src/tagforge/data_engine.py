@@ -503,7 +503,10 @@ def load_tag_id_records(path: str | Path) -> list[tuple[str, list[int]]]:
 
 
 def _region_record(obj) -> tuple[str, str, int, str]:
-    image_id, region_id = str(obj["image_id"]), str(obj["region_id"])
+    image_id, region_id = obj["image_id"], str(obj["region_id"])
+    # a number would pair with the string id it prints as
+    if not isinstance(image_id, str):
+        raise TypeError("image_id must be a string")
     tag_id, score, key = int(obj["tag_id"]), float(obj["score"]), str(obj["embedding_key"])
     if not -(2**63) <= tag_id < 2**63:
         raise ValueError("tag_id outside int64")
@@ -516,23 +519,35 @@ def load_regions(path: str | Path) -> Regions:
     return Regions.of(jsonl.read(path, "region", _region_record))
 
 
-def _parse_stage(
-    config: EngineConfig, vocab: TagVocabulary, lexicons: LexiconBundle
-) -> tuple[AnnotationStore, int, RejectSummary]:
-    corpus = parse_corpus_file(config.captions, config.lexicon_dir, workers=config.workers)
-    store: AnnotationStore = {}
+def _caption_tag_ids(
+    path: str | Path, config: EngineConfig, vocab: TagVocabulary, lexicons: LexiconBundle
+) -> tuple[dict[str, list[int]], int, RejectSummary]:
+    """Parse the caption file at path and map each image's tags: the distinct
+    tag ids of every image with one, the count of tags that map to none, and
+    the malformed caption records."""
+    corpus = parse_corpus_file(path, config.lexicon_dir, workers=config.workers)
+    image_tag_ids: dict[str, list[int]] = {}
     unmapped = 0
-    for image_id in sorted(corpus.image_tags):
-        tags: dict[int, str] = {}
-        for parsed_tag in corpus.image_tags[image_id]:
-            tag_id = map_tag(parsed_tag.surface, vocab, lexicons)
+    for image_id, tags in corpus.image_tags.items():
+        tag_ids: dict[int, None] = {}
+        for surface, _ in tags:
+            tag_id = map_tag(surface, vocab, lexicons)
             if tag_id is None:
                 unmapped += 1
             else:
-                tags.setdefault(tag_id, PROV_PARSED)
-        if tags:
-            store[image_id] = tags
+                tag_ids[tag_id] = None
+        if tag_ids:
+            image_tag_ids[image_id] = list(tag_ids)
+    return image_tag_ids, unmapped, corpus.rejects
 
+
+def _parse_stage(
+    config: EngineConfig, vocab: TagVocabulary, lexicons: LexiconBundle
+) -> tuple[AnnotationStore, int, RejectSummary]:
+    image_tag_ids, unmapped, rejects = _caption_tag_ids(config.captions, config, vocab, lexicons)
+    store = {
+        image_id: dict.fromkeys(tag_ids, PROV_PARSED) for image_id, tag_ids in image_tag_ids.items()
+    }
     if config.seed_annotations is not None:
         records = load_tag_id_records(config.seed_annotations)
         valid = set(vocab.tag_ids())
@@ -543,7 +558,7 @@ def _parse_stage(
                     tags.setdefault(tag_id, PROV_SEED)
                 else:
                     unmapped += 1
-    return store, unmapped, corpus.rejects
+    return store, unmapped, rejects
 
 
 def run_engine(
@@ -591,15 +606,12 @@ def run_engine(
                     )
         parsed = None
         if annotations is not None:
-            parsed = dict(jsonl.read(annotations, "annotation", _input_annotation))
+            parsed = load_annotations(annotations)
         vocab = load_vocabulary(config.vocab)
         if STAGE_FILTER in stages:
             with _stage(STAGE_FILTER):
                 queries = load_label_queries(config.queries, vocab)
-                profile = (
-                    load_threshold_profile(config.thresholds) if config.thresholds
-                    else ThresholdProfile()
-                )
+                profile = load_threshold_profile(config.thresholds)
                 profile.validate_against(queries.tag_ids)
                 whole = (
                     normalize(load_embeddings(config.image_embeddings)) if config.image_embeddings
@@ -617,18 +629,12 @@ def run_engine(
         if STAGE_GENERATE in stages:
             with _stage(STAGE_GENERATE):
                 records = [r for path in config.generated_tags for r in load_tag_id_records(path)]
-                caption_tags: dict[str, set[int]] = {}
+                caption_tags: dict[str, list[int]] = {}
                 for path in config.generated_captions:
-                    corpus = parse_corpus_file(path, config.lexicon_dir, workers=config.workers)
-                    generated_rejects.merge(corpus.rejects)
-                    for image_id, tags in corpus.image_tags.items():
-                        ids = {
-                            tid
-                            for tid in (map_tag(t.surface, vocab, lexicons) for t in tags)
-                            if tid is not None
-                        }
-                        if ids:
-                            caption_tags.setdefault(image_id, set()).update(ids)
+                    tag_ids, _, rejects = _caption_tag_ids(path, config, vocab, lexicons)
+                    generated_rejects.merge(rejects)
+                    for image_id, ids in tag_ids.items():
+                        caption_tags.setdefault(image_id, []).extend(ids)
                 merged, audit, rejected = generate_merge(
                     parsed, records, caption_tags, set(vocab.tag_ids())
                 )
@@ -716,21 +722,15 @@ def write_annotations(store: AnnotationStore, path: str | Path) -> None:
 def _annotation(obj) -> tuple[str, dict[int, str]]:
     tags = {int(t["tag_id"]): t.get("provenance", PROV_PARSED) for t in obj["tags"]}
     image_id = obj["image_id"]
-    hash(image_id)  # an id that cannot key the store is a malformed record
-    return image_id, tags
-
-
-def _input_annotation(obj) -> tuple[str, dict[int, str]]:
-    image_id, tags = _annotation(obj)
-    # run_engine sorts the image ids and matches them to the regions' strings
+    # image ids are sorted as strings and matched to the regions' ids
     if not isinstance(image_id, str):
         raise TypeError("image_id must be a string")
     return image_id, tags
 
 
 def load_annotations(path: str | Path) -> AnnotationStore:
-    """Any annotations file, image ids as JSON gives them; run_engine reads
-    its annotations input with string image ids only."""
+    """JSONL of {"image_id": ..., "tags": [{"tag_id": ..., "provenance": ...}]};
+    a record whose image_id is not a string is malformed."""
     return dict(jsonl.read(path, "annotation", _annotation))
 
 

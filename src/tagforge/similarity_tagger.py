@@ -559,7 +559,10 @@ def save_threshold_profile(profile: ThresholdProfile, path: str | Path) -> None:
             fh.write(f"{tag_id}\t{profile.overrides[tag_id]!r}\n")
 
 
-def load_threshold_profile(path: str | Path) -> ThresholdProfile:
+def load_threshold_profile(path: str | Path | None) -> ThresholdProfile:
+    """The profile at path; no path means the flat default profile."""
+    if path is None:
+        return ThresholdProfile()
     default: float | None = None
     overrides: dict[int, float] = {}
     for lineno, line in textfile.rows(textfile.lines(path, TaggerError)):

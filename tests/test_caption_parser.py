@@ -1,7 +1,9 @@
 import json
 import os
+import random
 import re
 import threading
+import tracemalloc
 from collections import Counter
 
 import pytest
@@ -9,8 +11,6 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from tagforge.caption_parser import (
-    CaptionRecord,
-    ParsedTag,
     extract_tags,
     lemmatize,
     parse_corpus,
@@ -105,8 +105,8 @@ def test_emitted_surfaces_are_clean(lexicons, golden_corpus):
 
 
 def test_parse_corpus_rejects_an_empty_image_id(lexicons):
-    records = [{"image_id": "", "caption": "a dog"}, CaptionRecord("", "a cat"),
-               CaptionRecord("i1", "a dog")]
+    records = [{"image_id": "", "caption": "a dog"}, {"image_id": "", "caption": "a cat"},
+               {"image_id": "i1", "caption": "a dog"}]
     result = parse_corpus(records, lexicons)
     assert (result.rejects.count, result.rejects.reasons) == (2, {"image_id empty": 2})
     assert list(result.image_tags) == ["i1"]
@@ -121,32 +121,33 @@ def test_parse_corpus_empty(lexicons):
 
 def test_parse_corpus_per_image_dedup(lexicons):
     records = [
-        CaptionRecord("img1", "a dog sleeping"),
-        CaptionRecord("img1", "the dog and a ball"),
+        {"image_id": "img1", "caption": "a dog sleeping"},
+        {"image_id": "img1", "caption": "the dog and a ball"},
     ]
     result = parse_corpus(records, lexicons)
     assert result.frequencies["dog"] == 1
     assert result.frequencies["ball"] == 1
-    surfaces = {t.surface for t in result.image_tags["img1"]}
+    surfaces = {surface for surface, _ in result.image_tags["img1"]}
     assert surfaces == {"dog", "ball", "sleep"}
 
 
 def test_parse_corpus_matches_bruteforce_recount(lexicons, golden_corpus):
     records = [
-        CaptionRecord(e["image_id"], e["caption"], "golden") for e in golden_corpus
+        {"image_id": e["image_id"], "caption": e["caption"], "source": "golden"}
+        for e in golden_corpus
     ]
     # give some images a second caption
     records += [
-        CaptionRecord("g002", "two dogs running"),
-        CaptionRecord("g003", "a red traffic light"),
+        {"image_id": "g002", "caption": "two dogs running"},
+        {"image_id": "g003", "caption": "a red traffic light"},
     ]
     result = parse_corpus(records, lexicons)
 
     # independent recount: single pass, sets per image, then counts
     per_image: dict[str, set[str]] = {}
     for record in records:
-        tags = extract_tags(record.caption, lexicons)
-        per_image.setdefault(record.image_id, set()).update(s for s, _ in tags)
+        tags = extract_tags(record["caption"], lexicons)
+        per_image.setdefault(record["image_id"], set()).update(s for s, _ in tags)
     expected = Counter()
     for surfaces in per_image.values():
         expected.update(surfaces)
@@ -154,7 +155,7 @@ def test_parse_corpus_matches_bruteforce_recount(lexicons, golden_corpus):
 
 
 def test_parse_corpus_order_independent(lexicons, golden_corpus):
-    records = [CaptionRecord(e["image_id"], e["caption"]) for e in golden_corpus]
+    records = [{"image_id": e["image_id"], "caption": e["caption"]} for e in golden_corpus]
     forward = parse_corpus(records, lexicons)
     backward = parse_corpus(reversed(records), lexicons)  # an iterator, not a list
     assert forward.image_tags == backward.image_tags
@@ -163,7 +164,7 @@ def test_parse_corpus_order_independent(lexicons, golden_corpus):
 
 def test_parse_corpus_rejects_malformed(lexicons):
     records = [
-        CaptionRecord("ok", "a dog"),
+        {"image_id": "ok", "caption": "a dog"},
         {"image_id": "", "caption": "empty id"},
         {"caption": "missing id"},
         {"image_id": "x", "caption": 42},
@@ -235,14 +236,38 @@ def test_invalid_utf8_in_a_pipe_names_its_line(tmp_path, workers):
 
 def test_per_image_output_is_canonically_ordered(lexicons):
     records = [
-        CaptionRecord("i", "a red ball"),
-        CaptionRecord("i", "a dog running"),
+        {"image_id": "i", "caption": "a red ball"},
+        {"image_id": "i", "caption": "a dog running"},
     ]
     result = parse_corpus(records, lexicons)
     tags = result.image_tags["i"]
     assert tags == [
-        ParsedTag("ball", "object"),
-        ParsedTag("dog", "object"),
-        ParsedTag("red", "attribute"),
-        ParsedTag("run", "action"),
+        ("ball", "object"),
+        ("dog", "object"),
+        ("red", "attribute"),
+        ("run", "action"),
     ]
+
+
+def test_parse_corpus_file_peaks_at_few_bytes_per_caption(tmp_path, lexicons):
+    # one caption per image; 545 bytes per caption were measured, against 916
+    # when a set of each image's tags was held until the last caption was read
+    words = sorted(lexicons.pos_lexicon.items())
+    adjectives = [w for w, pos in words if pos == "ADJ"]
+    nouns = [w for w, pos in words if pos == "NOUN"]
+    verbs = [w for w, pos in words if pos == "VERB"]
+    rng = random.Random(3)
+    n = 20000
+    path = tmp_path / "captions.jsonl"
+    with open(path, "w", encoding="utf-8") as fh:
+        for i in range(n):
+            adjective, noun, verb, other = (rng.choice(w) for w in (adjectives, nouns, verbs, nouns))
+            caption = f"a {adjective} {noun} {verb} near two {other}s"
+            fh.write(json.dumps({"image_id": f"img{i:06d}", "caption": caption}) + "\n")
+    tracemalloc.start()
+    try:
+        corpus = parse_corpus_file(path, workers=1)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(corpus.image_tags) == n and peak / n < 650

@@ -104,8 +104,10 @@ def reference_load_regions(path):
                 continue
             try:
                 obj = json.loads(line)
+                if not isinstance(obj["image_id"], str):
+                    raise TypeError("image_id must be a string")
                 record = ReferenceRegionRecord(
-                    image_id=str(obj["image_id"]),
+                    image_id=obj["image_id"],
                     region_id=str(obj["region_id"]),
                     tag_id=int(obj["tag_id"]),
                     detector_score=float(obj["score"]),
@@ -335,9 +337,9 @@ ODD_REGION_FILES = {
     "empty": "",
     "blank lines only": "\n  \n\t\n",
     "padded lines": f"  {GOOD}\t\n\t{GOOD}  \n",
-    "loose field types": '{"image_id": 7, "region_id": 1.5, "tag_id": "3", "score": 1, '
+    "loose field types": '{"image_id": "7", "region_id": 1.5, "tag_id": "3", "score": 1, '
                          '"embedding_key": null}\n'
-                         '{"image_id": true, "region_id": "r", "tag_id": 2.9, "score": "0.25", '
+                         '{"image_id": "i", "region_id": "r", "tag_id": 2.9, "score": "0.25", '
                          '"embedding_key": "k"}\n',
     "bool tag id and score": '{"image_id": "i", "region_id": "r", "tag_id": true, "score": false, '
                              '"embedding_key": "k"}\n',
@@ -376,6 +378,10 @@ BAD_REGION_FILES = {
     "null": "null\n",
     "a list": f"{GOOD}\n[1, 2]\n",
     "bad tag id": GOOD.replace("1,", '"x",') + "\n",
+    # a number would pair with the string id it prints as
+    "int image id": GOOD.replace('"i"', "7") + "\n" + GOOD + "\n",
+    "bool image id": f"{GOOD}\n" + GOOD.replace('"i"', "true") + "\n",
+    "null image id": GOOD.replace('"i"', "null") + "\n",
     "infinite tag id": GOOD.replace('"tag_id": 1', '"tag_id": 1e400') + "\n",
     "infinite tag id after a bad score": GOOD.replace("0.5", "2") + "\n"
                                          + GOOD.replace('"tag_id": 1', '"tag_id": 1e400') + "\n",
@@ -407,7 +413,9 @@ def test_load_regions_errors_match_reference(tmp_path, case):
 
 
 @pytest.mark.parametrize(
-    "case", ["deep nesting", "huge integer score", "infinite tag id", "tag id outside int64"]
+    "case",
+    ["deep nesting", "huge integer score", "infinite tag id", "int image id",
+     "tag id outside int64"],
 )
 def test_load_regions_hostile_lines_name_file_and_line(tmp_path, case):
     path = tmp_path / "regions.jsonl"

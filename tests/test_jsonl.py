@@ -237,6 +237,18 @@ def test_annotations_and_audit_round_trip_line_separators(tmp_path):
     assert load_audit(tmp_path / "audit.jsonl") == events
 
 
+@pytest.mark.parametrize("image_id", ["5", "2.5", "null", "true", '["a"]'])
+def test_load_annotations_refuses_an_image_id_that_is_not_a_string(tmp_path, image_id):
+    # the engine sorts image ids and matches them to the regions' strings
+    path = tmp_path / "a.jsonl"
+    path.write_text(
+        '{"image_id": "5", "tags": [{"tag_id": 1}]}\n'
+        f'{{"image_id": {image_id}, "tags": [{{"tag_id": 1}}]}}\n'
+    )
+    with pytest.raises(TagforgeError, match=f"^{re.escape(str(path))}:2: malformed annotation record$"):
+        load_annotations(path)
+
+
 def test_parse_byte_identical_across_line_ends_and_worker_counts(tmp_path, golden_corpus):
     records = [
         json.dumps({
@@ -390,7 +402,9 @@ def reference_write_audit(events, path):
 def reference_write_image_tags(corpus, path):
     with open(path, "w", encoding="utf-8") as fh:
         for image_id in sorted(corpus.image_tags):
-            tags = [{"surface": t.surface, "kind": t.kind} for t in corpus.image_tags[image_id]]
+            tags = [
+                {"surface": surface, "kind": kind} for surface, kind in corpus.image_tags[image_id]
+            ]
             fh.write(json.dumps({"image_id": image_id, "tags": tags}, ensure_ascii=False))
             fh.write("\n")
 
@@ -415,14 +429,8 @@ def test_write_annotations_matches_json_dumps_on_hostile_values(tmp_path):
     ours, theirs = _sides(tmp_path, write_annotations, reference_write_annotations, store)
     assert ours == theirs and b"removed only" not in ours
 
-    # what load_annotations accepts: int, float and null ids, list provenance
-    (tmp_path / "odd.jsonl").write_text(
-        '{"image_id": 7, "tags": [{"tag_id": 1, "provenance": ["a", "b"]}]}\n'
-        '{"image_id": 2.5, "tags": [{"tag_id": 1, "provenance": 1}, {"tag_id": 2}]}\n'
-        '{"image_id": null, "tags": [{"tag_id": 3, "provenance": true}]}\n'
-        '{"image_id": 1e300, "tags": [{"tag_id": 4, "provenance": 1.0}]}\n'
-    )
-    odd = load_annotations(tmp_path / "odd.jsonl")
+    # int, float and null ids, and provenances that are not strings
+    odd = {7: {1: ["a", "b"]}, 2.5: {1: 1, 2: "parsed"}, None: {3: True}, 1e300: {4: 1.0}}
     for ids in ([7, 2.5], [None], [1e300]):  # sorted() cannot order None with numbers
         part = {image_id: odd[image_id] for image_id in ids}
         ours, theirs = _sides(tmp_path, write_annotations, reference_write_annotations, part)
@@ -440,23 +448,23 @@ def test_write_audit_matches_json_dumps_on_hostile_values(tmp_path):
 
 
 def test_write_image_tags_matches_json_dumps_on_hostile_values(tmp_path):
-    from tagforge.caption_parser import CorpusParse, ParsedTag, RejectSummary, write_image_tags
+    from tagforge.caption_parser import CorpusParse, RejectSummary, write_image_tags
 
-    tags = [ParsedTag('a "quoted" dog', "object"), ParsedTag("back\\slash", "attribute"),
-            ParsedTag("café ", "action")]
+    tags = [('a "quoted" dog', "object"), ("back\\slash", "attribute"),
+            ("café ", "action")]
     corpus = CorpusParse({image_id: tags for image_id in HOSTILE_IDS}, RejectSummary())
     ours, theirs = _sides(tmp_path, write_image_tags, reference_write_image_tags, corpus)
     assert ours == theirs
 
 
 def test_writers_match_json_dumps_across_a_chunk_boundary(tmp_path):
-    from tagforge.caption_parser import CorpusParse, ParsedTag, RejectSummary, write_image_tags
+    from tagforge.caption_parser import CorpusParse, RejectSummary, write_image_tags
 
     n = jsonl.BATCH_LINES + 1  # one record on the far side of the first chunk
     ids = [f"img{i:06d} " for i in range(n)]
     store = {image_id: {i % 7: "parsed"} for i, image_id in enumerate(ids)}
     events = [AuditEvent(image_id, 1, "removed", "outlier", "clean") for image_id in ids]
-    corpus = CorpusParse({image_id: [ParsedTag("dog", "object")] for image_id in ids}, RejectSummary())
+    corpus = CorpusParse({image_id: [("dog", "object")] for image_id in ids}, RejectSummary())
     for write, reference, value in (
         (write_annotations, reference_write_annotations, store),
         (write_audit, reference_write_audit, events),
@@ -467,12 +475,12 @@ def test_writers_match_json_dumps_across_a_chunk_boundary(tmp_path):
 
 
 def test_writers_refuse_a_lone_surrogate(tmp_path):
-    from tagforge.caption_parser import CorpusParse, ParsedTag, RejectSummary, write_image_tags
+    from tagforge.caption_parser import CorpusParse, RejectSummary, write_image_tags
 
     with pytest.raises(UnicodeEncodeError):
         write_annotations({"bad\ud800": {1: "parsed"}}, tmp_path / "a.jsonl")
     with pytest.raises(UnicodeEncodeError):
         write_audit([AuditEvent("bad\udfff", 1, "removed", "outlier", "clean")], tmp_path / "b.jsonl")
-    corpus = CorpusParse({"bad\ud83d": [ParsedTag("dog", "object")]}, RejectSummary())
+    corpus = CorpusParse({"bad\ud83d": [("dog", "object")]}, RejectSummary())
     with pytest.raises(UnicodeEncodeError):
         write_image_tags(corpus, tmp_path / "c.jsonl")

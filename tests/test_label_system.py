@@ -3,7 +3,7 @@ import hashlib
 import numpy as np
 import pytest
 
-from tagforge.caption_parser import CaptionRecord, parse_corpus
+from tagforge.caption_parser import parse_corpus
 from tagforge.label_system import (
     SynonymLexicon,
     VocabularyError,
@@ -275,7 +275,8 @@ def test_map_tag_maps_every_parsed_surface_to_its_own_entry(lexicons):
     captions = ["two red roses", "a bag of seeds"]
     captions += [f"{word}s" for word in sorted(lexicons.pos_lexicon)]
     corpus = parse_corpus(
-        [CaptionRecord(f"img{i}", caption) for i, caption in enumerate(captions)], lexicons
+        [{"image_id": f"img{i}", "caption": caption} for i, caption in enumerate(captions)],
+        lexicons,
     )
     assert {"rose", "seed"} <= set(corpus.frequencies)
     vocab = build_label_system(corpus.frequencies, k=len(corpus.frequencies))

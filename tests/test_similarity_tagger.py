@@ -280,6 +280,8 @@ def test_threshold_profile_round_trip(tmp_path):
     save_threshold_profile(profile, path)
     loaded = load_threshold_profile(path)
     assert loaded == profile
+    # no thresholds file means the flat default, for tag, eval and the engine alike
+    assert load_threshold_profile(None) == ThresholdProfile()
 
 
 def test_threshold_profile_requires_default(tmp_path):
