@@ -273,9 +273,12 @@ def engine_generate_cmd(
     )
     if generated_captions:
         _echo_rejects("generated captions", result.generated_rejects)
+        click.echo(
+            f"generate stage, {result.generated_unmapped} tags outside the vocabulary", err=True
+        )
     click.echo(
         f"generation: +{len(result.audit)} tags, {result.rejected_generated} rejected records, "
-        f"{engine.count_kept(result.final)} total", err=True,
+        f"{len(result.final)} total", err=True,
     )
 
 
@@ -323,7 +326,7 @@ def engine_clean_cmd(
     _, clean_row, filter_row = result.stats.rows
     click.echo(
         f"cleaning: -{clean_row.removed_total} outlier, -{filter_row.removed_total} filtered, "
-        f"{engine.count_kept(result.final)} kept", err=True,
+        f"{len(result.final)} kept", err=True,
     )
     _echo_filter(result)
 
@@ -357,6 +360,9 @@ def engine_run_cmd(config_path, **overrides):
     click.echo(f"parse stage, {result.unmapped_surfaces} tags outside the vocabulary", err=True)
     if config.generated_captions:
         _echo_rejects("generate stage", result.generated_rejects)
+        click.echo(
+            f"generate stage, {result.generated_unmapped} tags outside the vocabulary", err=True
+        )
     if config.generated_tags:
         click.echo(f"generated tags, {result.rejected_generated} rejected records", err=True)
     _echo_filter(result)

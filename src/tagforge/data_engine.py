@@ -16,7 +16,7 @@ from __future__ import annotations
 import math
 from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
-from itertools import islice
+from itertools import chain, islice
 from pathlib import Path
 from typing import Iterable, Iterator, Mapping, Sequence
 
@@ -78,9 +78,97 @@ def _stage(name: str):
         raise EngineError(name, str(exc)) from exc
 
 
-# image_id -> {tag_id -> provenance}, kept tags only: a removal deletes the
-# pair, and the audit log alone records why
-AnnotationStore = dict[str, dict[int, str]]
+# an Annotations' provenance codes index its provenances, which start with the
+# JSON texts of these three
+PROVENANCES = tuple(f'"{p}"' for p in (PROV_PARSED, PROV_GENERATED, PROV_SEED))
+_PARSED, _GENERATED, _SEED = range(3)
+
+# the engine's audit events, (action, reason, stage); an event code indexes them
+EVENTS = (
+    ("added", PROV_GENERATED, STAGE_GENERATE),
+    ("removed", REASON_OUTLIER, STAGE_CLEAN),
+    ("removed", REASON_NO_PREDICTION, STAGE_FILTER),
+    ("removed", REASON_CONTRARY, STAGE_FILTER),
+)
+_ADDED, _OUTLIER, _NO_PREDICTION, _CONTRARY = range(4)
+_NO_CODES = np.empty(0, np.uint8)
+
+
+@dataclass(eq=False)
+class Pairs:
+    """A set of (image_id, tag_id) pairs as sorted, distinct int64 keys over two
+    sorted, distinct tables: key = image ordinal in image_ids * len(tag_ids) +
+    tag ordinal in tag_ids, so keys run in (image_id, tag_id) order. Two are
+    equal when they hold the same pairs, over whichever tables."""
+
+    image_ids: list[str]
+    tag_ids: np.ndarray
+    keys: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.keys)
+
+    def split(self) -> tuple[np.ndarray, np.ndarray]:
+        """The image ordinal and the tag_id of each key."""
+        image, tag = np.divmod(self.keys, len(self.tag_ids))
+        return image, self.tag_ids[tag]
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, Pairs):
+            return NotImplemented
+        (image, tag), (other_image, other_tag) = self.split(), other.split()
+        return np.array_equal(tag, other_tag) and np.array_equal(
+            np.array(self.image_ids, object)[image], np.array(other.image_ids, object)[other_image]
+        )
+
+
+@dataclass(eq=False)
+class Annotations(Pairs):
+    """Kept pairs with their provenance: provenance[i] indexes the JSON text of
+    pair i's provenance in provenances, which start with PROVENANCES. A removal
+    drops the pair, and the audit alone records why."""
+
+    provenance: np.ndarray
+    provenances: Sequence[str]
+
+
+@dataclass(eq=False)
+class Audit(Pairs):
+    """Audit events in event order: keys as in Pairs, neither sorted nor
+    distinct, and event[i] indexing event i's (action, reason, stage) in kinds."""
+
+    event: np.ndarray
+    kinds: Sequence[tuple[str, str, str]] = EVENTS
+
+
+# the parsed set before parse
+_NO_ANNOTATIONS = Annotations(
+    [], np.empty(0, np.int64), np.empty(0, np.int64), _NO_CODES, PROVENANCES
+)
+
+
+def _keys(image_ids: list[str], tag_ids: np.ndarray, ids: Sequence[str], image, tag) -> np.ndarray:
+    """The keys over image_ids and tag_ids (sorted, distinct) of the pairs
+    (ids[image[i]], tag[i]), -1 where a table lacks the id. Ids map to
+    ordinals through one dict."""
+    index = {image_id: i for i, image_id in enumerate(image_ids)}
+    ordinal = np.fromiter((index.get(image_id, -1) for image_id in ids), np.int64, len(ids))[image]
+    found = (ordinal >= 0) & np.isin(tag, tag_ids)
+    return np.where(found, ordinal * len(tag_ids) + np.searchsorted(tag_ids, tag), -1)
+
+
+def _group_keys(image_ids: list[str], tag_ids: np.ndarray, groups: Sequence) -> np.ndarray:
+    """The keys of the pairs of groups of (image_id, tag_ids), in order."""
+    counts = np.fromiter((len(tags) for _, tags in groups), np.int64, len(groups))
+    tags = np.fromiter(chain.from_iterable(tags for _, tags in groups), np.int64, counts.sum())
+    image = np.repeat(np.arange(len(groups)), counts)
+    return _keys(image_ids, tag_ids, [image_id for image_id, _ in groups], image, tags)
+
+
+def _rekey(pairs: Pairs, image_ids: list[str], tag_ids: np.ndarray) -> Pairs:
+    """pairs over tables holding every id of its own."""
+    keys = _keys(image_ids, tag_ids, pairs.image_ids, *pairs.split())
+    return replace(pairs, image_ids=image_ids, tag_ids=tag_ids, keys=keys)
 
 
 @dataclass(eq=False)
@@ -127,15 +215,6 @@ class Regions:
 
 
 @dataclass
-class AuditEvent:
-    image_id: str
-    tag_id: int
-    action: str  # "added" | "removed"
-    reason: str
-    stage: str
-
-
-@dataclass
 class StageStats:
     stage: str
     images: int
@@ -166,69 +245,55 @@ class EngineStats:
             previous = row.tags
 
 
-def count_kept(store: AnnotationStore) -> int:
-    return sum(map(len, store.values()))
-
-
-def images_with_kept(store: AnnotationStore) -> int:
-    return sum(1 for tags in store.values() if tags)
-
-
-def kept_pairs(store: AnnotationStore) -> set[tuple[str, int]]:
-    return {(image_id, tag_id) for image_id, tags in store.items() for tag_id in tags}
-
-
-def _stage_row(stage: str, store: AnnotationStore, added: int = 0, removed: dict | None = None):
+def _stage_row(stage: str, pairs: Pairs, events: np.ndarray = _NO_CODES, added: int = 0):
+    """stage's stats row: the pairs it kept, and its additions and removals by event."""
+    counts = np.bincount(events, minlength=len(EVENTS)).tolist()
     return StageStats(
         stage=stage,
-        images=images_with_kept(store),
-        tags=count_kept(store),
-        added=added,
-        removed=dict(removed or {}),
+        images=int(np.count_nonzero(np.diff(pairs.split()[0], prepend=-1))),
+        tags=len(pairs),
+        added=added + counts[_ADDED],
+        removed={EVENTS[e][1]: n for e, n in enumerate(counts) if e != _ADDED and n},
     )
+
+
+def kept_pairs(annotations: Annotations) -> Pairs:
+    return Pairs(annotations.image_ids, annotations.tag_ids, annotations.keys)
 
 
 # -- generation ---------------------------------------------------------------
 
 
 def generate_merge(
-    parsed: AnnotationStore,
+    parsed: Annotations,
     generated_tag_records: Iterable[tuple[str, Sequence[int]]],
-    generated_caption_tags: Mapping[str, Iterable[int]],
+    generated_caption_tags: Mapping[str, Sequence[int]],
     valid_tag_ids: set[int],
-) -> tuple[AnnotationStore, list[AuditEvent], int]:
-    """Union generated tags into the parsed set.
+) -> tuple[Annotations, np.ndarray, int]:
+    """Union generated tags into the parsed set, whose tables hold every
+    generated image_id and every valid tag_id: the merged set, the keys it
+    adds (sorted), and the count of generated-tag records rejected whole for
+    naming an unknown tag_id.
 
     Tags already present keep their provenance; new ones are marked
-    generated. A generated-tag record naming an unknown tag_id is rejected
-    whole and counted. Never removes anything.
+    generated. Never removes anything.
     """
-    merged: AnnotationStore = {image_id: dict(tags) for image_id, tags in parsed.items()}
-    additions: list[tuple[str, int]] = []
-    rejected = 0
+    records = list(generated_tag_records)
+    groups = [r for r in records if all(tag_id in valid_tag_ids for tag_id in r[1])]
+    merged, added = _merge(parsed, groups + list(generated_caption_tags.items()), _GENERATED)
+    return merged, added, len(records) - len(groups)
 
-    def add(image_id: str, tag_id: int) -> None:
-        tags = merged.setdefault(image_id, {})
-        if tag_id not in tags:
-            tags[tag_id] = PROV_GENERATED
-            additions.append((image_id, tag_id))
 
-    for image_id, tag_ids in generated_tag_records:
-        if any(tag_id not in valid_tag_ids for tag_id in tag_ids):
-            rejected += 1
-            continue
-        for tag_id in tag_ids:
-            add(image_id, tag_id)
-
-    for image_id, tag_ids in generated_caption_tags.items():
-        for tag_id in tag_ids:
-            add(image_id, tag_id)
-
-    audit = [
-        AuditEvent(image_id, tag_id, "added", PROV_GENERATED, STAGE_GENERATE)
-        for image_id, tag_id in sorted(additions)
-    ]
-    return merged, audit, rejected
+def _merge(annotations: Annotations, groups: Sequence, code: int) -> tuple[Annotations, np.ndarray]:
+    """annotations and the pairs of groups of (image_id, tag_ids) that it
+    lacks, marked with the provenance code, as one sorted merge; and the keys
+    of the pairs added."""
+    keys = _group_keys(annotations.image_ids, annotations.tag_ids, groups)
+    added = np.setdiff1d(keys, annotations.keys)
+    at = np.searchsorted(annotations.keys, added)
+    keys = np.insert(annotations.keys, at, added)
+    merged = replace(annotations, keys=keys, provenance=np.insert(annotations.provenance, at, code))
+    return merged, added
 
 
 # -- cleaning -----------------------------------------------------------------
@@ -246,7 +311,7 @@ class CategoryCleanResult:
     k: int
     skipped: bool
     outliers: np.ndarray  # region indices, in (image_id, region_id) order
-    removed_pairs: list[tuple[str, int]] = field(default_factory=list)
+    removed_images: np.ndarray  # the removed pairs' image ordinals in the regions' image_ids
 
 
 OUTLIER_SCOPE_CATEGORY = "category"
@@ -285,7 +350,7 @@ def clean_category(
         raise ValueError(f"unknown outlier scope {outlier_scope!r}")
     n = len(members)
     if n < min_regions:
-        return CategoryCleanResult(tag_id, n, 0, True, members[:0])
+        return CategoryCleanResult(tag_id, n, 0, True, members[:0], members[:0])
 
     rows = regions.row[members]
     missing = [regions.keys[i] for i in members[rows < 0].tolist()]
@@ -316,9 +381,8 @@ def clean_category(
     # members are grouped by image; a pair goes when all its regions are outliers
     image = regions.image[members]
     starts = np.flatnonzero(np.diff(image, prepend=-1))
-    removed = image[starts[np.logical_and.reduceat(outlier, starts)]].tolist()
-    removed_pairs = [(regions.image_ids[i], tag_id) for i in removed]
-    return CategoryCleanResult(tag_id, n, k, False, members[outlier], removed_pairs)
+    removed = image[starts[np.logical_and.reduceat(outlier, starts)]]
+    return CategoryCleanResult(tag_id, n, k, False, members[outlier], removed)
 
 
 def _clean_one(shared: tuple, task: tuple[int, np.ndarray]) -> CategoryCleanResult:
@@ -346,22 +410,26 @@ def start_clean(
     return run_tasks(_clean_one, tasks, (regions, region_embeddings, params), workers)
 
 
-def finish_clean(results: Iterable[CategoryCleanResult]) -> list[tuple[str, int, str]]:
-    """Run the clean tasks left, wait for the rest and return the outlier
-    removals in the order the results arrive; apply_removals sorts them, so
-    the audit is the same at every worker count. When several categories
-    fail, the first failure met is raised: at one worker, the largest
-    failing category's."""
-    return [(img, tid, REASON_OUTLIER) for r in results for img, tid in r.removed_pairs]
+def finish_clean(results: Iterable[CategoryCleanResult]) -> tuple[np.ndarray, np.ndarray]:
+    """Run the clean tasks left, wait for the rest and return the removed
+    pairs, as image ordinals in the regions' image_ids and tag_ids, in the
+    order the results arrive; apply_removals sorts them, so the audit is the
+    same at every worker count. When several categories fail, the first
+    failure met is raised: at one worker, the largest failing category's."""
+    results = list(results)
+    image = np.concatenate([np.empty(0, np.int64)] + [r.removed_images for r in results])
+    counts = np.array([len(r.removed_images) for r in results], np.int64)
+    return image, np.repeat(np.array([r.tag_id for r in results], np.int64), counts)
 
 
 # -- prediction filter ---------------------------------------------------------
 
 
-@dataclass
+@dataclass(eq=False)
 class FilterResult:
-    removals: list[tuple[str, int, str]] = field(default_factory=list)
-    skipped_pairs: list[tuple[str, int, str]] = field(default_factory=list)
+    removals: np.ndarray  # the removed pairs' keys, sorted
+    events: np.ndarray  # each removal's event code: no_prediction or contrary
+    skipped_pairs: list[tuple[str, int, str]]
     images_without_whole_embedding: int = 0
 
 
@@ -382,7 +450,7 @@ def _row_dots(a: np.ndarray, a_rows, b: np.ndarray, b_rows) -> np.ndarray:
 
 
 def prediction_filter(
-    store: AnnotationStore,
+    store: Annotations,
     regions: Regions,
     region_embeddings: EmbeddingTable,
     whole_image_embeddings: EmbeddingTable | None,
@@ -399,77 +467,69 @@ def prediction_filter(
     every region stays below threshold - margin. Pairs without regions are never
     touched; pairs with unresolvable embeddings are skipped and reported.
     """
+    # the regions of kept pairs by pair, in key order, and in file order within one
+    key = _keys(store.image_ids, store.tag_ids, regions.image_ids, regions.image, regions.tag_id)
+    kept = np.isin(key, store.keys)
+    if whitelist is not None:
+        kept &= np.isin(regions.tag_id, list(whitelist))
+    members = np.flatnonzero(kept)
+    members = members[np.argsort(key[members], kind="stable")]
+    starts = np.flatnonzero(np.diff(key[members], prepend=-1))
+    counts = np.diff(starts, append=len(members))
+    pairs = Pairs(store.image_ids, store.tag_ids, key[members[starts]])
+    image, tag_ids = pairs.split()
     row_of = {tag_id: i for i, tag_id in enumerate(queries.tag_ids)}
-    # the regions by pair, in (image_id, tag_id) order, and in file order within one
-    order = np.lexsort((regions.tag_id, regions.image))
-    image, tag = regions.image[order], regions.tag_id[order]
-    starts = np.flatnonzero(np.diff(image, prepend=-1) | np.diff(tag, prepend=0)).tolist()
-    image, tag, table_rows = image.tolist(), tag.tolist(), regions.row[order].tolist()
+    query_rows = np.array([row_of.get(tag_id, -1) for tag_id in tag_ids.tolist()], np.int64)
+    rows = regions.row[members]
+    has_missing = np.minimum.reduceat(rows, starts) < 0 if len(rows) else kept[:0]
 
-    result = FilterResult()
-    # the scored pairs, their query rows, where their region rows start, and those rows
-    pairs, pair_query_rows, pair_starts, region_rows = [], [], [], []
-    for start, stop in zip(starts, starts[1:] + [len(order)]):
-        image_id, tag_id = regions.image_ids[image[start]], tag[start]
-        kept = store.get(image_id, ())
-        if tag_id not in kept or whitelist is not None and tag_id not in whitelist:
-            continue
-        if tag_id not in row_of:
-            result.skipped_pairs.append((image_id, tag_id, "tag not in label queries"))
-            continue
-        rows = table_rows[start:stop]
-        if -1 in rows:
-            missing = regions.keys[int(order[start + rows.index(-1)])]
-            result.skipped_pairs.append((image_id, tag_id, f"missing region embedding {missing!r}"))
-            continue
-        pairs.append((image_id, tag_id))
-        pair_query_rows.append(row_of[tag_id])
-        pair_starts.append(len(region_rows))
-        region_rows += rows
-    if not pairs:
-        return result
+    skipped = []
+    for i in np.flatnonzero((query_rows < 0) | has_missing).tolist():
+        reason = "tag not in label queries"
+        if query_rows[i] >= 0:
+            first = starts[i] + int(np.argmax(rows[starts[i] : starts[i] + counts[i]] < 0))
+            reason = f"missing region embedding {regions.keys[int(members[first])]!r}"
+        skipped.append((store.image_ids[image[i]], int(tag_ids[i]), reason))
+    scored = (query_rows >= 0) & ~has_missing
+    if not scored.any():
+        return FilterResult(pairs.keys[:0], _NO_CODES, skipped)
 
-    query_rows = np.repeat(pair_query_rows, np.diff(pair_starts, append=len(region_rows)))
+    region_rows = rows[np.repeat(scored, counts)]
+    query_rows, image, tag_ids, counts = (a[scored] for a in (query_rows, image, tag_ids, counts))
     scores = _row_dots(
-        region_embeddings.matrix, np.asarray(region_rows), queries.matrix, query_rows
+        region_embeddings.matrix, region_rows, queries.matrix, np.repeat(query_rows, counts)
     )
-    best = np.maximum.reduceat(scores, pair_starts).tolist()
-    thresholds = profile.thresholds([tag_id for _, tag_id in pairs]).tolist()
-    images_missing_whole: set[str] = set()
-    for (image_id, tag_id), query_row, best_score, threshold in zip(
-        pairs, pair_query_rows, best, thresholds
-    ):
-        if best_score >= threshold:
-            continue
-        reason = REASON_NO_PREDICTION
+    best = np.maximum.reduceat(scores, np.cumsum(counts) - counts)
+    thresholds = profile.thresholds(tag_ids.tolist())
+    removed = np.flatnonzero(best < thresholds)
+    events = np.full(len(removed), _NO_PREDICTION, np.uint8)
+    images_missing_whole: set[int] = set()
+    for j, i in enumerate(removed.tolist()):
+        image_id = store.image_ids[image[i]]
         if whole_image_embeddings is not None and image_id in whole_image_embeddings:
-            query = queries.matrix[query_row]
+            query = queries.matrix[query_rows[i]]
             whole = float(whole_image_embeddings.vector(image_id) @ query)
             # every region is below threshold - margin when the best one is
-            if whole >= threshold and best_score < threshold - margin:
-                reason = REASON_CONTRARY
+            if whole >= thresholds[i] and best[i] < thresholds[i] - margin:
+                events[j] = _CONTRARY
         elif whole_image_embeddings is not None:
-            images_missing_whole.add(image_id)
-        result.removals.append((image_id, tag_id, reason))
-    result.images_without_whole_embedding = len(images_missing_whole)
-    return result
+            images_missing_whole.add(image[i])
+    return FilterResult(pairs.keys[scored][removed], events, skipped, len(images_missing_whole))
 
 
 def apply_removals(
-    store: AnnotationStore,
-    removals: Iterable[tuple[str, int, str]],
-    stage: str,
-) -> tuple[list[AuditEvent], dict[str, int]]:
-    events = []
-    counts: dict[str, int] = {}
-    for image_id, tag_id, reason in sorted(removals):
-        tags = store.get(image_id, {})
-        if tag_id not in tags:
-            continue  # never kept, or removed already
-        del tags[tag_id]
-        counts[reason] = counts.get(reason, 0) + 1
-        events.append(AuditEvent(image_id, tag_id, "removed", reason, stage))
-    return events, counts
+    annotations: Annotations, keys: np.ndarray, events: np.ndarray
+) -> tuple[Annotations, np.ndarray, np.ndarray]:
+    """Remove the pairs of keys from annotations, each for its event code in
+    events, as one sorted set difference: the pairs kept, and the keys removed
+    (sorted) with their events. A key it does not hold (-1, never kept, or
+    removed already) is skipped; a key given twice goes for its first event."""
+    keys, first = np.unique(keys, return_index=True)
+    held = np.isin(keys, annotations.keys, assume_unique=True)
+    keys, events = keys[held], events[first[held]]
+    keep = ~np.isin(annotations.keys, keys, assume_unique=True)
+    provenance = annotations.provenance[keep]
+    return replace(annotations, keys=annotations.keys[keep], provenance=provenance), keys, events
 
 
 # -- full pipeline --------------------------------------------------------------
@@ -477,11 +537,12 @@ def apply_removals(
 
 @dataclass
 class EngineResult:
-    parsed: AnnotationStore
-    final: AnnotationStore
+    parsed: Annotations
+    final: Annotations  # over parsed's tables
     stats: EngineStats
-    audit: list[AuditEvent]
+    audit: Audit  # over parsed's tables
     unmapped_surfaces: int
+    generated_unmapped: int  # generated captions' tags that map to no tag id
     rejected_generated: int
     filter_skipped: list[tuple[str, int, str]]
     images_without_whole_embedding: int  # images the filter could not check for contrary
@@ -489,11 +550,18 @@ class EngineResult:
     generated_rejects: RejectSummary  # malformed generated-caption records skipped
 
 
+def _image_id(obj) -> str:
+    # image ids are sorted as strings, and a number would pair with the string it prints as
+    if not isinstance(image_id := obj["image_id"], str):
+        raise TypeError("image_id must be a string")
+    return image_id
+
+
 def _tag_id_record(obj) -> tuple[str, list[int]]:
-    image_id, tag_ids = obj["image_id"], obj["tag_ids"]
-    # image ids are sorted as strings; a string of tag_ids would be read digit by digit
-    if not isinstance(image_id, str) or not isinstance(tag_ids, list):
-        raise TypeError("image_id must be a string and tag_ids a list")
+    image_id, tag_ids = _image_id(obj), obj["tag_ids"]
+    # a string of tag_ids would be read digit by digit
+    if not isinstance(tag_ids, list):
+        raise TypeError("tag_ids must be a list")
     return image_id, [int(t) for t in tag_ids]
 
 
@@ -502,14 +570,16 @@ def load_tag_id_records(path: str | Path) -> list[tuple[str, list[int]]]:
     return list(jsonl.read(path, "tag-id", _tag_id_record))
 
 
-def _region_record(obj) -> tuple[str, str, int, str]:
-    image_id, region_id = obj["image_id"], str(obj["region_id"])
-    # a number would pair with the string id it prints as
-    if not isinstance(image_id, str):
-        raise TypeError("image_id must be a string")
-    tag_id, score, key = int(obj["tag_id"]), float(obj["score"]), str(obj["embedding_key"])
+def _tag_id(value) -> int:
+    tag_id = int(value)
     if not -(2**63) <= tag_id < 2**63:
         raise ValueError("tag_id outside int64")
+    return tag_id
+
+
+def _region_record(obj) -> tuple[str, str, int, str]:
+    image_id, region_id = _image_id(obj), str(obj["region_id"])
+    tag_id, score, key = _tag_id(obj["tag_id"]), float(obj["score"]), str(obj["embedding_key"])
     if not 0.0 <= score <= 1.0:
         raise jsonl.RecordError("detector score outside [0, 1]")
     return image_id, region_id, tag_id, key
@@ -543,22 +613,20 @@ def _caption_tag_ids(
 
 def _parse_stage(
     config: EngineConfig, vocab: TagVocabulary, lexicons: LexiconBundle
-) -> tuple[AnnotationStore, int, RejectSummary]:
+) -> tuple[list, int, RejectSummary]:
+    """The parsed pairs as (groups of (image_id, tag_ids), provenance code):
+    each captioned image's tag ids, then the seed annotations' tag ids in the
+    vocabulary. Also the count of tags that map to no tag id, and the
+    malformed caption records."""
     image_tag_ids, unmapped, rejects = _caption_tag_ids(config.captions, config, vocab, lexicons)
-    store = {
-        image_id: dict.fromkeys(tag_ids, PROV_PARSED) for image_id, tag_ids in image_tag_ids.items()
-    }
+    sources = [(list(image_tag_ids.items()), _PARSED)]
     if config.seed_annotations is not None:
-        records = load_tag_id_records(config.seed_annotations)
-        valid = set(vocab.tag_ids())
-        for image_id, tag_ids in records:
-            tags = store.setdefault(image_id, {})
-            for tag_id in tag_ids:
-                if tag_id in valid:
-                    tags.setdefault(tag_id, PROV_SEED)
-                else:
-                    unmapped += 1
-    return store, unmapped, rejects
+        valid, seeds = set(vocab.tag_ids()), []
+        for image_id, tag_ids in load_tag_id_records(config.seed_annotations):
+            seeds.append((image_id, [tag_id for tag_id in tag_ids if tag_id in valid]))
+            unmapped += len(tag_ids) - len(seeds[-1][1])
+        sources.append((seeds, _SEED))
+    return sources, unmapped, rejects
 
 
 def run_engine(
@@ -604,9 +672,7 @@ def run_engine(
                         seed=config.seed, min_regions=config.min_regions, tol=config.tol,
                         max_iter=config.max_iter, outlier_scope=config.outlier_scope,
                     )
-        parsed = None
-        if annotations is not None:
-            parsed = load_annotations(annotations)
+        parsed = load_annotations(annotations) if annotations is not None else _NO_ANNOTATIONS
         vocab = load_vocabulary(config.vocab)
         if STAGE_FILTER in stages:
             with _stage(STAGE_FILTER):
@@ -617,36 +683,48 @@ def run_engine(
                     normalize(load_embeddings(config.image_embeddings)) if config.image_embeddings
                     else None
                 )
-        if parsed is None or STAGE_GENERATE in stages:
+        if annotations is None or STAGE_GENERATE in stages:
             lexicons = load_lexicons(config.lexicon_dir)
-        unmapped, parse_rejects = 0, RejectSummary()
-        if parsed is None:
+        unmapped, parse_rejects, sources = 0, RejectSummary(), []
+        if annotations is None:
             with _stage(STAGE_PARSE):
-                parsed, unmapped, parse_rejects = _parse_stage(config, vocab, lexicons)
-        stats.rows.append(_stage_row(STAGE_PARSE, parsed, added=count_kept(parsed)))
-        audit: list[AuditEvent] = []
-        rejected, generated_rejects = 0, RejectSummary()
+                sources, unmapped, parse_rejects = _parse_stage(config, vocab, lexicons)
+        records, caption_tags = [], {}
+        generated_unmapped, rejected, generated_rejects = 0, 0, RejectSummary()
         if STAGE_GENERATE in stages:
             with _stage(STAGE_GENERATE):
                 records = [r for path in config.generated_tags for r in load_tag_id_records(path)]
-                caption_tags: dict[str, list[int]] = {}
                 for path in config.generated_captions:
-                    tag_ids, _, rejects = _caption_tag_ids(path, config, vocab, lexicons)
+                    tag_ids, count, rejects = _caption_tag_ids(path, config, vocab, lexicons)
+                    generated_unmapped += count
                     generated_rejects.merge(rejects)
                     for image_id, ids in tag_ids.items():
                         caption_tags.setdefault(image_id, []).extend(ids)
-                merged, audit, rejected = generate_merge(
+        # the run's one image table and one tag table
+        groups = [records, caption_tags.items(), *(groups for groups, _ in sources)]
+        image_ids = sorted({i for group in groups for i, _ in group}.union(parsed.image_ids))
+        tag_ids = np.union1d(np.array(vocab.tag_ids(), np.int64), parsed.tag_ids)
+        parsed = _rekey(parsed, image_ids, tag_ids)
+        for groups, provenance in sources:  # a pair both parsed and seeded stays parsed
+            parsed = _merge(parsed, groups, provenance)[0]
+        stats.rows.append(_stage_row(STAGE_PARSE, parsed, added=len(parsed)))
+        # each stage's audit keys and event codes, in stage order
+        merged, log = parsed, [(np.empty(0, np.int64), _NO_CODES)]
+        if STAGE_GENERATE in stages:
+            with _stage(STAGE_GENERATE):
+                merged, added, rejected = generate_merge(
                     parsed, records, caption_tags, set(vocab.tag_ids())
                 )
-                stats.rows.append(_stage_row(STAGE_GENERATE, merged, added=len(audit)))
-        else:
-            # the stages below remove from merged; parsed stays the baseline
-            merged = {image_id: dict(tags) for image_id, tags in parsed.items()}
+                log.append((added, np.full(len(added), _ADDED, np.uint8)))
+                stats.rows.append(_stage_row(STAGE_GENERATE, merged, log[-1][1]))
         if STAGE_CLEAN in stages:
             with _stage(STAGE_CLEAN):
-                events, counts = apply_removals(merged, finish_clean(cleaning), STAGE_CLEAN)
-                audit += events
-                stats.rows.append(_stage_row(STAGE_CLEAN, merged, removed=counts))
+                image, tag = finish_clean(cleaning)
+                keys = _keys(merged.image_ids, merged.tag_ids, regions.image_ids, image, tag)
+                outliers = np.full(len(keys), _OUTLIER, np.uint8)
+                merged, *removed = apply_removals(merged, keys, outliers)
+                log.append(removed)
+                stats.rows.append(_stage_row(STAGE_CLEAN, merged, log[-1][1]))
     finally:
         if cleaning is not None:
             cleaning.close()  # stops the helpers when a stage failed
@@ -658,11 +736,12 @@ def run_engine(
                 merged, regions, table, whole, queries, profile, margin=config.margin,
                 whitelist=whitelist,
             )
-            events, counts = apply_removals(merged, outcome.removals, STAGE_FILTER)
-            audit += events
+            merged, *removed = apply_removals(merged, outcome.removals, outcome.events)
+            log.append(removed)
             filter_skipped = outcome.skipped_pairs
             without_whole = outcome.images_without_whole_embedding
-            stats.rows.append(_stage_row(STAGE_FILTER, merged, removed=counts))
+            stats.rows.append(_stage_row(STAGE_FILTER, merged, log[-1][1]))
+    audit = Audit(image_ids, tag_ids, *(np.concatenate(column) for column in zip(*log)))
 
     stats.validate_conservation()
     if replay_audit(parsed, audit) != kept_pairs(merged):
@@ -690,6 +769,7 @@ def run_engine(
         stats=stats,
         audit=audit,
         unmapped_surfaces=unmapped,
+        generated_unmapped=generated_unmapped,
         rejected_generated=rejected,
         filter_skipped=filter_skipped,
         images_without_whole_embedding=without_whole,
@@ -701,71 +781,105 @@ def run_engine(
 # -- file formats ---------------------------------------------------------------
 
 
-def write_annotations(store: AnnotationStore, path: str | Path) -> None:
+def write_annotations(annotations: Annotations, path: str | Path) -> None:
     """Write kept annotations as JSONL; removals live in the audit log. Each
     image with kept tags is one line, as json.dumps({"image_id": ..., "tags":
-    [{"tag_id": ..., "provenance": ...}, ...]}, ensure_ascii=False) writes it."""
+    [{"tag_id": ..., "provenance": ...}, ...]}, ensure_ascii=False) writes it,
+    from the image's run of keys; each distinct (tag, provenance) cell is
+    rendered once."""
     dumps = jsonl.memo_dumps()
-
-    def lines():
-        for image_id in sorted(store):
-            tags = ", ".join(
-                f'{{"tag_id": {dumps(tag_id)}, "provenance": {dumps(provenance)}}}'
-                for tag_id, provenance in sorted(store[image_id].items())
-            )
-            if tags:
-                yield f'{{"image_id": {dumps(image_id)}, "tags": [{tags}]}}\n'
-
-    jsonl.write_lines(path, lines())
-
-
-def _annotation(obj) -> tuple[str, dict[int, str]]:
-    tags = {int(t["tag_id"]): t.get("provenance", PROV_PARSED) for t in obj["tags"]}
-    image_id = obj["image_id"]
-    # image ids are sorted as strings and matched to the regions' ids
-    if not isinstance(image_id, str):
-        raise TypeError("image_id must be a string")
-    return image_id, tags
-
-
-def load_annotations(path: str | Path) -> AnnotationStore:
-    """JSONL of {"image_id": ..., "tags": [{"tag_id": ..., "provenance": ...}]};
-    a record whose image_id is not a string is malformed."""
-    return dict(jsonl.read(path, "annotation", _annotation))
-
-
-def write_audit(events: Sequence[AuditEvent], path: str | Path) -> None:
-    """One line per event, as json.dumps({"image_id": ..., "tag_id": ...,
-    "action": ..., "reason": ..., "stage": ...}, ensure_ascii=False) writes it."""
-    dumps = jsonl.memo_dumps()
+    n = len(annotations.provenances)
+    image, tag = np.divmod(annotations.keys, len(annotations.tag_ids))
+    cells, cell = np.unique(tag * n + annotations.provenance, return_inverse=True)
+    texts = [
+        f'{{"tag_id": {dumps(annotations.tag_ids[c // n].item())}, '
+        f'"provenance": {annotations.provenances[c % n]}}}'
+        for c in cells.tolist()
+    ]
+    cell = [texts[c] for c in cell.tolist()]
+    starts = np.flatnonzero(np.diff(image, prepend=-1)).tolist()
     jsonl.write_lines(path, (
-        f'{{"image_id": {dumps(e.image_id)}, "tag_id": {dumps(e.tag_id)}, '
-        f'"action": {dumps(e.action)}, "reason": {dumps(e.reason)}, "stage": {dumps(e.stage)}}}\n'
-        for e in events
+        f'{{"image_id": {dumps(annotations.image_ids[i])}, "tags": [{", ".join(cell[a:b])}]}}\n'
+        for i, a, b in zip(image[starts].tolist(), starts, starts[1:] + [len(cell)])
     ))
 
 
-def _audit_event(obj) -> AuditEvent:
-    return AuditEvent(
-        obj["image_id"], int(obj["tag_id"]), obj["action"], obj["reason"], obj["stage"]
-    )
+def _load_pairs(path: str | Path, what: str, record) -> tuple[list[str], np.ndarray, np.ndarray]:
+    """The image table, tag table and keys, in file order, of the (image_id,
+    tag_ids) that record makes of each record of the JSONL file at path."""
+    groups = list(jsonl.read(path, what, record))
+    image_ids = sorted({image_id for image_id, _ in groups})
+    tag_ids = np.unique(np.fromiter(chain.from_iterable(tags for _, tags in groups), np.int64))
+    return image_ids, tag_ids, _group_keys(image_ids, tag_ids, groups)
 
 
-def load_audit(path: str | Path) -> list[AuditEvent]:
-    return list(jsonl.read(path, "audit", _audit_event))
+def load_annotations(path: str | Path) -> Annotations:
+    """JSONL of {"image_id": ..., "tags": [{"tag_id": ..., "provenance": ...}]},
+    over tables of its own ids. A record whose image_id is not a string, or
+    whose tag_id is outside int64, is malformed. A provenance may be any JSON
+    value and is kept as its JSON text ("parsed" when absent); of a pair given
+    twice, the first is kept."""
+    dumps, codes, provenance = jsonl.memo_dumps(), {p: i for i, p in enumerate(PROVENANCES)}, []
+
+    def record(obj) -> tuple[str, list[int]]:
+        tags = [_tag_id(t["tag_id"]) for t in obj["tags"]]
+        for t in obj["tags"]:
+            provenance.append(codes.setdefault(dumps(t.get("provenance", PROV_PARSED)), len(codes)))
+        return _image_id(obj), tags
+
+    image_ids, tag_ids, keys = _load_pairs(path, "annotation", record)
+    keys, first = np.unique(keys, return_index=True)
+    provenance = np.array(provenance, np.min_scalar_type(len(codes)))[first]
+    return Annotations(image_ids, tag_ids, keys, provenance, list(codes))
 
 
-def replay_audit(parsed: AnnotationStore, events: Sequence[AuditEvent]) -> set[tuple[str, int]]:
-    """Apply audited additions and removals over the parsed baseline."""
-    current = kept_pairs(parsed)
-    for e in events:
-        if e.action == "added":
-            current.add((e.image_id, e.tag_id))
-        elif e.action == "removed":
-            current.discard((e.image_id, e.tag_id))
-        else:
-            raise TagforgeError(f"unknown audit action {e.action!r}")
-    return current
+def write_audit(audit: Audit, path: str | Path) -> None:
+    """One line per event, as json.dumps({"image_id": ..., "tag_id": ...,
+    "action": ..., "reason": ..., "stage": ...}, ensure_ascii=False) writes it."""
+    dumps = jsonl.memo_dumps()
+    kinds = [
+        f'"action": {dumps(action)}, "reason": {dumps(reason)}, "stage": {dumps(stage)}}}\n'
+        for action, reason, stage in audit.kinds
+    ]
+    image, tag = audit.split()
+    jsonl.write_lines(path, (
+        f'{{"image_id": {dumps(audit.image_ids[i])}, "tag_id": {dumps(t)}, {kinds[e]}'
+        for i, t, e in zip(image.tolist(), tag.tolist(), audit.event.tolist())
+    ))
+
+
+def load_audit(path: str | Path) -> Audit:
+    """JSONL of {"image_id": ..., "tag_id": ..., "action": ..., "reason": ...,
+    "stage": ...}, over tables of its own ids. A record is malformed unless its
+    image_id, reason and stage are strings and its tag_id fits in int64; an
+    action other than added or removed is named."""
+    kinds, event = {}, []
+
+    def record(obj) -> tuple[str, list[int]]:
+        action, reason, stage = obj["action"], obj["reason"], obj["stage"]
+        if action not in ("added", "removed"):
+            raise jsonl.RecordError(f"unknown audit action {action!r}")
+        if not isinstance(reason, str) or not isinstance(stage, str):
+            raise TypeError("reason and stage must be strings")
+        event.append(kinds.setdefault((action, reason, stage), len(kinds)))
+        return _image_id(obj), [_tag_id(obj["tag_id"])]
+
+    pairs = _load_pairs(path, "audit", record)  # fills event and kinds
+    return Audit(*pairs, np.array(event, np.min_scalar_type(len(kinds))), list(kinds))
+
+
+def replay_audit(parsed: Pairs, audit: Audit) -> Pairs:
+    """Apply audited additions and removals over the parsed baseline: a pair
+    is kept when its last event adds it, or it has none and parsed holds it."""
+    if parsed.image_ids is not audit.image_ids or parsed.tag_ids is not audit.tag_ids:
+        image_ids = sorted(set(parsed.image_ids).union(audit.image_ids))
+        tag_ids = np.union1d(parsed.tag_ids, audit.tag_ids)
+        parsed, audit = _rekey(parsed, image_ids, tag_ids), _rekey(audit, image_ids, tag_ids)
+    keys, last = np.unique(audit.keys[::-1], return_index=True)
+    adds = np.array([action == "added" for action, _, _ in audit.kinds], bool)
+    added = adds[audit.event[::-1][last]]
+    kept = np.union1d(np.setdiff1d(parsed.keys, keys, assume_unique=True), keys[added])
+    return Pairs(parsed.image_ids, parsed.tag_ids, kept)
 
 
 STATS_HEADER = "#tagforge-engine-stats v1"
@@ -801,4 +915,6 @@ def load_stats(path: str | Path) -> EngineStats:
             raise TagforgeError(f"{path}:{lineno}: bad integer field") from None
         removed = {reason: n for reason, n in zip(_STATS_REASONS, counts) if n}
         stats.rows.append(StageStats(stage, images, tags, added, removed))
+    if not stats.rows:
+        raise TagforgeError(f"{path}: no stage rows")
     return stats

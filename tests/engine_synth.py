@@ -5,7 +5,10 @@ corrupted tag set (40% of true tags dropped), a generated-tags file restoring
 the dropped tags plus injected false tags, regions whose embeddings sit on
 the tag query (true pairs) or orthogonal to it (false pairs), whole-image
 embeddings, label queries, vocabulary, whitelist, and the engine config.
-`Region` and `clean_regions` let tests build regions and clean one category.
+`Region` and `clean_regions` let tests build regions and clean one category;
+`annotations_of`, `audit_of`, `pairs_of`, `events_of`, `provenances`,
+`removed_pairs` and `filter_removals` turn the engine's columnar values into
+plain Python ones and back.
 """
 
 from __future__ import annotations
@@ -18,7 +21,15 @@ from typing import NamedTuple
 import numpy as np
 
 from tagforge.config import EngineConfig
-from tagforge.data_engine import Regions, clean_category
+from tagforge.data_engine import (
+    EVENTS,
+    PROVENANCES,
+    Annotations,
+    Audit,
+    Pairs,
+    Regions,
+    clean_category,
+)
 from tagforge.embedding_store import EmbeddingTable, save_embeddings
 from tagforge.label_system import TagVocabulary, build_label_system, save_vocabulary
 from tagforge.similarity_tagger import build_label_queries, prompt_key, save_label_queries
@@ -49,6 +60,66 @@ def clean_regions(tag_id, records, table, *args, **kwargs):
     regions = Regions.of(records).resolve(table)
     result = clean_category(tag_id, regions.categories()[tag_id], regions, table, *args, **kwargs)
     return result, [tuple(records[i][:2]) for i in result.outliers.tolist()]
+
+
+def annotations_of(store, image_ids=(), tag_ids=()) -> Annotations:
+    """The Annotations of {image_id: {tag_id: provenance}}, provenance any JSON
+    value, over tables that also hold image_ids and tag_ids."""
+    ids = sorted(set(store) | set(image_ids))
+    index = {image_id: i for i, image_id in enumerate(ids)}
+    tags = np.unique(np.array([t for ts in store.values() for t in ts] + list(tag_ids), np.int64))
+    texts, keys, codes = list(PROVENANCES), [], []
+    for image_id, image_tags in store.items():
+        for tag_id, provenance in image_tags.items():
+            text = json.dumps(provenance, ensure_ascii=False)
+            if text not in texts:
+                texts.append(text)
+            keys.append(index[image_id] * len(tags) + int(np.searchsorted(tags, tag_id)))
+            codes.append(texts.index(text))
+    keys, codes = np.array(keys, np.int64), np.array(codes, np.int64)
+    order = np.argsort(keys)
+    return Annotations(ids, tags, keys[order], codes[order], texts)
+
+
+def audit_of(events) -> Audit:
+    """The Audit of (image_id, tag_id, action, reason, stage) events, over an
+    image table in the order the events first name each image."""
+    index = {event[0]: None for event in events}
+    index = {image_id: i for i, image_id in enumerate(index)}
+    kinds = list({event[2:]: None for event in events})
+    tags = np.unique(np.array([event[1] for event in events], np.int64))
+    keys = [index[e[0]] * len(tags) + int(np.searchsorted(tags, e[1])) for e in events]
+    codes = [kinds.index(event[2:]) for event in events]
+    return Audit(list(index), tags, np.array(keys, np.int64), np.array(codes, np.int64), kinds)
+
+
+def pairs_of(pairs: Pairs) -> list[tuple[str, int]]:
+    """The (image_id, tag_id) of each key of pairs, in order."""
+    image, tag = pairs.split()
+    return [(pairs.image_ids[i], t) for i, t in zip(image.tolist(), tag.tolist())]
+
+
+def events_of(audit: Audit) -> list[tuple]:
+    """The (image_id, tag_id, action, reason, stage) of each event, in order."""
+    return [pair + tuple(audit.kinds[e]) for pair, e in zip(pairs_of(audit), audit.event.tolist())]
+
+
+def provenances(annotations: Annotations) -> dict[tuple[str, int], object]:
+    """{(image_id, tag_id): provenance} of annotations."""
+    texts = [annotations.provenances[c] for c in annotations.provenance.tolist()]
+    return {pair: json.loads(text) for pair, text in zip(pairs_of(annotations), texts)}
+
+
+def removed_pairs(result, records) -> list[tuple[str, int]]:
+    """The (image_id, tag_id) pairs a CategoryCleanResult of records removes."""
+    image_ids = sorted({r.image_id for r in records})
+    return [(image_ids[i], result.tag_id) for i in result.removed_images.tolist()]
+
+
+def filter_removals(result, store: Annotations) -> list[tuple[str, int, str]]:
+    """The (image_id, tag_id, reason) removals of a FilterResult over store."""
+    pairs = Pairs(store.image_ids, store.tag_ids, result.removals)
+    return [pair + (EVENTS[e][1],) for pair, e in zip(pairs_of(pairs), result.events.tolist())]
 
 
 @dataclass

@@ -28,7 +28,7 @@ from tagforge.similarity_tagger import (
     score,
 )
 
-from engine_synth import Region, build_synthetic_corpus, clean_regions
+from engine_synth import Region, build_synthetic_corpus, clean_regions, events_of, pairs_of
 
 DATA = Path(__file__).parent / "data"
 
@@ -271,10 +271,11 @@ def test_acceptance_6_engine_trend(tmp_path):
     result.stats.validate_conservation()
 
     truth = corpus.truth
-    parsed = kept_pairs(result.parsed)
-    final = kept_pairs(result.final)
+    parsed = set(pairs_of(result.parsed))
+    final = set(pairs_of(result.final))
     generated_added = {
-        (e.image_id, e.tag_id) for e in result.audit if e.action == "added"
+        (image_id, tag_id) for image_id, tag_id, action, _, _ in events_of(result.audit)
+        if action == "added"
     }
     post_generation = parsed | generated_added
 
@@ -291,7 +292,7 @@ def test_acceptance_6_engine_trend(tmp_path):
     tags_by_stage = [row.tags for row in result.stats.rows]
     assert tags_by_stage[1] > tags_by_stage[0]
     assert tags_by_stage[3] < tags_by_stage[1]
-    assert replay_audit(result.parsed, result.audit) == final
+    assert replay_audit(result.parsed, result.audit) == kept_pairs(result.final)
 
     elapsed = time.perf_counter() - start
     assert elapsed < 30.0

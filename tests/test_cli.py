@@ -625,6 +625,48 @@ def test_generated_caption_rejects_reported(runner, tmp_path):
     assert merged["bad"].read_bytes() == merged["good"].read_bytes()
 
 
+def test_engine_commands_count_generated_caption_tags_outside_the_vocabulary(runner, tmp_path):
+    import dataclasses
+
+    from tagforge.data_engine import run_engine
+    from tagforge.label_system import build_label_system, save_vocabulary
+
+    from engine_synth import TAG_SURFACES
+
+    corpus = build_synthetic_corpus(tmp_path / "c", n_images=40, seed=58)
+    cfg = corpus.config
+    # each caption holds one tag in both vocabularies, and one in neither
+    outside = ["zebra", "whale", "camel"]
+    generated = tmp_path / "generated_captions.jsonl"
+    generated.write_text("".join(
+        json.dumps({"image_id": f"img{i:05d}", "caption": f"a dog and a {outside[i % 3]}"}) + "\n"
+        for i in range(30)
+    ))
+    extra = ["ant", "apple", "ball", "bat", "bee", "cake", "crab", "drum", "egg", "fan"]
+    vocab60 = tmp_path / "vocab60.tsv"
+    save_vocabulary(build_label_system({s: 100 for s in TAG_SURFACES + extra}, k=60), vocab60)
+    result = runner.invoke(cli, [
+        "engine", "generate", "--annotations", str(_planted_annotations(corpus, tmp_path)),
+        "--vocab", str(vocab60), "--generated-captions", str(generated),
+        "--out", str(tmp_path / "merged.jsonl"),
+    ])
+    assert result.exit_code == 0, result.output
+    assert "generate stage, 30 tags outside the vocabulary\n" in result.stderr
+
+    config_file = tmp_path / "engine.cfg"
+    config_file.write_text(
+        f"captions = {cfg.captions}\nvocab = {cfg.vocab}\nregions = {cfg.regions}\n"
+        f"region_embeddings = {cfg.region_embeddings}\nqueries = {cfg.queries}\n"
+        f"generated_captions = {generated}\nout_dir = {tmp_path / 'out'}\nseed = 7\n"
+    )
+    result = runner.invoke(cli, ["engine", "run", "--config", str(config_file)])
+    assert result.exit_code == 0, result.output
+    assert "parse stage, 0 tags outside the vocabulary\n" in result.stderr
+    assert "generate stage, 30 tags outside the vocabulary\n" in result.stderr
+    run = run_engine(dataclasses.replace(cfg, generated_captions=[generated]), outputs={})
+    assert (run.unmapped_surfaces, run.generated_unmapped) == (0, 30)
+
+
 def test_engine_clean_worker_counts_byte_identical(runner, tmp_path):
     corpus = build_synthetic_corpus(tmp_path / "c", n_images=80, seed=57)
     cfg = corpus.config
@@ -714,6 +756,16 @@ def test_stats_command_renders_and_validates(runner, tmp_path):
     result = runner.invoke(cli, ["stats", "--stats-file", str(stats_path)])
     assert result.exit_code == 1
     assert "conservation" in result.output
+
+
+def test_stats_command_refuses_a_file_without_stage_rows(runner, tmp_path):
+    stats_path = tmp_path / "stats.tsv"
+    stats_path.write_text(
+        "#tagforge-engine-stats v1\n"
+        "stage\timages\ttags\tadded\tremoved_outlier\tremoved_no_prediction\tremoved_contrary\n"
+    )
+    result = runner.invoke(cli, ["stats", "--stats-file", str(stats_path)])
+    assert (result.exit_code, result.output) == (1, f"Error: {stats_path}: no stage rows\n")
 
 
 def test_selftest_is_not_a_command(runner):

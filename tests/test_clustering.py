@@ -9,7 +9,7 @@ from tagforge.data_engine import cluster_count
 from tagforge.embedding_store import EmbeddingTable
 from tagforge.rng import Xoshiro256StarStar, derive_seed
 
-from engine_synth import Region, clean_regions
+from engine_synth import Region, clean_regions, removed_pairs
 
 
 def brute_force_optimum(points: np.ndarray, k: int) -> float:
@@ -340,4 +340,4 @@ def test_clean_category_ranking_matches_reference():
             )
             want_outliers, want_removed = _ref_clean_outliers(regions, table, 0.2, trial, scope)
             assert got_outliers == want_outliers, (trial, scope)
-            assert got.removed_pairs == want_removed, (trial, scope)
+            assert removed_pairs(got, regions) == want_removed, (trial, scope)

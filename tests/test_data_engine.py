@@ -11,6 +11,7 @@ import pytest
 
 import tagforge
 from tagforge.data_engine import (
+    EVENTS,
     PROV_GENERATED,
     PROV_PARSED,
     REASON_CONTRARY,
@@ -18,6 +19,7 @@ from tagforge.data_engine import (
     REASON_OUTLIER,
     EngineError,
     EngineStats,
+    Pairs,
     StageStats,
     apply_removals,
     cluster_count,
@@ -37,62 +39,72 @@ from tagforge.embedding_store import EmbeddingTable
 from tagforge.errors import TagforgeError
 from tagforge.similarity_tagger import LabelQueryMatrix, ThresholdProfile
 
-from engine_synth import Region, build_synthetic_corpus, clean_regions
+from engine_synth import (
+    Region,
+    annotations_of,
+    build_synthetic_corpus,
+    clean_regions,
+    events_of,
+    filter_removals,
+    pairs_of,
+    provenances,
+    removed_pairs,
+)
 
 
-def _store(pairs):
+def _store(pairs, image_ids=(), tag_ids=()):
     store = {}
     for image_id, tag_id, provenance in pairs:
         store.setdefault(image_id, {})[tag_id] = provenance
-    return store
+    return annotations_of(store, image_ids, tag_ids)
 
 
 # -- generate_merge ------------------------------------------------------------
 
 
 def test_generate_merge_identity():
-    parsed = _store([("i1", 0, PROV_PARSED)])
-    merged, audit, rejected = generate_merge(parsed, [], {}, valid_tag_ids={0, 1})
-    assert kept_pairs(merged) == {("i1", 0)}
-    assert audit == [] and rejected == 0
+    parsed = _store([("i1", 0, PROV_PARSED)], tag_ids=[1])
+    merged, added, rejected = generate_merge(parsed, [], {}, valid_tag_ids={0, 1})
+    assert set(pairs_of(merged)) == {("i1", 0)}
+    assert len(added) == 0 and rejected == 0
     assert merged is not parsed
 
 
 def test_generate_merge_union_with_provenance_priority():
-    parsed = _store([("i1", 0, PROV_PARSED)])
-    merged, audit, _ = generate_merge(
+    parsed = _store([("i1", 0, PROV_PARSED)], tag_ids=[1])
+    merged, added, _ = generate_merge(
         parsed, [("i1", [0, 1])], {}, valid_tag_ids={0, 1}
     )
-    assert merged["i1"][0] == PROV_PARSED
-    assert merged["i1"][1] == PROV_GENERATED
-    assert [(e.image_id, e.tag_id, e.action) for e in audit] == [("i1", 1, "added")]
+    assert provenances(merged) == {("i1", 0): PROV_PARSED, ("i1", 1): PROV_GENERATED}
+    assert pairs_of(Pairs(merged.image_ids, merged.tag_ids, added)) == [("i1", 1)]
+    assert provenances(parsed) == {("i1", 0): PROV_PARSED}  # parsed stays the baseline
 
 
 def test_generate_merge_rejects_unknown_tag_records():
-    parsed = _store([("i1", 0, PROV_PARSED)])
-    merged, audit, rejected = generate_merge(
+    parsed = _store([("i1", 0, PROV_PARSED)], ["i2", "i3"], [1])
+    merged, added, rejected = generate_merge(
         parsed, [("i2", [0, 99]), ("i3", [1])], {}, valid_tag_ids={0, 1}
     )
     assert rejected == 1
-    assert ("i3", 1) in kept_pairs(merged)
-    assert ("i2", 99) not in kept_pairs(merged)
-    assert ("i2", 0) not in kept_pairs(merged)  # whole record rejected
+    assert set(pairs_of(merged)) == {("i1", 0), ("i3", 1)}  # ("i2", 0) too goes with its record
+    assert len(added) == 1
 
 
 def test_generate_merge_counts_non_decreasing():
     rng = np.random.default_rng(0)
     parsed = _store(
-        [(f"i{n}", int(t), PROV_PARSED) for n in range(20) for t in rng.integers(0, 5, size=3)]
+        [(f"i{n}", int(t), PROV_PARSED) for n in range(20) for t in rng.integers(0, 5, size=3)],
+        [f"i{n}" for n in range(25)], range(5),
     )
-    before = {img: len(tags) for img, tags in parsed.items()}
-    merged, _, _ = generate_merge(
+    merged, added, _ = generate_merge(
         parsed,
         [(f"i{int(n)}", [int(t)]) for n, t in zip(rng.integers(0, 25, 30), rng.integers(0, 5, 30))],
         {},
         valid_tag_ids=set(range(5)),
     )
-    for img, tags in merged.items():
-        assert len(tags) >= before.get(img, 0)
+    assert set(pairs_of(parsed)) <= set(pairs_of(merged))
+    assert len(merged) == len(parsed) + len(added)
+    assert np.all(np.diff(merged.keys) > 0)  # sorted and distinct
 
 
 # -- clean_category -------------------------------------------------------------
@@ -129,7 +141,7 @@ def test_clean_fraction_zero_removes_nothing():
     rng = np.random.default_rng(1)
     regions, table, _ = _region_cloud(rng, 7, 40, 0)
     result, outliers = clean_regions(7, regions, table, fraction=0.0, seed=5)
-    assert outliers == [] and result.removed_pairs == []
+    assert outliers == [] and len(result.removed_images) == 0
 
 
 def test_clean_marks_exactly_ceil_fraction():
@@ -156,7 +168,7 @@ def test_clean_min_regions_skip():
     regions, table, _ = _region_cloud(rng, 7, 12, 0)
     result, _ = clean_regions(7, regions, table, fraction=0.10, seed=5, min_regions=20)
     assert result.skipped
-    assert result.removed_pairs == []
+    assert len(result.removed_images) == 0
 
 
 def test_clean_removal_rule_matches_recount():
@@ -181,7 +193,7 @@ def test_clean_removal_rule_matches_recount():
         for img, members in by_image.items()
         if all((m.image_id, m.region_id) in marked for m in members)
     )
-    assert result.removed_pairs == expected_removed
+    assert removed_pairs(result, regions) == expected_removed
     # at least one image kept a region and survived despite another being marked
     mixed = [
         img
@@ -190,7 +202,7 @@ def test_clean_removal_rule_matches_recount():
         and not all((m.image_id, m.region_id) in marked for m in members)
     ]
     assert mixed, "fixture should produce partially-marked images"
-    assert all((img, 5) not in result.removed_pairs for img in mixed)
+    assert all((img, 5) not in removed_pairs(result, regions) for img in mixed)
 
 
 def test_clean_cluster_scope_marks_within_each_cluster():
@@ -221,7 +233,7 @@ def test_clean_deterministic_and_order_independent():
     a, a_outliers = clean_regions(3, regions, table, fraction=0.1, seed=42)
     b, b_outliers = clean_regions(3, list(reversed(regions)), table, fraction=0.1, seed=42)
     assert a_outliers == b_outliers
-    assert a.removed_pairs == b.removed_pairs
+    assert removed_pairs(a, regions) == removed_pairs(b, regions)
 
 
 def test_cluster_count_heuristic():
@@ -240,7 +252,10 @@ def _queries(dim=8, n_tags=3):
 
 
 def _filter(store, records, table, *args, **kwargs):
-    return prediction_filter(store, Regions.of(records).resolve(table), table, *args, **kwargs)
+    """prediction_filter on records, with its removals as (image_id, tag_id, reason)."""
+    result = prediction_filter(store, Regions.of(records).resolve(table), table, *args, **kwargs)
+    result.removals = filter_removals(result, store)
+    return result
 
 
 def test_filter_keeps_pair_with_matching_region():
@@ -331,17 +346,20 @@ def test_filter_whitelist_restricts():
 
 
 def test_apply_removals_deletes_a_pair_once():
-    store = _store([("i1", 0, PROV_PARSED), ("i1", 1, PROV_GENERATED)])
-    twice = [("i1", 0, REASON_OUTLIER), ("i1", 0, REASON_OUTLIER), ("i2", 0, REASON_OUTLIER)]
-    events, counts = apply_removals(store, twice, "clean")
-    assert [(e.image_id, e.tag_id, e.action, e.reason, e.stage) for e in events] == [
-        ("i1", 0, "removed", REASON_OUTLIER, "clean")
-    ]
-    assert counts == {REASON_OUTLIER: 1}
-    assert store == {"i1": {1: PROV_GENERATED}}
+    store = _store([("i1", 0, PROV_PARSED), ("i1", 1, PROV_GENERATED)], ["i2"])
+    i1_0, i2_0 = 0, len(store.tag_ids)  # keys of ("i1", 0) and ("i2", 0)
+    twice = np.array([i1_0, -1, i1_0, i2_0])  # -1: a pair outside the tables
+    outlier, no_prediction = 1, 2  # EVENTS codes
+    events = np.array([outlier, outlier, no_prediction, outlier], np.uint8)
+    kept, keys, events = apply_removals(store, twice, events)
+    assert keys.tolist() == [i1_0]
+    assert [EVENTS[e][1] for e in events.tolist()] == [REASON_OUTLIER]  # its first event
+    assert provenances(kept) == {("i1", 1): PROV_GENERATED}
+    assert len(store) == 2  # the input stays as it was
 
-    assert apply_removals(store, [("i1", 0, REASON_NO_PREDICTION)], "filter") == ([], {})
-    assert store == {"i1": {1: PROV_GENERATED}}
+    kept, keys, events = apply_removals(kept, np.array([i1_0]), np.array([no_prediction], np.uint8))
+    assert len(keys) == len(events) == 0
+    assert provenances(kept) == {("i1", 1): PROV_GENERATED}
 
 
 # -- stats and audit --------------------------------------------------------------
@@ -405,8 +423,8 @@ def test_run_engine_end_to_end(small_corpus):
     result = run_engine(small_corpus.config)
     result.stats.validate_conservation()
 
-    final = kept_pairs(result.final)
-    parsed = kept_pairs(result.parsed)
+    final = set(pairs_of(result.final))
+    parsed = set(pairs_of(result.parsed))
     truth = small_corpus.truth
 
     assert parsed == small_corpus.parsed_expected
@@ -419,7 +437,7 @@ def test_run_engine_end_to_end(small_corpus):
     assert not (final & small_corpus.injected)
 
     # audit replay reproduces the final set exactly
-    assert replay_audit(result.parsed, result.audit) == final
+    assert replay_audit(result.parsed, result.audit) == kept_pairs(result.final)
 
 
 @pytest.mark.parametrize("workers", [1, 2])
@@ -428,9 +446,8 @@ def test_run_engine_final_holds_the_replayed_pairs_only(small_corpus, tmp_path, 
 
     config = dataclasses.replace(small_corpus.config, out_dir=tmp_path / "out", workers=workers)
     result = run_engine(config)
-    assert any(e.action == "removed" for e in result.audit)
-    pairs = {(i, t) for i, tags in result.final.items() for t in tags}
-    assert pairs == replay_audit(result.parsed, result.audit)
+    assert any(action == "removed" for _, _, action, _, _ in events_of(result.audit))
+    assert pairs_of(result.final) == pairs_of(replay_audit(result.parsed, result.audit))
 
 
 def test_run_engine_outputs_deterministic(small_corpus, tmp_path):
@@ -451,10 +468,38 @@ def test_run_engine_audit_files_round_trip(small_corpus, tmp_path):
 
     out = tmp_path / "out"
     result = run_engine(dataclasses.replace(small_corpus.config, out_dir=out))
-    events = load_audit(out / "audit.jsonl")
-    assert len(events) == len(result.audit)
+    assert events_of(load_audit(out / "audit.jsonl")) == events_of(result.audit)
     loaded_stats = load_stats(out / "stats.tsv")
     assert loaded_stats == result.stats
+
+
+def test_run_engine_holds_few_bytes_per_kept_pair_and_audit_event(small_corpus):
+    # the pairs are int64 keys with a one-byte code each over one image table
+    # and one tag table, which parsed, final and the audit share
+    import dataclasses
+    import gc
+    import tracemalloc
+
+    config = dataclasses.replace(small_corpus.config, out_dir=None)
+    run_engine(config, outputs={})  # loads what later runs find cached
+    gc.collect()
+    tracemalloc.start()
+    try:
+        result = run_engine(config, outputs={})
+        gc.collect()
+        held = {}
+        for name in ("audit", "final", "parsed"):  # the tables go with the last
+            before = tracemalloc.get_traced_memory()[0]
+            setattr(result, name, None)
+            gc.collect()
+            held[name] = before - tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    events = sum(row.added + row.removed_total for row in result.stats.rows[1:])
+    pairs = result.stats.rows[0].tags + result.stats.rows[-1].tags
+    assert events > 400 and pairs > 1000
+    assert held["audit"] / events < 16
+    assert (held["final"] + held["parsed"]) / pairs < 32
 
 
 def test_run_engine_stage_error_names_stage(small_corpus, tmp_path):
@@ -605,12 +650,12 @@ def test_run_engine_refuses_an_audit_that_does_not_replay_to_final(
 
     apply_removals = data_engine.apply_removals
 
-    def drop_first_filter_event(store, removals, stage):
-        events, counts = apply_removals(store, removals, stage)
-        if stage != "filter":
-            return events, counts
-        assert events
-        return events[1:], counts  # the counts still balance
+    def drop_first_filter_event(annotations, keys, events):
+        kept, keys, events = apply_removals(annotations, keys, events)
+        if EVENTS[events[0]][2] != "filter":
+            return kept, keys, events
+        # the first key gives way to a second copy of the last: the counts still balance
+        return kept, np.append(keys[1:], keys[-1:]), events
 
     monkeypatch.setattr(data_engine, "apply_removals", drop_first_filter_event)
     out = tmp_path / "out"
@@ -721,8 +766,8 @@ def test_engine_commands_report_the_images_without_a_whole_image_embedding(
     assert result.exit_code == 0, result.output
     kept = set(whole.keys[::2])
     without = {
-        e.image_id for e in load_audit(tmp_path / "audit.jsonl")
-        if e.stage == "filter" and e.image_id not in kept
+        image_id for image_id, _, _, _, stage in events_of(load_audit(tmp_path / "audit.jsonl"))
+        if stage == "filter" and image_id not in kept
     }
     assert without
     assert f"filter stage, {len(without)} images without a whole-image embedding\n" in (

@@ -21,7 +21,6 @@ from tagforge.data_engine import (
     PROV_PARSED,
     REASON_CONTRARY,
     REASON_NO_PREDICTION,
-    FilterResult,
     Regions,
     _row_dots,
     load_regions,
@@ -31,7 +30,7 @@ from tagforge.embedding_store import EmbeddingFormatError, EmbeddingTable, load_
 from tagforge.errors import TagforgeError
 from tagforge.similarity_tagger import LabelQueryMatrix, ThresholdProfile
 
-from engine_synth import Region
+from engine_synth import Region, annotations_of, filter_removals
 
 # -- the per-record references ----------------------------------------------------
 
@@ -123,6 +122,13 @@ def reference_load_regions(path):
     return regions
 
 
+@dataclass
+class ReferenceFilterResult:
+    removals: list[tuple[str, int, str]]
+    skipped_pairs: list[tuple[str, int, str]]
+    images_without_whole_embedding: int = 0
+
+
 def reference_prediction_filter(
     store, regions, region_embeddings, whole_image_embeddings, queries, profile,
     margin=0.05, whitelist=None,
@@ -131,7 +137,7 @@ def reference_prediction_filter(
     regions_by_pair = {}
     for r in regions:
         regions_by_pair.setdefault((r.image_id, r.tag_id), []).append(r)
-    result = FilterResult()
+    result = ReferenceFilterResult([], [])
     images_missing_whole = set()
     for image_id in sorted(store):
         for tag_id in sorted(store[image_id]):
@@ -553,7 +559,12 @@ def test_prediction_filter_matches_reference(seed):
             args = (store, regions, table, whole_table, queries, profile)
             kwargs = dict(margin=margin, whitelist=whitelist)
             want = reference_prediction_filter(*args, **kwargs)
-            assert prediction_filter(store, resolved, *args[2:], **kwargs) == want
+            got = prediction_filter(annotations_of(store), resolved, *args[2:], **kwargs)
+            got = ReferenceFilterResult(
+                filter_removals(got, annotations_of(store)), got.skipped_pairs,
+                got.images_without_whole_embedding,
+            )
+            assert got == want
             results[whitelist is None, whole_table is not None] = want
     everything = results[True, True]
     assert (image1, 1, REASON_NO_PREDICTION) in everything.removals

@@ -6,6 +6,7 @@ import json
 import multiprocessing
 from pathlib import Path
 
+import numpy as np
 import pytest
 from click.testing import CliRunner
 
@@ -79,16 +80,18 @@ def _drop_first_event(monkeypatch, stage: str) -> None:
         generate_merge = data_engine.generate_merge
 
         def merge(*args):
-            merged, audit, rejected = generate_merge(*args)
-            return merged, audit[1:] + audit[-1:], rejected  # as many events as additions
+            merged, added, rejected = generate_merge(*args)
+            return merged, np.append(added[1:], added[-1:]), rejected  # as many events as additions
 
         monkeypatch.setattr(data_engine, "generate_merge", merge)
         return
     apply_removals = data_engine.apply_removals
 
-    def removals(store, removed, name):
-        events, counts = apply_removals(store, removed, name)
-        return (events[1:] if name == stage else events), counts
+    def removals(annotations, keys, events):
+        kept, keys, events = apply_removals(annotations, keys, events)
+        if len(events) and data_engine.EVENTS[events[0]][2] == stage:  # as many events as removals
+            keys = np.append(keys[1:], keys[-1:])
+        return kept, keys, events
 
     monkeypatch.setattr(data_engine, "apply_removals", removals)
 

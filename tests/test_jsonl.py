@@ -14,7 +14,6 @@ from tagforge import jsonl
 from tagforge.caption_parser import parse_corpus_file
 from tagforge.cli import cli
 from tagforge.data_engine import (
-    AuditEvent,
     load_annotations,
     load_audit,
     load_regions,
@@ -25,6 +24,8 @@ from tagforge.data_engine import (
 from tagforge.errors import TagforgeError
 from tagforge.label_system import build_label_system, save_vocabulary
 from tagforge.metrics import MetricsError, load_eval_instances
+
+from engine_synth import annotations_of, audit_of, events_of, provenances
 
 # characters str.splitlines() ends a line at, though a JSON string may hold them
 SEPARATORS = ("\u2028", "\u2029", "\x85")
@@ -226,15 +227,62 @@ def test_parse_names_the_first_invalid_line_at_every_worker_count(tmp_path):
 
 def test_annotations_and_audit_round_trip_line_separators(tmp_path):
     ids = [f"img{sep}{i}" for i, sep in enumerate(SEPARATORS + ENDINGS)]
-    store = {
+    store = annotations_of({
         image_id: {i: "parsed", i + 10: "generated"}
         for i, image_id in enumerate(ids)
-    }
+    })
     write_annotations(store, tmp_path / "a.jsonl")
-    assert load_annotations(tmp_path / "a.jsonl") == store
-    events = [AuditEvent(image_id, 3, "removed", "outlier", "clean") for image_id in ids]
+    loaded = load_annotations(tmp_path / "a.jsonl")
+    assert loaded == store and provenances(loaded) == provenances(store)
+    events = audit_of([(image_id, 3, "removed", "outlier", "clean") for image_id in ids])
     write_audit(events, tmp_path / "audit.jsonl")
-    assert load_audit(tmp_path / "audit.jsonl") == events
+    assert events_of(load_audit(tmp_path / "audit.jsonl")) == events_of(events)
+
+
+def test_annotations_keep_any_int64_tag_id_and_any_provenance_as_written(tmp_path):
+    lines = [
+        '{"image_id": "a", "tags": [{"tag_id": -9223372036854775808, "provenance": {"by": ["x", 1.5]}}, '
+        '{"tag_id": 0, "provenance": null}, {"tag_id": 9223372036854775807, "provenance": 1e+300}]}',
+        '{"image_id": "b", "tags": [{"tag_id": 3, "provenance": "caf\u00e9"}, {"tag_id": 4}]}',
+    ]
+    path, out = tmp_path / "a.jsonl", tmp_path / "out.jsonl"
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    write_annotations(load_annotations(path), out)
+    assert out.read_text(encoding="utf-8").splitlines() == [
+        json.dumps(json.loads(line), ensure_ascii=False)
+        for line in lines[:1] + ['{"image_id": "b", "tags": [{"tag_id": 3, "provenance": "caf\u00e9"}, '
+                                 '{"tag_id": 4, "provenance": "parsed"}]}']
+    ]
+
+
+@pytest.mark.parametrize("tag_id", ["9223372036854775808", "-9223372036854775809", '"x"', "null"])
+def test_load_annotations_refuses_a_tag_id_outside_int64(tmp_path, tag_id):
+    path = tmp_path / "a.jsonl"
+    path.write_text(
+        '{"image_id": "a", "tags": [{"tag_id": 1}]}\n'
+        f'{{"image_id": "b", "tags": [{{"tag_id": {tag_id}}}]}}\n'
+    )
+    with pytest.raises(TagforgeError, match=f"^{re.escape(str(path))}:2: malformed annotation record$"):
+        load_annotations(path)
+
+
+@pytest.mark.parametrize("field, value, message", [
+    ("action", '"moved"', "unknown audit action 'moved'"),
+    ("action", "1", "unknown audit action 1"),
+    ("image_id", "5", "malformed audit record"),
+    ("tag_id", "9223372036854775808", "malformed audit record"),
+    ("reason", '["outlier"]', "malformed audit record"),
+    ("stage", "null", "malformed audit record"),
+])
+def test_load_audit_checks_each_record_at_its_line(tmp_path, field, value, message):
+    good = {"image_id": "a", "tag_id": 1, "action": "removed", "reason": "outlier", "stage": "clean"}
+    bad = json.dumps({**good, field: "?"}).replace('"?"', value)
+    path = tmp_path / "audit.jsonl"
+    path.write_text(json.dumps(good) + "\n" + bad + "\n")
+    with pytest.raises(TagforgeError, match=f"^{re.escape(str(path))}:2: {re.escape(message)}$"):
+        load_audit(path)
+    path.write_text(json.dumps({**good, "tag_id": -(2**63)}) + "\n")
+    assert events_of(load_audit(path)) == [("a", -(2**63), "removed", "outlier", "clean")]
 
 
 @pytest.mark.parametrize("image_id", ["5", "2.5", "null", "true", '["a"]'])
@@ -377,7 +425,10 @@ def test_every_jsonl_reader_returns_records_or_raises_its_own_error(fuzz_dir, li
 # these references dump whole records, as the writers once did
 
 
-def reference_write_annotations(store, path):
+def reference_write_annotations(annotations, path):
+    store = {}
+    for (image_id, tag_id), provenance in provenances(annotations).items():
+        store.setdefault(image_id, {})[tag_id] = provenance
     with open(path, "w", encoding="utf-8") as fh:
         for image_id in sorted(store):
             tags = [
@@ -389,12 +440,12 @@ def reference_write_annotations(store, path):
                 fh.write("\n")
 
 
-def reference_write_audit(events, path):
+def reference_write_audit(audit, path):
     with open(path, "w", encoding="utf-8") as fh:
-        for e in events:
+        for image_id, tag_id, action, reason, stage in events_of(audit):
             record = {
-                "image_id": e.image_id, "tag_id": e.tag_id, "action": e.action,
-                "reason": e.reason, "stage": e.stage,
+                "image_id": image_id, "tag_id": tag_id, "action": action,
+                "reason": reason, "stage": stage,
             }
             fh.write(json.dumps(record, ensure_ascii=False) + "\n")
 
@@ -426,24 +477,25 @@ def test_write_annotations_matches_json_dumps_on_hostile_values(tmp_path):
     store = {image_id: {3: "parsed", 1: "generated"} for image_id in HOSTILE_IDS}
     store["removed only"] = {}
     store["mixed"] = {7: 'a "quoted" provenance'}
+    store = annotations_of(store)
     ours, theirs = _sides(tmp_path, write_annotations, reference_write_annotations, store)
     assert ours == theirs and b"removed only" not in ours
 
     # int, float and null ids, and provenances that are not strings
     odd = {7: {1: ["a", "b"]}, 2.5: {1: 1, 2: "parsed"}, None: {3: True}, 1e300: {4: 1.0}}
     for ids in ([7, 2.5], [None], [1e300]):  # sorted() cannot order None with numbers
-        part = {image_id: odd[image_id] for image_id in ids}
+        part = annotations_of({image_id: odd[image_id] for image_id in ids})
         ours, theirs = _sides(tmp_path, write_annotations, reference_write_annotations, part)
         assert ours == theirs
 
 
 def test_write_audit_matches_json_dumps_on_hostile_values(tmp_path):
     events = [
-        AuditEvent(image_id, tag_id, "removed", 'reason "x"', "clean")
+        (image_id, tag_id, "removed", 'reason "x"', "clean")
         for image_id in HOSTILE_IDS for tag_id in (0, 12)
     ]
-    events += [AuditEvent(5, 1, "added", "generated", "generate"), AuditEvent(None, 2, 1, 1.0, True)]
-    ours, theirs = _sides(tmp_path, write_audit, reference_write_audit, events)
+    events += [(5, 1, "added", "generated", "generate"), (None, 2, 1, 1.0, True)]
+    ours, theirs = _sides(tmp_path, write_audit, reference_write_audit, audit_of(events))
     assert ours == theirs
 
 
@@ -462,8 +514,8 @@ def test_writers_match_json_dumps_across_a_chunk_boundary(tmp_path):
 
     n = jsonl.BATCH_LINES + 1  # one record on the far side of the first chunk
     ids = [f"img{i:06d} " for i in range(n)]
-    store = {image_id: {i % 7: "parsed"} for i, image_id in enumerate(ids)}
-    events = [AuditEvent(image_id, 1, "removed", "outlier", "clean") for image_id in ids]
+    store = annotations_of({image_id: {i % 7: "parsed"} for i, image_id in enumerate(ids)})
+    events = audit_of([(image_id, 1, "removed", "outlier", "clean") for image_id in ids])
     corpus = CorpusParse({image_id: [("dog", "object")] for image_id in ids}, RejectSummary())
     for write, reference, value in (
         (write_annotations, reference_write_annotations, store),
@@ -478,9 +530,9 @@ def test_writers_refuse_a_lone_surrogate(tmp_path):
     from tagforge.caption_parser import CorpusParse, RejectSummary, write_image_tags
 
     with pytest.raises(UnicodeEncodeError):
-        write_annotations({"bad\ud800": {1: "parsed"}}, tmp_path / "a.jsonl")
+        write_annotations(annotations_of({"bad\ud800": {1: "parsed"}}), tmp_path / "a.jsonl")
     with pytest.raises(UnicodeEncodeError):
-        write_audit([AuditEvent("bad\udfff", 1, "removed", "outlier", "clean")], tmp_path / "b.jsonl")
+        write_audit(audit_of([("bad\udfff", 1, "removed", "outlier", "clean")]), tmp_path / "b.jsonl")
     corpus = CorpusParse({"bad\ud83d": [("dog", "object")]}, RejectSummary())
     with pytest.raises(UnicodeEncodeError):
         write_image_tags(corpus, tmp_path / "c.jsonl")

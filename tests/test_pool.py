@@ -10,7 +10,7 @@ from tagforge.data_engine import EngineError, Regions, finish_clean, start_clean
 from tagforge.embedding_store import EmbeddingTable
 from tagforge.pool import run_tasks
 
-from engine_synth import Region, clean_regions
+from engine_synth import Region, clean_regions, removed_pairs
 
 
 def _scaled(factor, task):
@@ -112,16 +112,16 @@ def test_one_worker_or_one_task_starts_no_pool(tmp_path, monkeypatch):
         assert set(parse_corpus_file(one_line, workers=workers).image_tags) == {"a"}
 
     regions, table = _categories({1: 30, 2: 25})
-    removed = {
-        t: clean_regions(t, [r for r in regions if r.tag_id == t], table, 0.2, 5)[0].removed_pairs
-        for t in (1, 2)
-    }
+    removed = {}
+    for t in (1, 2):
+        records = [r for r in regions if r.tag_id == t]
+        removed[t] = removed_pairs(clean_regions(t, records, table, 0.2, 5)[0], records)
     assert removed[1] and removed[2]
-    both = clean_stage(regions, table, None, workers=1, fraction=0.2, seed=5)
-    assert [(img, tid) for img, tid, _ in both] == removed[1] + removed[2]
     single = [r for r in regions if r.tag_id == 2]
-    one = clean_stage(single, table, None, workers=2, fraction=0.2, seed=5)
-    assert [(img, tid) for img, tid, _ in one] == removed[2]
+    for records, workers, want in ((regions, 1, removed[1] + removed[2]), (single, 2, removed[2])):
+        image, tag = clean_stage(records, table, None, workers=workers, fraction=0.2, seed=5)
+        image_ids = sorted({r.image_id for r in records})  # the regions' image table
+        assert [(image_ids[i], t) for i, t in zip(image.tolist(), tag.tolist())] == want
 
 
 def test_clean_stage_names_the_largest_failing_category_first():
