@@ -62,10 +62,6 @@ class EngineError(TagforgeError):
         self.message = message
         super().__init__(f"engine stage {stage!r} failed: {message}")
 
-    def __reduce__(self):
-        # lets an error raised in a clean worker process reach the parent
-        return type(self), (self.stage, self.message)
-
 
 @contextmanager
 def _stage(name: str):
@@ -171,6 +167,18 @@ def _rekey(pairs: Pairs, image_ids: list[str], tag_ids: np.ndarray) -> Pairs:
     return replace(pairs, image_ids=image_ids, tag_ids=tag_ids, keys=keys)
 
 
+def _ordinals(ids: Sequence[str]) -> tuple[list[str], np.ndarray]:
+    """The sorted distinct ids, and each id's ordinal among them, from one
+    sort of the positions by id: faster than np.unique on an object array."""
+    order = np.array(sorted(range(len(ids)), key=ids.__getitem__), np.int64)
+    ranked = np.array(ids, object)[order]
+    first = np.ones(len(ids), bool)
+    first[1:] = ranked[1:] != ranked[:-1]
+    ordinal = np.empty(len(ids), np.int64)
+    ordinal[order] = np.cumsum(first) - 1
+    return ranked[first].tolist(), ordinal
+
+
 @dataclass(eq=False)
 class Regions:
     """The (image_id, region_id, tag_id, embedding_key) records of a regions
@@ -194,9 +202,7 @@ class Regions:
             region_ids.append(region_id)
             tag_ids.append(tag_id)
             keys.append(key)
-        image_ids, image = np.unique(np.array(images, object), return_inverse=True)
-        region = np.unique(np.array(region_ids, object), return_inverse=True)[1]
-        return cls(image_ids.tolist(), image, region, np.array(tag_ids, np.int64), keys)
+        return cls(*_ordinals(images), _ordinals(region_ids)[1], np.array(tag_ids, np.int64), keys)
 
     def __len__(self) -> int:
         return len(self.tag_id)
@@ -310,8 +316,8 @@ class CategoryCleanResult:
     region_count: int
     k: int
     skipped: bool
-    outliers: np.ndarray  # region indices, in (image_id, region_id) order
-    removed_images: np.ndarray  # the removed pairs' image ordinals in the regions' image_ids
+    outliers: np.ndarray  # positions in the category's rows
+    removed_images: np.ndarray  # the removed pairs' image ordinals, from the category's
 
 
 OUTLIER_SCOPE_CATEGORY = "category"
@@ -324,9 +330,9 @@ def _ceil_fraction(fraction: float, n: int) -> int:
 
 def clean_category(
     tag_id: int,
-    members: np.ndarray,
-    regions: Regions,
-    region_embeddings: EmbeddingTable,
+    rows: np.ndarray,
+    image: np.ndarray,
+    matrix: np.ndarray,
     fraction: float,
     seed: int,
     min_regions: int = DEFAULT_MIN_REGIONS,
@@ -334,8 +340,9 @@ def clean_category(
     max_iter: int = DEFAULT_MAX_ITER,
     outlier_scope: str = OUTLIER_SCOPE_CATEGORY,
 ) -> CategoryCleanResult:
-    """Cluster one category's resolved regions, members as categories gives
-    them, and mark the farthest fraction as outliers.
+    """Cluster one category's regions (rows of matrix, with their image
+    ordinals, in (image_id, region_id) order) and mark the farthest fraction
+    as outliers.
 
     With the default "category" scope, exactly ceil(fraction * n) regions
     are marked (distance to assigned centroid descending, ties by
@@ -348,25 +355,18 @@ def clean_category(
         raise ValueError("fraction must be in [0, 1)")
     if outlier_scope not in (OUTLIER_SCOPE_CATEGORY, OUTLIER_SCOPE_CLUSTER):
         raise ValueError(f"unknown outlier scope {outlier_scope!r}")
-    n = len(members)
+    n = len(rows)
     if n < min_regions:
-        return CategoryCleanResult(tag_id, n, 0, True, members[:0], members[:0])
-
-    rows = regions.row[members]
-    missing = [regions.keys[i] for i in members[rows < 0].tolist()]
-    if missing:
-        raise EngineError(
-            STAGE_CLEAN,
-            f"category {tag_id}: unresolvable embedding keys: {missing[:5]}"
-            + ("" if len(missing) <= 5 else f" (+{len(missing) - 5} more)"),
-        )
-    points = region_embeddings.matrix[rows]
+        return CategoryCleanResult(tag_id, n, 0, True, rows[:0], image[:0])
+    if np.any(rows < 0):  # matrix[-1] would cluster the last row in its place
+        raise ValueError(f"category {tag_id}: negative table row")
+    points = matrix[rows]
 
     k = distinct_rows(points, stop_at=cluster_count(n))
     category_seed = derive_seed(seed, tag_id)
     result = lloyd(points, kmeanspp_init(points, k, category_seed), max_iter=max_iter, tol=tol)
 
-    # members are in (image_id, region_id) order, so a stable sort by distance
+    # rows are in (image_id, region_id) order, so a stable sort by distance
     # descending breaks ties by (image_id, region_id) ascending
     ranked = np.argsort(-result.distances, kind="stable")
     outlier = np.zeros(n, dtype=bool)
@@ -378,16 +378,15 @@ def clean_category(
             in_cluster = ranked[ranked_cluster == cluster]
             outlier[in_cluster[: _ceil_fraction(fraction, len(in_cluster))]] = True
 
-    # members are grouped by image; a pair goes when all its regions are outliers
-    image = regions.image[members]
+    # rows are grouped by image; a pair goes when all its regions are outliers
     starts = np.flatnonzero(np.diff(image, prepend=-1))
     removed = image[starts[np.logical_and.reduceat(outlier, starts)]]
-    return CategoryCleanResult(tag_id, n, k, False, members[outlier], removed)
+    return CategoryCleanResult(tag_id, n, k, False, np.flatnonzero(outlier), removed)
 
 
-def _clean_one(shared: tuple, task: tuple[int, np.ndarray]) -> CategoryCleanResult:
-    regions, region_embeddings, params = shared
-    return clean_category(*task, regions, region_embeddings, **params)
+def _clean_one(shared: tuple, task: tuple[int, np.ndarray, np.ndarray]) -> CategoryCleanResult:
+    matrix, params = shared
+    return clean_category(*task, matrix, **params)
 
 
 def start_clean(
@@ -395,27 +394,38 @@ def start_clean(
     region_embeddings: EmbeddingTable,
     whitelist: set[int] | None,
     workers: int = 1,
+    min_regions: int = DEFAULT_MIN_REGIONS,
     **params,
 ) -> Iterator[CategoryCleanResult]:
     """Start cleaning every category that has regions (only whitelisted ones
     when a whitelist is given) with clean_category's keyword params, and
     return pool.run_tasks' iterator of their results.
 
-    The categories go to pool.run_tasks largest first, one task each, with
-    the regions and the embedding table shared. At more than one worker the
-    helper processes start cleaning now; finish_clean joins them.
+    Before any task starts, the largest category of at least min_regions
+    regions holding a key the table lacks is refused (a smaller one is
+    skipped, and the filter reports it). The categories go to pool.run_tasks
+    largest first as (tag_id, rows, image ordinals) tasks, with the matrix
+    shared. At more than one worker the helpers start cleaning now;
+    finish_clean joins them.
     """
     tasks = [(t, m) for t, m in regions.categories().items() if whitelist is None or t in whitelist]
     tasks.sort(key=lambda task: (-len(task[1]), task[0]))
-    return run_tasks(_clean_one, tasks, (regions, region_embeddings, params), workers)
+    for tag_id, members in tasks:
+        missing = [regions.keys[i] for i in members[regions.row[members] < 0].tolist()]
+        if missing and len(members) >= min_regions:
+            more = f" (+{len(missing) - 5} more)" if len(missing) > 5 else ""
+            message = f"category {tag_id}: unresolvable embedding keys: {missing[:5]}{more}"
+            raise EngineError(STAGE_CLEAN, message)
+    tasks = [(t, regions.row[m], regions.image[m]) for t, m in tasks]
+    shared = (region_embeddings.matrix, {**params, "min_regions": min_regions})
+    return run_tasks(_clean_one, tasks, shared, workers)
 
 
 def finish_clean(results: Iterable[CategoryCleanResult]) -> tuple[np.ndarray, np.ndarray]:
     """Run the clean tasks left, wait for the rest and return the removed
     pairs, as image ordinals in the regions' image_ids and tag_ids, in the
     order the results arrive; apply_removals sorts them, so the audit is the
-    same at every worker count. When several categories fail, the first
-    failure met is raised: at one worker, the largest failing category's."""
+    same at every worker count."""
     results = list(results)
     image = np.concatenate([np.empty(0, np.int64)] + [r.removed_images for r in results])
     counts = np.array([len(r.removed_images) for r in results], np.int64)
@@ -550,19 +560,8 @@ class EngineResult:
     generated_rejects: RejectSummary  # malformed generated-caption records skipped
 
 
-def _image_id(obj) -> str:
-    # image ids are sorted as strings, and a number would pair with the string it prints as
-    if not isinstance(image_id := obj["image_id"], str):
-        raise TypeError("image_id must be a string")
-    return image_id
-
-
 def _tag_id_record(obj) -> tuple[str, list[int]]:
-    image_id, tag_ids = _image_id(obj), obj["tag_ids"]
-    # a string of tag_ids would be read digit by digit
-    if not isinstance(tag_ids, list):
-        raise TypeError("tag_ids must be a list")
-    return image_id, [int(t) for t in tag_ids]
+    return jsonl.image_id(obj), [int(t) for t in jsonl.as_list(obj["tag_ids"], "tag_ids")]
 
 
 def load_tag_id_records(path: str | Path) -> list[tuple[str, list[int]]]:
@@ -578,7 +577,7 @@ def _tag_id(value) -> int:
 
 
 def _region_record(obj) -> tuple[str, str, int, str]:
-    image_id, region_id = _image_id(obj), str(obj["region_id"])
+    image_id, region_id = jsonl.image_id(obj), str(obj["region_id"])
     tag_id, score, key = _tag_id(obj["tag_id"]), float(obj["score"]), str(obj["embedding_key"])
     if not 0.0 <= score <= 1.0:
         raise jsonl.RecordError("detector score outside [0, 1]")
@@ -611,24 +610,6 @@ def _caption_tag_ids(
     return image_tag_ids, unmapped, corpus.rejects
 
 
-def _parse_stage(
-    config: EngineConfig, vocab: TagVocabulary, lexicons: LexiconBundle
-) -> tuple[list, int, RejectSummary]:
-    """The parsed pairs as (groups of (image_id, tag_ids), provenance code):
-    each captioned image's tag ids, then the seed annotations' tag ids in the
-    vocabulary. Also the count of tags that map to no tag id, and the
-    malformed caption records."""
-    image_tag_ids, unmapped, rejects = _caption_tag_ids(config.captions, config, vocab, lexicons)
-    sources = [(list(image_tag_ids.items()), _PARSED)]
-    if config.seed_annotations is not None:
-        valid, seeds = set(vocab.tag_ids()), []
-        for image_id, tag_ids in load_tag_id_records(config.seed_annotations):
-            seeds.append((image_id, [tag_id for tag_id in tag_ids if tag_id in valid]))
-            unmapped += len(tag_ids) - len(seeds[-1][1])
-        sources.append((seeds, _SEED))
-    return sources, unmapped, rejects
-
-
 def run_engine(
     config: EngineConfig,
     annotations: str | Path | None = None,
@@ -647,17 +628,26 @@ def run_engine(
     regions and region_embeddings when neither clean nor filter runs, and
     queries when filter does not.
 
-    The inputs that clean and the filter read load before parse, and a bad
-    one fails the run at once: the regions, region embeddings and whitelist
-    under stage clean (filter when clean does not run), then the annotations
-    and the vocabulary, then the label queries, thresholds and image
-    embeddings under stage filter. The clean tasks start once their inputs
-    load, so at more than one worker the helper processes clean while this
-    process parses and generates; then it joins the cleaning. Parse and
-    generate split their caption files over workers processes as `parse`
-    does, so a caption file that outlasts the cleaning does not leave the
-    helpers' cores idle."""
-    stats = EngineStats()
+    Every input but the caption files loads before parse, and a bad one
+    fails the run at once, with the same message at every worker count: the
+    regions, region embeddings, whitelist and a cleaned category's missing
+    embedding key under stage clean (filter when clean does not run); the
+    annotations and the vocabulary; the label queries, thresholds and image
+    embeddings under stage filter; the seed annotations under stage parse,
+    the generated tag-id files under stage generate. The clean tasks start
+    once their inputs load, so at more than one worker the helper processes
+    clean while this process parses and generates; then it joins the
+    cleaning. Parse and generate split their caption files over workers
+    processes as `parse` does, so a caption file that outlasts the cleaning
+    does not leave the helpers' cores idle."""
+    # each stage's stats row, and its audit keys and event codes, in stage order
+    stats, log = EngineStats(), [(np.empty(0, np.int64), _NO_CODES)]
+
+    def logged(stage: str, kept: Annotations, keys: np.ndarray, events: np.ndarray) -> Annotations:
+        log.append((keys, events))
+        stats.rows.append(_stage_row(stage, kept, events))
+        return kept
+
     cleaning = None
     try:
         if STAGE_CLEAN in stages or STAGE_FILTER in stages:
@@ -674,26 +664,40 @@ def run_engine(
                     )
         parsed = load_annotations(annotations) if annotations is not None else _NO_ANNOTATIONS
         vocab = load_vocabulary(config.vocab)
+        valid = set(vocab.tag_ids())
         if STAGE_FILTER in stages:
             with _stage(STAGE_FILTER):
                 queries = load_label_queries(config.queries, vocab)
                 profile = load_threshold_profile(config.thresholds)
                 profile.validate_against(queries.tag_ids)
-                whole = (
-                    normalize(load_embeddings(config.image_embeddings)) if config.image_embeddings
-                    else None
-                )
-        if annotations is None or STAGE_GENERATE in stages:
-            lexicons = load_lexicons(config.lexicon_dir)
-        unmapped, parse_rejects, sources = 0, RejectSummary(), []
-        if annotations is None:
+                path = config.image_embeddings
+                whole = normalize(load_embeddings(path)) if path else None
+        unmapped, seeds, records = 0, [], []
+        if annotations is None and config.seed_annotations is not None:
             with _stage(STAGE_PARSE):
-                sources, unmapped, parse_rejects = _parse_stage(config, vocab, lexicons)
-        records, caption_tags = [], {}
-        generated_unmapped, rejected, generated_rejects = 0, 0, RejectSummary()
+                for image_id, tag_ids in load_tag_id_records(config.seed_annotations):
+                    seeds.append((image_id, [tag_id for tag_id in tag_ids if tag_id in valid]))
+                    unmapped += len(tag_ids) - len(seeds[-1][1])
         if STAGE_GENERATE in stages:
             with _stage(STAGE_GENERATE):
                 records = [r for path in config.generated_tags for r in load_tag_id_records(path)]
+        if annotations is None or STAGE_GENERATE in stages:
+            lexicons = load_lexicons(config.lexicon_dir)
+        # the parsed pairs as (groups of (image_id, tag_ids), provenance code)
+        parse_rejects, sources = RejectSummary(), []
+        if annotations is None:
+            with _stage(STAGE_PARSE):
+                tagged, count, parse_rejects = _caption_tag_ids(
+                    config.captions, config, vocab, lexicons
+                )
+            unmapped += count
+            sources = [(list(tagged.items()), _PARSED)]
+            if seeds:  # an empty merge still costs a pass over every pair
+                sources.append((seeds, _SEED))
+        caption_tags = {}
+        generated_unmapped, rejected, generated_rejects = 0, 0, RejectSummary()
+        if STAGE_GENERATE in stages:
+            with _stage(STAGE_GENERATE):
                 for path in config.generated_captions:
                     tag_ids, count, rejects = _caption_tag_ids(path, config, vocab, lexicons)
                     generated_unmapped += count
@@ -708,23 +712,18 @@ def run_engine(
         for groups, provenance in sources:  # a pair both parsed and seeded stays parsed
             parsed = _merge(parsed, groups, provenance)[0]
         stats.rows.append(_stage_row(STAGE_PARSE, parsed, added=len(parsed)))
-        # each stage's audit keys and event codes, in stage order
-        merged, log = parsed, [(np.empty(0, np.int64), _NO_CODES)]
+        merged = parsed
         if STAGE_GENERATE in stages:
             with _stage(STAGE_GENERATE):
-                merged, added, rejected = generate_merge(
-                    parsed, records, caption_tags, set(vocab.tag_ids())
-                )
-                log.append((added, np.full(len(added), _ADDED, np.uint8)))
-                stats.rows.append(_stage_row(STAGE_GENERATE, merged, log[-1][1]))
+                merged, added, rejected = generate_merge(parsed, records, caption_tags, valid)
+                events = np.full(len(added), _ADDED, np.uint8)
+                merged = logged(STAGE_GENERATE, merged, added, events)
         if STAGE_CLEAN in stages:
             with _stage(STAGE_CLEAN):
                 image, tag = finish_clean(cleaning)
                 keys = _keys(merged.image_ids, merged.tag_ids, regions.image_ids, image, tag)
                 outliers = np.full(len(keys), _OUTLIER, np.uint8)
-                merged, *removed = apply_removals(merged, keys, outliers)
-                log.append(removed)
-                stats.rows.append(_stage_row(STAGE_CLEAN, merged, log[-1][1]))
+                merged = logged(STAGE_CLEAN, *apply_removals(merged, keys, outliers))
     finally:
         if cleaning is not None:
             cleaning.close()  # stops the helpers when a stage failed
@@ -736,11 +735,9 @@ def run_engine(
                 merged, regions, table, whole, queries, profile, margin=config.margin,
                 whitelist=whitelist,
             )
-            merged, *removed = apply_removals(merged, outcome.removals, outcome.events)
-            log.append(removed)
+            merged = logged(STAGE_FILTER, *apply_removals(merged, outcome.removals, outcome.events))
             filter_skipped = outcome.skipped_pairs
             without_whole = outcome.images_without_whole_embedding
-            stats.rows.append(_stage_row(STAGE_FILTER, merged, log[-1][1]))
     audit = Audit(image_ids, tag_ids, *(np.concatenate(column) for column in zip(*log)))
 
     stats.validate_conservation()
@@ -825,7 +822,7 @@ def load_annotations(path: str | Path) -> Annotations:
         tags = [_tag_id(t["tag_id"]) for t in obj["tags"]]
         for t in obj["tags"]:
             provenance.append(codes.setdefault(dumps(t.get("provenance", PROV_PARSED)), len(codes)))
-        return _image_id(obj), tags
+        return jsonl.image_id(obj), tags
 
     image_ids, tag_ids, keys = _load_pairs(path, "annotation", record)
     keys, first = np.unique(keys, return_index=True)
@@ -862,7 +859,7 @@ def load_audit(path: str | Path) -> Audit:
         if not isinstance(reason, str) or not isinstance(stage, str):
             raise TypeError("reason and stage must be strings")
         event.append(kinds.setdefault((action, reason, stage), len(kinds)))
-        return _image_id(obj), [_tag_id(obj["tag_id"])]
+        return jsonl.image_id(obj), [_tag_id(obj["tag_id"])]
 
     pairs = _load_pairs(path, "audit", record)  # fills event and kinds
     return Audit(*pairs, np.array(event, np.min_scalar_type(len(kinds))), list(kinds))

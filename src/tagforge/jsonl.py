@@ -100,6 +100,20 @@ def read(
             yield record
 
 
+def image_id(obj) -> str:
+    """A record's "image_id", a string: ids sort as strings, and 5 would pair with "5"."""
+    if not isinstance(value := obj["image_id"], str):
+        raise TypeError("image_id must be a string")
+    return value
+
+
+def as_list(value, field: str) -> list:
+    """value, a record's field, if a list: a string would be read item by item."""
+    if not isinstance(value, list):
+        raise TypeError(f"{field} must be a list")
+    return value
+
+
 def memo_dumps() -> Callable[[Any], str]:
     """json.dumps(value, ensure_ascii=False), memoized for str and int values.
     Other values are dumped on every call: 1.0 and True are equal to 1 as

@@ -242,7 +242,7 @@ def load_eval_instances(predictions_path: str | Path, ground_truth_path: str | P
 
     def prediction(obj) -> tuple[str, tuple[list[int], np.ndarray]]:
         nonlocal keys, class_list, keep
-        image_id = _image_id(obj)
+        image_id = jsonl.image_id(obj)
         raw = obj["scores"]
         if not isinstance(raw, dict):
             raise TypeError("scores must be an object")
@@ -253,7 +253,7 @@ def load_eval_instances(predictions_path: str | Path, ground_truth_path: str | P
         return image_id, (class_list, values if keep is None else values[keep])
 
     def ground_truth(obj) -> tuple[str, tuple[set[int], set[int]]]:
-        image_id = _image_id(obj)
+        image_id = jsonl.image_id(obj)
         positive, negative = _label_set(obj, "positive"), _label_set(obj, "negative")
         return image_id, (positive - negative, negative)  # a class in both is negative
 
@@ -313,20 +313,9 @@ def load_eval_instances(predictions_path: str | Path, ground_truth_path: str | P
     return EvalInstances(image_ids, class_ids, scores, labels)
 
 
-def _image_id(obj) -> str:
-    image_id = obj["image_id"]
-    if not isinstance(image_id, str):
-        raise TypeError("image_id must be a string")
-    return image_id
-
-
 def _label_set(obj, field: str) -> set[int]:
-    """A ground-truth record's class ids under field; a list, else TypeError
-    (a string would otherwise be read digit by digit)."""
-    values = obj.get(field, [])
-    if not isinstance(values, list):
-        raise TypeError(f"{field} must be a list")
-    return set(map(int, values))
+    """A ground-truth record's class ids under field, a list when present."""
+    return set(map(int, jsonl.as_list(obj.get(field, []), field)))
 
 
 def _class_ids(keys: list[str]) -> tuple[list[int], list[int] | None]:

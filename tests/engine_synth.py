@@ -58,8 +58,10 @@ def clean_regions(tag_id, records, table, *args, **kwargs):
     """clean_category on the regions of records, all of tag_id, and the
     (image_id, region_id) of its outliers."""
     regions = Regions.of(records).resolve(table)
-    result = clean_category(tag_id, regions.categories()[tag_id], regions, table, *args, **kwargs)
-    return result, [tuple(records[i][:2]) for i in result.outliers.tolist()]
+    members = regions.categories()[tag_id]
+    rows, image = regions.row[members], regions.image[members]
+    result = clean_category(tag_id, rows, image, table.matrix, *args, **kwargs)
+    return result, [tuple(records[i][:2]) for i in members[result.outliers].tolist()]
 
 
 def annotations_of(store, image_ids=(), tag_ids=()) -> Annotations:

@@ -1,7 +1,6 @@
 import hashlib
 import json
 import os
-import pickle
 import subprocess
 import sys
 from pathlib import Path
@@ -22,6 +21,7 @@ from tagforge.data_engine import (
     Pairs,
     StageStats,
     apply_removals,
+    clean_category,
     cluster_count,
     generate_merge,
     kept_pairs,
@@ -33,6 +33,7 @@ from tagforge.data_engine import (
     replay_audit,
     run_engine,
     Regions,
+    start_clean,
     write_stats,
 )
 from tagforge.embedding_store import EmbeddingTable
@@ -220,11 +221,19 @@ def test_clean_cluster_scope_marks_within_each_cluster():
         clean_regions(4, regions, table, fraction=0.1, seed=13, outlier_scope="bogus")
 
 
-def test_clean_unresolvable_key_errors():
-    regions = [Region(f"i{n}", f"r{n}", 1, f"missing{n}") for n in range(25)]
+def test_start_clean_refuses_an_unresolvable_key_before_any_task():
+    records = [Region(f"i{n}", f"r{n}", 1, f"missing{n}") for n in range(25)]
     table = EmbeddingTable.from_vectors({"other": np.ones(4)})
-    with pytest.raises(EngineError, match="unresolvable"):
-        clean_regions(1, regions, table, fraction=0.1, seed=0)
+    regions = Regions.of(records).resolve(table)
+    with pytest.raises(EngineError, match="category 1: unresolvable") as exc:
+        start_clean(regions, table, None, fraction=0.1, seed=0)
+    assert exc.value.stage == "clean"
+    # under min_regions the category is skipped, not refused
+    (result,) = start_clean(regions, table, None, min_regions=26, fraction=0.1, seed=0)
+    assert result.skipped
+    # clean_category takes table rows; a missing one (-1) would gather the last row
+    with pytest.raises(ValueError, match="negative table row"):
+        clean_category(1, regions.row, regions.image, table.matrix, fraction=0.1, seed=0)
 
 
 def test_clean_deterministic_and_order_independent():
@@ -641,6 +650,53 @@ def test_run_engine_refuses_a_bad_filter_input_before_it_parses(
         assert not out.exists()
 
 
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("case", ["seed annotations", "generated tags", "region key"])
+def test_run_engine_refuses_a_bad_seed_generated_or_region_input_before_it_parses(
+    small_corpus, tmp_path, monkeypatch, case, workers
+):
+    import dataclasses
+    import multiprocessing
+
+    from tagforge import data_engine
+
+    def parse_corpus_file(*args, **kwargs):
+        raise AssertionError("parsed before the inputs were checked")
+
+    monkeypatch.setattr(data_engine, "parse_corpus_file", parse_corpus_file)
+    cfg = small_corpus.config
+    tag_ids = tmp_path / "tag_ids.jsonl"
+    tag_ids.write_text('{"image_id": "a", "tag_ids": [1]}\n{"image_id": "b", "tag_ids": "1"}\n')
+    # one region of the largest category loses its embedding key
+    records = [json.loads(line) for line in cfg.regions.read_text().splitlines()]
+    sizes = {}
+    for record in records:
+        sizes[record["tag_id"]] = sizes.get(record["tag_id"], 0) + 1
+    largest = min(sizes, key=lambda t: (-sizes[t], t))
+    next(r for r in records if r["tag_id"] == largest)["embedding_key"] = "no-such-key"
+    regions = tmp_path / "regions.jsonl"
+    regions.write_text("".join(json.dumps(record) + "\n" for record in records))
+    bad, stage, message = {
+        "seed annotations": (
+            {"seed_annotations": tag_ids}, "parse", f"{tag_ids}:2: malformed tag-id record"
+        ),
+        "generated tags": (
+            {"generated_tags": [tag_ids]}, "generate", f"{tag_ids}:2: malformed tag-id record"
+        ),
+        "region key": (
+            {"regions": regions}, "clean",
+            f"category {largest}: unresolvable embedding keys: ['no-such-key']",
+        ),
+    }[case]
+    out = tmp_path / "out"
+    config = dataclasses.replace(cfg, out_dir=out, workers=workers, **bad)
+    with pytest.raises(EngineError) as exc:
+        run_engine(config)
+    assert (exc.value.stage, exc.value.message) == (stage, message)
+    assert multiprocessing.active_children() == []
+    assert not out.exists()
+
+
 def test_run_engine_refuses_an_audit_that_does_not_replay_to_final(
     small_corpus, tmp_path, monkeypatch
 ):
@@ -666,12 +722,8 @@ def test_run_engine_refuses_an_audit_that_does_not_replay_to_final(
 
 
 def test_run_engine_clean_worker_error_names_stage(small_corpus, tmp_path):
-    # a region whose embedding key is missing fails inside a clean worker;
-    # the error must survive pickling, or the pool could never report it
+    # a region whose embedding key is missing fails the clean stage
     import dataclasses
-
-    error = pickle.loads(pickle.dumps(EngineError("clean", "boom")))
-    assert (error.stage, str(error)) == ("clean", "engine stage 'clean' failed: boom")
 
     regions = tmp_path / "regions.jsonl"
     lines = small_corpus.config.regions.read_text().splitlines()

@@ -25,7 +25,6 @@ from tagforge.metrics import (
     EvalInstances,
     MetricsError,
     _class_ids,
-    _image_id,
     _label_set,
     _ratio,
     _score_values,
@@ -120,7 +119,7 @@ def reference_load_eval_instances(predictions_path, ground_truth_path):
 
     def prediction(obj):
         nonlocal keys, class_list, keep
-        image_id = _image_id(obj)
+        image_id = jsonl.image_id(obj)
         raw = obj["scores"]
         if not isinstance(raw, dict):
             raise TypeError("scores must be an object")
@@ -131,7 +130,7 @@ def reference_load_eval_instances(predictions_path, ground_truth_path):
         return image_id, (class_list, values if keep is None else values[keep])
 
     def ground_truth(obj):
-        return _image_id(obj), (_label_set(obj, "positive"), _label_set(obj, "negative"))
+        return jsonl.image_id(obj), (_label_set(obj, "positive"), _label_set(obj, "negative"))
 
     sidecar = read_score_sidecar(predictions_path)
     if sidecar is None:

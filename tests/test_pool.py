@@ -124,9 +124,12 @@ def test_one_worker_or_one_task_starts_no_pool(tmp_path, monkeypatch):
         assert [(image_ids[i], t) for i, t in zip(image.tolist(), tag.tolist())] == want
 
 
-def test_clean_stage_names_the_largest_failing_category_first():
-    # categories run largest first, so at one worker the largest one fails first
+@pytest.mark.parametrize("workers", [1, 2])
+def test_clean_stage_names_the_largest_failing_category_first(workers):
+    # the keys are checked in this process before any task starts, so every
+    # worker count names the same category
     regions, table = _categories({1: 25, 2: 30, 3: 40})
     broken = [r._replace(embedding_key="missing") if r.tag_id != 3 else r for r in regions]
     with pytest.raises(EngineError, match="category 2: unresolvable"):
-        clean_stage(broken, table, None, workers=1, fraction=0.1, seed=0)
+        clean_stage(broken, table, None, workers=workers, fraction=0.1, seed=0)
+    assert multiprocessing.active_children() == []
