@@ -71,9 +71,6 @@ class LexiconError(TagforgeError):
     pass
 
 
-_LEXICON_CACHE: dict[str, LexiconBundle] = {}
-
-
 def default_lexicon_dir() -> Path:
     env = os.environ.get(DATA_DIR_ENV)
     if env:
@@ -82,13 +79,9 @@ def default_lexicon_dir() -> Path:
 
 
 def load_lexicons(directory: str | Path | None = None) -> LexiconBundle:
-    """Load the three lexicon files from a directory, caching per path."""
+    """Load the three lexicon files from a directory (default:
+    default_lexicon_dir()); each call reads them afresh."""
     directory = Path(directory) if directory is not None else default_lexicon_dir()
-    key = str(directory.resolve())
-    cached = _LEXICON_CACHE.get(key)
-    if cached is not None:
-        return cached
-
     pos_path = directory / POS_LEXICON_FILE
     exc_path = directory / LEMMA_EXCEPTIONS_FILE
     stop_path = directory / STOPWORDS_FILE
@@ -120,7 +113,6 @@ def load_lexicons(directory: str | Path | None = None) -> LexiconBundle:
 
     bundle = LexiconBundle(pos_lexicon, lemma_exceptions, stopwords)
     _validate_exceptions(bundle, exc_path)
-    _LEXICON_CACHE[key] = bundle
     return bundle
 
 
@@ -239,24 +231,8 @@ def extract_tags(caption: str, lexicons: LexiconBundle) -> list[tuple[str, str]]
         else:
             i += 1
 
-    out: list[tuple[str, str]] = []
-    seen: set[tuple[str, str]] = set()
-    for surface in objects:
-        key = (surface, KIND_OBJECT)
-        if key not in seen:
-            seen.add(key)
-            out.append(key)
-    for surface in attributes:
-        key = (surface, KIND_ATTRIBUTE)
-        if key not in seen:
-            seen.add(key)
-            out.append(key)
-    for surface in actions:
-        key = (surface, KIND_ACTION)
-        if key not in seen:
-            seen.add(key)
-            out.append(key)
-    return out
+    runs = ((objects, KIND_OBJECT), (attributes, KIND_ATTRIBUTE), (actions, KIND_ACTION))
+    return list(dict.fromkeys((surface, kind) for surfaces, kind in runs for surface in surfaces))
 
 
 @dataclass
@@ -377,13 +353,10 @@ def _parse_range(lexicons: LexiconBundle, task: tuple[str, int, int | None]) -> 
         raise textfile.invalid_utf8(path, data=blob if end is None else None) from None
 
 
-def parse_corpus_file(
-    path: str | Path,
-    lexicon_dir: str | Path | None = None,
-    workers: int = 1,
-) -> CorpusParse:
-    """Parse a JSONL caption file through pool.run_tasks, one byte range per
-    worker, split at line boundaries; a pipe is one range.
+def parse_corpus_file(path: str | Path, lexicons: LexiconBundle, workers: int = 1) -> CorpusParse:
+    """Parse a JSONL caption file with the caller's lexicons through
+    pool.run_tasks, one byte range per worker, split at line boundaries; a
+    pipe is one range.
 
     Each range returns canonical per-image lists of (surface, kind) tuples.
     Images whose captions straddle a range boundary are merged here by the
@@ -391,7 +364,6 @@ def parse_corpus_file(
     boundary.
     """
     path = Path(path)
-    lexicons = load_lexicons(lexicon_dir)
     tasks = [(str(path), a, b) for a, b in _shard_boundaries(path, workers)]
     image_tags: dict[str, list[tuple[str, str]]] = {}
     rejects = RejectSummary()

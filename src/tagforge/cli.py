@@ -141,7 +141,7 @@ def parse_cmd(captions, out_tags, out_freq, lexicon_dir, seed, workers, config_p
     from . import caption_parser as cp
 
     _, workers = seed_and_workers(config_path, seed, workers)
-    corpus = cp.parse_corpus_file(captions, lexicon_dir, workers=workers)
+    corpus = cp.parse_corpus_file(captions, cp.load_lexicons(lexicon_dir), workers=workers)
     cp.write_image_tags(corpus, out_tags)
     cp.write_frequency_table(corpus, out_freq)
     _echo_rejects(

@@ -369,14 +369,13 @@ def clean_category(
     # rows are in (image_id, region_id) order, so a stable sort by distance
     # descending breaks ties by (image_id, region_id) ascending
     ranked = np.argsort(-result.distances, kind="stable")
+    # the category scope is the cluster rule over one group of every region
+    group = result.assignment if outlier_scope == OUTLIER_SCOPE_CLUSTER else np.zeros(n, np.intp)
+    ranked_group = group[ranked]
     outlier = np.zeros(n, dtype=bool)
-    if outlier_scope == OUTLIER_SCOPE_CATEGORY:
-        outlier[ranked[: _ceil_fraction(fraction, n)]] = True
-    else:
-        ranked_cluster = result.assignment[ranked]
-        for cluster in range(k):
-            in_cluster = ranked[ranked_cluster == cluster]
-            outlier[in_cluster[: _ceil_fraction(fraction, len(in_cluster))]] = True
+    for g in range(k):
+        in_group = ranked[ranked_group == g]
+        outlier[in_group[: _ceil_fraction(fraction, len(in_group))]] = True
 
     # rows are grouped by image; a pair goes when all its regions are outliers
     starts = np.flatnonzero(np.diff(image, prepend=-1))
@@ -589,12 +588,12 @@ def load_regions(path: str | Path) -> Regions:
 
 
 def _caption_tag_ids(
-    path: str | Path, config: EngineConfig, vocab: TagVocabulary, lexicons: LexiconBundle
+    path: str | Path, workers: int, vocab: TagVocabulary, lexicons: LexiconBundle
 ) -> tuple[dict[str, list[int]], int, RejectSummary]:
-    """Parse the caption file at path and map each image's tags: the distinct
-    tag ids of every image with one, the count of tags that map to none, and
-    the malformed caption records."""
-    corpus = parse_corpus_file(path, config.lexicon_dir, workers=config.workers)
+    """Parse the caption file at path with lexicons over workers processes
+    and map each image's tags: the distinct tag ids of every image with one,
+    the count of tags that map to none, and the malformed caption records."""
+    corpus = parse_corpus_file(path, lexicons, workers=workers)
     image_tag_ids: dict[str, list[int]] = {}
     unmapped = 0
     for image_id, tags in corpus.image_tags.items():
@@ -672,6 +671,12 @@ def run_engine(
                 profile.validate_against(queries.tag_ids)
                 path = config.image_embeddings
                 whole = normalize(load_embeddings(path)) if path else None
+                for name, vectors in (("region", table), ("whole-image", whole)):
+                    if vectors is not None and vectors.dim != queries.dim:
+                        raise EngineError(
+                            STAGE_FILTER,
+                            f"{name} embeddings are {vectors.dim}-d, label queries {queries.dim}-d",
+                        )
         unmapped, seeds, records = 0, [], []
         if annotations is None and config.seed_annotations is not None:
             with _stage(STAGE_PARSE):
@@ -688,7 +693,7 @@ def run_engine(
         if annotations is None:
             with _stage(STAGE_PARSE):
                 tagged, count, parse_rejects = _caption_tag_ids(
-                    config.captions, config, vocab, lexicons
+                    config.captions, config.workers, vocab, lexicons
                 )
             unmapped += count
             sources = [(list(tagged.items()), _PARSED)]
@@ -699,7 +704,9 @@ def run_engine(
         if STAGE_GENERATE in stages:
             with _stage(STAGE_GENERATE):
                 for path in config.generated_captions:
-                    tag_ids, count, rejects = _caption_tag_ids(path, config, vocab, lexicons)
+                    tag_ids, count, rejects = _caption_tag_ids(
+                        path, config.workers, vocab, lexicons
+                    )
                     generated_unmapped += count
                     generated_rejects.merge(rejects)
                     for image_id, ids in tag_ids.items():

@@ -281,8 +281,13 @@ def write_predictions(
     Records are made WRITE_CHUNK_ROWS images at a time, their scores
     through _ScoreText rather than one float repr at a time and their tag
     lists through _hit_lists. The same scores go to the SCR1 sidecar (see
-    the module docstring) chunk by chunk.
+    the module docstring) chunk by chunk. Embeddings of another dimension
+    than the queries are refused before path is opened.
     """
+    if table.dim != queries.dim:
+        raise TaggerError(
+            f"dimension mismatch: embeddings are {table.dim}-d, queries are {queries.dim}-d"
+        )
     tag_ids = np.asarray(queries.tag_ids, dtype=np.int64)
     order = np.argsort(tag_ids)
     tag_text = [str(t) for t in tag_ids[order].tolist()]

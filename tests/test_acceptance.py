@@ -450,7 +450,7 @@ def synth_caption(i: int) -> str:
     return "a " + " and a ".join(words)
 
 
-def test_acceptance_9_parse_throughput(tmp_path):
+def test_acceptance_9_parse_throughput(tmp_path, lexicons):
     """Soft criterion: measured and reported, never failing the suite.
 
     The parse rate is measured by the benchmark (`python3 perfbench/run.py
@@ -470,11 +470,11 @@ def test_acceptance_9_parse_throughput(tmp_path):
             fh.write("\n")
 
     start = time.perf_counter()
-    single = parse_corpus_file(path, workers=1)
+    single = parse_corpus_file(path, lexicons, workers=1)
     single_rate = n / (time.perf_counter() - start)
 
     start = time.perf_counter()
-    multi = parse_corpus_file(path, workers=8)
+    multi = parse_corpus_file(path, lexicons, workers=8)
     multi_rate = n / (time.perf_counter() - start)
 
     assert single.frequencies == multi.frequencies

@@ -2,6 +2,7 @@ import json
 import os
 import random
 import re
+import shutil
 import threading
 import tracemalloc
 from collections import Counter
@@ -11,8 +12,13 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from tagforge.caption_parser import (
+    LEMMA_EXCEPTIONS_FILE,
+    POS_LEXICON_FILE,
+    STOPWORDS_FILE,
+    default_lexicon_dir,
     extract_tags,
     lemmatize,
+    load_lexicons,
     parse_corpus,
     parse_corpus_file,
     tokenize,
@@ -63,17 +69,19 @@ def test_stopwords_lemmatize_into_stopwords(lexicons):
 
 
 @given(st.text(alphabet="abcdefghijklmnopqrstuvwxyz'-", min_size=1, max_size=14))
-def test_lemmatize_total_on_arbitrary_tokens(token):
-    lex = load_lexicons_cached()
-    lemma = lemmatize(token, lex)
+def test_lemmatize_total_on_arbitrary_tokens(lexicons, token):
+    lemma = lemmatize(token, lexicons)
     assert lemma
     assert lemma == lemma.lower()
 
 
-def load_lexicons_cached():
-    from tagforge.caption_parser import load_lexicons
-
-    return load_lexicons()
+def test_load_lexicons_reads_a_stopwords_file_edited_between_calls(tmp_path):
+    for name in (POS_LEXICON_FILE, LEMMA_EXCEPTIONS_FILE, STOPWORDS_FILE):
+        shutil.copy(default_lexicon_dir() / name, tmp_path / name)
+    assert "zebra" not in load_lexicons(tmp_path).stopwords
+    with open(tmp_path / STOPWORDS_FILE, "a", encoding="utf-8") as fh:
+        fh.write("\nzebra\n")
+    assert "zebra" in load_lexicons(tmp_path).stopwords
 
 
 def test_tokenize_punctuation_and_possessives():
@@ -182,14 +190,14 @@ def test_parse_corpus_file_worker_invariance(tmp_path, lexicons, golden_corpus):
             fh.write(json.dumps({"image_id": e["image_id"], "caption": e["caption"], "source": "g"}))
             fh.write("\n")
         fh.write("this is not json\n")
-    single = parse_corpus_file(path, workers=1)
-    multi = parse_corpus_file(path, workers=4)
+    single = parse_corpus_file(path, lexicons, workers=1)
+    multi = parse_corpus_file(path, lexicons, workers=4)
     assert single.image_tags == multi.image_tags
     assert single.frequencies == multi.frequencies
     assert single.rejects.count == multi.rejects.count == 1
 
 
-def _parse_through_pipe(fifo, data: bytes, workers: int):
+def _parse_through_pipe(fifo, data: bytes, lexicons, workers: int):
     os.mkfifo(fifo)
 
     def write():
@@ -202,7 +210,7 @@ def _parse_through_pipe(fifo, data: bytes, workers: int):
     writer = threading.Thread(target=write, daemon=True)
     writer.start()
     try:
-        return parse_corpus_file(fifo, workers=workers)
+        return parse_corpus_file(fifo, lexicons, workers=workers)
     finally:
         # frees a writer still waiting for a reader if the parse never opened the pipe
         os.close(os.open(fifo, os.O_RDONLY | os.O_NONBLOCK))
@@ -211,14 +219,14 @@ def _parse_through_pipe(fifo, data: bytes, workers: int):
 
 
 @pytest.mark.parametrize("workers", [1, 2])
-def test_parse_corpus_file_reads_a_pipe_whole(tmp_path, golden_corpus, workers):
+def test_parse_corpus_file_reads_a_pipe_whole(tmp_path, lexicons, golden_corpus, workers):
     # a pipe has no size to split by, so it is one range at every worker count
     lines = [json.dumps({"image_id": e["image_id"], "caption": e["caption"]}) for e in golden_corpus]
     data = ("\n".join(lines) + "\nnot json\n").encode()
     path = tmp_path / "captions.jsonl"
     path.write_bytes(data)
-    expected = parse_corpus_file(path, workers=workers)
-    got = _parse_through_pipe(tmp_path / "captions.fifo", data, workers)
+    expected = parse_corpus_file(path, lexicons, workers=workers)
+    got = _parse_through_pipe(tmp_path / "captions.fifo", data, lexicons, workers)
     assert len(got.image_tags) == len({e["image_id"] for e in golden_corpus})
     assert got.image_tags == expected.image_tags
     assert got.frequencies == expected.frequencies
@@ -226,12 +234,12 @@ def test_parse_corpus_file_reads_a_pipe_whole(tmp_path, golden_corpus, workers):
 
 
 @pytest.mark.parametrize("workers", [1, 2])
-def test_invalid_utf8_in_a_pipe_names_its_line(tmp_path, workers):
+def test_invalid_utf8_in_a_pipe_names_its_line(tmp_path, lexicons, workers):
     # the pipe cannot be read again to find the line, so what was read names it
     data = b'{"image_id": "a", "caption": "a dog"}\r\n\n{"image_id": "b", "caption": "\xff"}\n'
     fifo = tmp_path / "captions.fifo"
     with pytest.raises(TagforgeError, match=f"^{re.escape(str(fifo))}:3: invalid UTF-8$"):
-        _parse_through_pipe(fifo, data, workers)
+        _parse_through_pipe(fifo, data, lexicons, workers)
 
 
 def test_per_image_output_is_canonically_ordered(lexicons):
@@ -266,7 +274,7 @@ def test_parse_corpus_file_peaks_at_few_bytes_per_caption(tmp_path, lexicons):
             fh.write(json.dumps({"image_id": f"img{i:06d}", "caption": caption}) + "\n")
     tracemalloc.start()
     try:
-        corpus = parse_corpus_file(path, workers=1)
+        corpus = parse_corpus_file(path, lexicons, workers=1)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()

@@ -287,6 +287,23 @@ def test_eval_class_filter_narrows_precision_and_recall(runner, tmp_path):
     ]
 
 
+def test_tag_refuses_embeddings_of_another_dimension_before_it_writes(runner, tmp_path):
+    # a rerun with 5-d embeddings against 4-d queries keeps the earlier outputs
+    f = _tag_eval_files(runner, tmp_path)
+    predictions = tmp_path / "pred.jsonl"
+    tag = ["tag", "--queries", str(f["queries.emb"]), "--vocab", str(f["vocab.tsv"]),
+           "--out", str(predictions)]
+    result = runner.invoke(cli, tag + ["--embeddings", str(f["images.emb"])])
+    assert result.exit_code == 0, result.output
+    before = predictions.read_bytes(), Path(f"{predictions}.scores").read_bytes()
+    wide = tmp_path / "wide.emb"
+    save_embeddings(EmbeddingTable.from_vectors({"a": np.eye(5)[0]}, normalized=True), wide)
+    result = runner.invoke(cli, tag + ["--embeddings", str(wide)])
+    assert result.exit_code == 1
+    assert (predictions.read_bytes(), Path(f"{predictions}.scores").read_bytes()) == before
+    assert result.stderr == "Error: dimension mismatch: embeddings are 5-d, queries are 4-d\n"
+
+
 def _loaded_tagforge_modules(argv) -> set[str]:
     """The tagforge modules a fresh `python -m tagforge.cli ARGV` imports."""
     path = [str(Path(tagforge.__file__).parents[1]), os.environ.get("PYTHONPATH", "")]

@@ -565,6 +565,30 @@ def test_run_engine_splits_the_captions_over_its_workers(small_corpus, tmp_path,
     assert calls == [(2, 2)]
 
 
+def test_run_engine_loads_the_lexicons_once(small_corpus, tmp_path, monkeypatch):
+    # the captions, each generated-captions file and map_tag share one load
+    import dataclasses
+
+    from tagforge import caption_parser, data_engine
+
+    calls = []
+    load_lexicons = caption_parser.load_lexicons
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return load_lexicons(*args, **kwargs)
+
+    monkeypatch.setattr(caption_parser, "load_lexicons", counting)
+    monkeypatch.setattr(data_engine, "load_lexicons", counting)
+    generated = tmp_path / "generated.jsonl"
+    generated.write_text('{"image_id": "img_extra", "caption": "a red dog on the grass"}\n')
+    config = dataclasses.replace(
+        small_corpus.config, out_dir=tmp_path / "out", generated_captions=[generated]
+    )
+    run_engine(config)
+    assert len(calls) == 1
+
+
 def test_run_engine_reports_a_clean_input_error_before_a_parse_error(small_corpus, tmp_path):
     import dataclasses
     import multiprocessing
@@ -624,25 +648,34 @@ def test_run_engine_refuses_a_bad_filter_input_before_it_parses(
     import multiprocessing
 
     from tagforge import data_engine
+    from tagforge.embedding_store import load_embeddings, save_embeddings
 
     def parse_corpus_file(*args, **kwargs):
         raise AssertionError("parsed before the filter inputs were checked")
 
     monkeypatch.setattr(data_engine, "parse_corpus_file", parse_corpus_file)
+    cfg = small_corpus.config
     thresholds = tmp_path / "thresholds.tsv"
     thresholds.write_text("*\t0.2\n999999\t0.5\n")
     embeddings = tmp_path / "images.emb"
     embeddings.write_bytes(b"EMB2")
+    # the same vectors with three zeros appended: 19-d against 16-d label queries
+    wide = {}
+    for key in ("region_embeddings", "image_embeddings"):
+        table = load_embeddings(getattr(cfg, key))
+        wide[key] = tmp_path / f"wide_{key}.emb"
+        save_embeddings(EmbeddingTable(table.keys, np.pad(table.matrix, [(0, 0), (0, 3)])), wide[key])
     out = tmp_path / "out"
     for bad, message in (
-        (
-            {"queries": small_corpus.config.captions},
-            f"missing sidecar header {small_corpus.config.captions}.meta.json",
-        ),
+        ({"queries": cfg.captions}, f"missing sidecar header {cfg.captions}.meta.json"),
         ({"thresholds": thresholds}, "threshold overrides reference unknown tag_ids: [999999]"),
         ({"image_embeddings": embeddings}, f"{embeddings}: bad magic at offset 0, expected b'EMB1'"),
+        ({"region_embeddings": wide["region_embeddings"]}, "region embeddings are 19-d, "
+                                                          "label queries 16-d"),
+        ({"image_embeddings": wide["image_embeddings"]}, "whole-image embeddings are 19-d, "
+                                                         "label queries 16-d"),
     ):
-        config = dataclasses.replace(small_corpus.config, out_dir=out, workers=workers, **bad)
+        config = dataclasses.replace(cfg, out_dir=out, workers=workers, **bad)
         with pytest.raises(EngineError) as exc:
             run_engine(config)
         assert (exc.value.stage, exc.value.message) == ("filter", message)

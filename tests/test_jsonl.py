@@ -325,11 +325,11 @@ def test_parse_byte_identical_across_line_ends_and_worker_counts(tmp_path, golde
 
 
 @pytest.mark.parametrize("workers", [1, 2])
-def test_parse_counts_deep_nesting_as_invalid_json(tmp_path, workers):
+def test_parse_counts_deep_nesting_as_invalid_json(tmp_path, lexicons, workers):
     captions = tmp_path / "captions.jsonl"
     good = '{"image_id": "a", "caption": "a red dog"}\n'
     captions.write_text(good + "[" * 100000 + "\n" + '{"a": ' * 100000 + "\n" + good)
-    corpus = parse_corpus_file(captions, workers=workers)
+    corpus = parse_corpus_file(captions, lexicons, workers=workers)
     assert corpus.rejects.count == 2 and dict(corpus.rejects.reasons) == {"invalid JSON": 2}
     assert list(corpus.image_tags) == ["a"]
 
@@ -402,7 +402,9 @@ def fuzz_dir(tmp_path_factory):
 
 @settings(derandomize=True, deadline=None, max_examples=200)
 @given(lines=st.lists(fuzz_lines, max_size=6), ending=st.sampled_from(ENDINGS))
-def test_every_jsonl_reader_returns_records_or_raises_its_own_error(fuzz_dir, lines, ending):
+def test_every_jsonl_reader_returns_records_or_raises_its_own_error(
+    fuzz_dir, lexicons, lines, ending
+):
     path = fuzz_dir / "input.jsonl"
     path.write_bytes(ending.join(lines).encode())
     for loader in ENGINE_LOADERS:
@@ -417,7 +419,7 @@ def test_every_jsonl_reader_returns_records_or_raises_its_own_error(fuzz_dir, li
             pass
     with open(path, encoding="utf-8") as fh:
         non_blank = sum(1 for line in fh if line.strip())
-    assert parse_corpus_file(path).rejects.count <= non_blank
+    assert parse_corpus_file(path, lexicons).rejects.count <= non_blank
 
 
 # -- the writers ----------------------------------------------------------------------

@@ -101,7 +101,7 @@ def _categories(sizes, dim=4, seed=0):
     return regions, EmbeddingTable.from_vectors(vectors)
 
 
-def test_one_worker_or_one_task_starts_no_pool(tmp_path, monkeypatch):
+def test_one_worker_or_one_task_starts_no_pool(tmp_path, lexicons, monkeypatch):
     def no_pool(*args, **kwargs):
         raise AssertionError("a process pool was started")
 
@@ -109,7 +109,7 @@ def test_one_worker_or_one_task_starts_no_pool(tmp_path, monkeypatch):
     one_line = tmp_path / "one.jsonl"
     one_line.write_text('{"image_id": "a", "caption": "a dog on the beach"}\n')
     for workers in (1, 2):
-        assert set(parse_corpus_file(one_line, workers=workers).image_tags) == {"a"}
+        assert set(parse_corpus_file(one_line, lexicons, workers=workers).image_tags) == {"a"}
 
     regions, table = _categories({1: 30, 2: 25})
     removed = {}
