@@ -21,20 +21,12 @@ from typing import TYPE_CHECKING
 import click
 
 from . import __version__
-from .config import (
-    DEFAULT_FRACTION,
-    DEFAULT_MARGIN,
-    DEFAULT_MIN_REGIONS,
-    EngineConfig,
-    build_engine_config,
-    check_values,
-    read_config_file,
-    seed_and_workers,
-)
+from .config import EngineConfig, load_engine_config
 from .errors import TagforgeError
 
 if TYPE_CHECKING:
     from .caption_parser import RejectSummary
+    from .data_engine import EngineResult
 
 
 # every command loads embeddings through these two names in this module, so
@@ -66,33 +58,66 @@ def _data_errors(fn):
     return wrapper
 
 
-def common_options(fn, ignored: bool = False):
-    """--seed, --workers and --config. A command that draws no random
-    numbers and runs in one process (ignored True) accepts all three and
-    ignores them."""
-    fn = click.option(
-        "--seed", type=int, default=None,
-        help="Ignored: this command draws no random numbers."
-        if ignored else "Random seed [default: 0, or the config file's seed].",
-    )(fn)
-    fn = click.option(
-        "--workers", type=int, default=None,
-        help="Ignored: this command runs in one process."
-        if ignored else "Processes, this one included [default: 1, or the config file's workers].",
-    )(fn)
-    fn = click.option(
-        "--config",
-        "config_path",
-        type=click.Path(exists=True, dir_okay=False),
-        default=None,
-        help="Ignored: this command reads no config keys."
-        if ignored else "Key=value config file supplying defaults.",
-    )(fn)
-    return fn
+def common_options(keys: tuple[str, ...] | None):
+    """--seed, --workers and --config for a command that reads config keys
+    `keys` (None: every key). A command that reads none draws no random
+    numbers and runs in one process: it accepts all three and ignores them."""
+    ignored = keys == ()
+    reads = "every key" if keys is None else ", ".join(keys)
+
+    def decorate(fn):
+        fn = click.option(
+            "--seed", type=int, default=None,
+            help="Ignored: this command draws no random numbers."
+            if ignored else "Random seed [default: 0, or the config file's seed].",
+        )(fn)
+        fn = click.option(
+            "--workers", type=int, default=None,
+            help="Ignored: this command runs in one process." if ignored
+            else "Processes, this one included [default: 1, or the config file's workers].",
+        )(fn)
+        return click.option(
+            "--config",
+            "config_path",
+            type=click.Path(exists=True, dir_okay=False),
+            default=None,
+            help="Ignored: this command reads no config keys." if ignored
+            else f"Key = value config file; a flag beats its key. Every key is checked, "
+                 f"and this command reads {reads}.",
+        )(fn)
+
+    return decorate
 
 
-def single_process_options(fn):
-    return common_options(fn, ignored=True)
+single_process_options = common_options(())
+
+# a flag's path is relative to the working directory, and a config file's to
+# the file's directory
+_INPUT_FILE = click.Path(exists=True, dir_okay=False)
+_INPUT_DIR = click.Path(exists=True, file_okay=False)
+
+# the config keys each command reads; its other parameters but --config,
+# --annotations, --out, --audit and parse's outputs are named for the key
+# they override
+_PARSE_KEYS = ("captions", "lexicon_dir", "workers")
+_GENERATE_KEYS = ("vocab", "lexicon_dir", "generated_tags", "generated_captions", "workers")
+_CLEAN_KEYS = (
+    "vocab", "regions", "region_embeddings", "queries", "image_embeddings", "thresholds",
+    "whitelist", "fraction", "outlier_scope", "min_regions", "margin", "tol", "max_iter",
+    "seed", "workers",
+)
+
+
+def _config(config_path, overrides: dict, keys: tuple[str, ...] | None) -> EngineConfig:
+    """The settings of a command reading config keys `keys`, from its flags
+    in `overrides` (None, or () for a repeatable flag, when not given)."""
+    overrides = {key: None if value == () else value for key, value in overrides.items()}
+    return load_engine_config(config_path, overrides, keys)
+
+
+def _default(key: str) -> str:
+    """Help text naming config key `key`'s default, as --seed's does."""
+    return f"[default: {getattr(EngineConfig, key)}, or the config file's {key}]"
 
 
 def _echo_rejects(prefix: str, rejects: RejectSummary) -> None:
@@ -102,20 +127,39 @@ def _echo_rejects(prefix: str, rejects: RejectSummary) -> None:
         click.echo(f"  reject reason: {reason} ({count})", err=True)
 
 
-def _echo_filter(result) -> None:
-    """Report on stderr the pairs the filter could not score, and why it
-    skipped the first, then any images it found without a whole-image
-    embedding."""
-    skipped = result.filter_skipped
-    line = f"filter stage, {len(skipped)} skipped pairs"
-    if skipped:
-        image_id, tag_id, reason = skipped[0]
-        line += f", first: image {image_id!r} tag {tag_id}: {reason}"
-    click.echo(line, err=True)
-    if result.images_without_whole_embedding:
+def _report(config: EngineConfig, result: EngineResult, parsed: bool) -> None:
+    """Report on stderr what each stage run dropped: the caption records
+    parse (when `parsed`) and generate skipped and why, and their tags
+    outside the vocabulary; the rejected generated tag-id records; the pairs
+    the filter could not score, why it skipped the first, and the images it
+    found without a whole-image embedding. Then the stats rows on stdout."""
+    ran = {row.stage for row in result.stats.rows}
+    if parsed:
+        _echo_rejects("parse stage", result.parse_rejects)
+        click.echo(f"parse stage, {result.unmapped_surfaces} tags outside the vocabulary", err=True)
+    if "generate" in ran and config.generated_captions:
+        _echo_rejects("generate stage", result.generated_rejects)
         click.echo(
-            f"filter stage, {result.images_without_whole_embedding} images without a "
-            "whole-image embedding", err=True,
+            f"generate stage, {result.generated_unmapped} tags outside the vocabulary", err=True
+        )
+    if "generate" in ran and config.generated_tags:
+        click.echo(f"generated tags, {result.rejected_generated} rejected records", err=True)
+    if "filter" in ran:
+        skipped = result.filter_skipped
+        line = f"filter stage, {len(skipped)} skipped pairs"
+        if skipped:
+            image_id, tag_id, reason = skipped[0]
+            line += f", first: image {image_id!r} tag {tag_id}: {reason}"
+        click.echo(line, err=True)
+        if result.images_without_whole_embedding:
+            click.echo(
+                f"filter stage, {result.images_without_whole_embedding} images without a "
+                "whole-image embedding", err=True,
+            )
+    for row in result.stats.rows:
+        click.echo(
+            f"{row.stage}\timages={row.images}\ttags={row.tags}\t"
+            f"added={row.added}\tremoved={row.removed_total}"
         )
 
 
@@ -126,22 +170,22 @@ def cli():
 
 
 @cli.command("parse")
-@common_options
-@click.option("--captions", type=click.Path(exists=True, dir_okay=False), required=True,
-              help="Input captions JSONL.")
+@common_options(_PARSE_KEYS)
+@click.option("--captions", type=_INPUT_FILE, help="Input captions JSONL.")
 @click.option("--out-tags", type=click.Path(dir_okay=False), required=True,
               help="Output per-image tags JSONL.")
 @click.option("--out-freq", type=click.Path(dir_okay=False), required=True,
               help="Output frequency table TSV.")
-@click.option("--lexicon-dir", type=click.Path(exists=True, file_okay=False), default=None,
+@click.option("--lexicon-dir", type=_INPUT_DIR,
               help="Lexicon directory (default: packaged data or TAGFORGE_DATA_DIR).")
 @_data_errors
-def parse_cmd(captions, out_tags, out_freq, lexicon_dir, seed, workers, config_path):
+def parse_cmd(out_tags, out_freq, config_path, **overrides):
     """Parse a caption corpus into per-image tags and a frequency table."""
     from . import caption_parser as cp
 
-    _, workers = seed_and_workers(config_path, seed, workers)
-    corpus = cp.parse_corpus_file(captions, cp.load_lexicons(lexicon_dir), workers=workers)
+    config = _config(config_path, overrides, _PARSE_KEYS)
+    lexicons = cp.load_lexicons(config.lexicon_dir)
+    corpus = cp.parse_corpus_file(config.captions, lexicons, workers=config.workers)
     cp.write_image_tags(corpus, out_tags)
     cp.write_frequency_table(corpus, out_freq)
     _echo_rejects(
@@ -242,107 +286,73 @@ def engine_group():
 
 
 @engine_group.command("generate")
-@common_options
+@common_options(_GENERATE_KEYS)
 @click.option("--annotations", type=click.Path(exists=True, dir_okay=False), required=True,
               help="Parsed annotations JSONL.")
-@click.option("--vocab", type=click.Path(exists=True, dir_okay=False), required=True)
-@click.option("--generated-tags", type=click.Path(exists=True, dir_okay=False), multiple=True,
+@click.option("--vocab", type=_INPUT_FILE)
+@click.option("--generated-tags", type=_INPUT_FILE, multiple=True,
               help="Generated tag-id JSONL; repeatable.")
-@click.option("--generated-captions", type=click.Path(exists=True, dir_okay=False), multiple=True,
+@click.option("--generated-captions", type=_INPUT_FILE, multiple=True,
               help="Generated caption JSONL to parse; repeatable.")
-@click.option("--lexicon-dir", type=click.Path(exists=True, file_okay=False), default=None)
+@click.option("--lexicon-dir", type=_INPUT_DIR)
 @click.option("--out", "out_path", type=click.Path(dir_okay=False), required=True)
 @click.option("--audit", "audit_path", type=click.Path(dir_okay=False), default=None,
               help="Audit JSONL of additions.")
 @_data_errors
-def engine_generate_cmd(
-    annotations, vocab, generated_tags, generated_captions, lexicon_dir,
-    out_path, audit_path, seed, workers, config_path,
-):
+def engine_generate_cmd(annotations, out_path, audit_path, config_path, **overrides):
     """Merge generated tags and parsed generated captions into the dataset."""
     from . import data_engine as engine
 
-    _, workers = seed_and_workers(config_path, seed, workers)
-    config = EngineConfig(
-        captions=None, vocab=vocab, regions=None, region_embeddings=None, queries=None,
-        out_dir=None, lexicon_dir=lexicon_dir, generated_tags=list(generated_tags),
-        generated_captions=list(generated_captions), workers=workers,
-    )
+    config = _config(config_path, overrides, _GENERATE_KEYS)
     result = engine.run_engine(
         config, annotations, [engine.STAGE_GENERATE], {"final": out_path, "audit": audit_path}
     )
-    if generated_captions:
-        _echo_rejects("generated captions", result.generated_rejects)
-        click.echo(
-            f"generate stage, {result.generated_unmapped} tags outside the vocabulary", err=True
-        )
-    click.echo(
-        f"generation: +{len(result.audit)} tags, {result.rejected_generated} rejected records, "
-        f"{len(result.final)} total", err=True,
-    )
+    _report(config, result, parsed=False)
 
 
 @engine_group.command("clean")
-@common_options
+@common_options(_CLEAN_KEYS)
 @click.option("--annotations", type=click.Path(exists=True, dir_okay=False), required=True)
-@click.option("--vocab", type=click.Path(exists=True, dir_okay=False), required=True)
-@click.option("--regions", type=click.Path(exists=True, dir_okay=False), required=True)
-@click.option("--region-embeddings", type=click.Path(exists=True, dir_okay=False), required=True)
-@click.option("--queries", type=click.Path(exists=True, dir_okay=False), required=True)
-@click.option("--image-embeddings", type=click.Path(exists=True, dir_okay=False), default=None)
-@click.option("--thresholds", type=click.Path(exists=True, dir_okay=False), default=None)
-@click.option("--whitelist", type=click.Path(exists=True, dir_okay=False), default=None,
+@click.option("--vocab", type=_INPUT_FILE)
+@click.option("--regions", type=_INPUT_FILE)
+@click.option("--region-embeddings", type=_INPUT_FILE)
+@click.option("--queries", type=_INPUT_FILE)
+@click.option("--image-embeddings", type=_INPUT_FILE)
+@click.option("--thresholds", type=_INPUT_FILE)
+@click.option("--whitelist", type=_INPUT_FILE,
               help="tag_ids to clean and filter, one per line (default: every tag_id).")
-@click.option("--fraction", type=float, default=DEFAULT_FRACTION, show_default=True,
-              help="Outlier fraction per category.")
+@click.option("--fraction", type=float,
+              help=f"Outlier fraction per category {_default('fraction')}.")
 @click.option("--outlier-scope", type=click.Choice(["category", "cluster"]),
-              default="category", show_default=True,
-              help="Pool outlier ranking across the category or within each cluster.")
-@click.option("--min-regions", type=int, default=DEFAULT_MIN_REGIONS, show_default=True)
-@click.option("--margin", type=float, default=DEFAULT_MARGIN, show_default=True)
+              help="Pool outlier ranking across the category or within each cluster "
+                   f"{_default('outlier_scope')}.")
+@click.option("--min-regions", type=int,
+              help=f"Skip categories with fewer regions {_default('min_regions')}.")
+@click.option("--margin", type=float,
+              help=f"Contrary-prediction margin {_default('margin')}.")
 @click.option("--out", "out_path", type=click.Path(dir_okay=False), required=True)
 @click.option("--audit", "audit_path", type=click.Path(dir_okay=False), default=None)
 @_data_errors
-def engine_clean_cmd(
-    annotations, vocab, regions, region_embeddings, queries, image_embeddings,
-    thresholds, whitelist, fraction, outlier_scope, min_regions, margin,
-    out_path, audit_path, seed, workers, config_path,
-):
+def engine_clean_cmd(annotations, out_path, audit_path, config_path, **overrides):
     """Run outlier cleaning and the prediction filter on an annotation set."""
     from . import data_engine as engine
 
-    check_values(fraction=fraction, margin=margin, min_regions=min_regions)
-    seed, workers = seed_and_workers(config_path, seed, workers)
-    config = EngineConfig(
-        captions=None, vocab=vocab, regions=regions, region_embeddings=region_embeddings,
-        queries=queries, out_dir=None, seed=seed, image_embeddings=image_embeddings,
-        thresholds=thresholds, whitelist=whitelist, fraction=fraction,
-        outlier_scope=outlier_scope, min_regions=min_regions, margin=margin, workers=workers,
-    )
+    config = _config(config_path, overrides, _CLEAN_KEYS)
     result = engine.run_engine(
         config, annotations, [engine.STAGE_CLEAN, engine.STAGE_FILTER],
         {"final": out_path, "audit": audit_path},
     )
-    _, clean_row, filter_row = result.stats.rows
-    click.echo(
-        f"cleaning: -{clean_row.removed_total} outlier, -{filter_row.removed_total} filtered, "
-        f"{len(result.final)} kept", err=True,
-    )
-    _echo_filter(result)
-
-
-# engine run's flag paths resolve against the CWD, its config paths against
-# the config file's directory
-_INPUT_FILE = click.Path(exists=True, dir_okay=False, resolve_path=True)
+    _report(config, result, parsed=False)
 
 
 @engine_group.command("run")
-@common_options
+@common_options(None)
 @click.option("--captions", type=_INPUT_FILE)
 @click.option("--vocab", type=_INPUT_FILE)
 @click.option("--regions", type=_INPUT_FILE)
 @click.option("--region-embeddings", type=_INPUT_FILE)
 @click.option("--queries", type=_INPUT_FILE)
+# the closing line names out_dir, in full
 @click.option("--out-dir", type=click.Path(file_okay=False, resolve_path=True))
 @click.option("--fraction", type=float, help="Outlier fraction per category.")
 @click.option("--whitelist", type=_INPUT_FILE)
@@ -351,26 +361,9 @@ def engine_run_cmd(config_path, **overrides):
     """Run the full engine from a config file; flags override config keys."""
     from .data_engine import run_engine
 
-    # every other parameter is named for the config key it overrides
-    values = read_config_file(config_path) if config_path is not None else {}
-    base = Path(config_path).parent if config_path is not None else Path(".")
-    config = build_engine_config(values, base, overrides)
+    config = _config(config_path, overrides, None)
     result = run_engine(config)
-    _echo_rejects("parse stage", result.parse_rejects)
-    click.echo(f"parse stage, {result.unmapped_surfaces} tags outside the vocabulary", err=True)
-    if config.generated_captions:
-        _echo_rejects("generate stage", result.generated_rejects)
-        click.echo(
-            f"generate stage, {result.generated_unmapped} tags outside the vocabulary", err=True
-        )
-    if config.generated_tags:
-        click.echo(f"generated tags, {result.rejected_generated} rejected records", err=True)
-    _echo_filter(result)
-    for row in result.stats.rows:
-        click.echo(
-            f"{row.stage}\timages={row.images}\ttags={row.tags}\t"
-            f"added={row.added}\tremoved={row.removed_total}"
-        )
+    _report(config, result, parsed=True)
     click.echo(
         f"outputs in {config.out_dir} (final.jsonl, parsed.jsonl, audit.jsonl, stats.tsv)",
         err=True,

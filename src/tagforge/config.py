@@ -1,9 +1,16 @@
 """Engine configuration: key = value text file plus CLI flag overrides.
 
+Every command that takes --config (`parse`, `engine generate`, `engine
+clean`, `engine run`) builds its settings through build_engine_config: a key
+comes from its flag, else the file, else its default. Every key given is
+parsed and checked; a command names the keys it reads, and only those must
+be given when required and have their files exist.
+
 The keys, their types and their defaults are EngineConfig's fields: a field
 without a default is a required key, and each value is read as its field's
-annotation says. Paths are resolved relative to the config file's directory
-unless absolute; an empty optional path is unset. The keys:
+annotation says. A file's paths are resolved relative to its directory unless
+absolute, a flag's relative to the working directory; an empty optional path
+is unset. The keys:
 
     captions            JSONL caption corpus (required)
     vocab               vocabulary file (required)
@@ -38,6 +45,7 @@ unless absolute; an empty optional path is unset. The keys:
 
 from __future__ import annotations
 
+from collections.abc import Collection
 from dataclasses import MISSING, dataclass, field, fields
 from functools import partial
 from pathlib import Path
@@ -47,8 +55,8 @@ from .errors import TagforgeError
 
 _seed = partial(int, base=0)  # a seed may be written in any base Python reads, as 0x2A
 
-# engine defaults, the one home of each: EngineConfig's fields, the
-# data_engine and clustering functions and `engine clean`'s flags use them
+# engine defaults, the one home of each: EngineConfig's fields and the
+# data_engine and clustering functions use them; every flag defaults to None
 DEFAULT_FRACTION = 0.10
 DEFAULT_MIN_REGIONS = 20
 DEFAULT_MARGIN = 0.05
@@ -65,7 +73,7 @@ class ConfigError(TagforgeError):
         super().__init__(message if key is None else f"config key {key!r}: {message}")
 
 
-# key -> (test for a bad value, message), in the order check_values applies them;
+# key -> (test for a bad value, message), in the order validate applies them;
 # each float test is written so that NaN is bad
 _OUT_OF_RANGE = {
     "fraction": (lambda v: not 0.0 <= v < 1.0, "{} outside [0, 1)"),
@@ -79,14 +87,14 @@ _OUT_OF_RANGE = {
     "seed": (lambda v: not 0 <= v < 2**64, "{} outside [0, 2^64)"),
 }
 
-
-def check_values(**values) -> None:
-    """Raise ConfigError for the first engine value out of range. Every command
-    checks here, so a bad value fails alike from a flag or a config file."""
-    for key, value in values.items():
-        is_bad, message = _OUT_OF_RANGE[key]
-        if is_bad(value):
-            raise ConfigError(key, message.format(value))
+# how validate checks a path: the lexicon directory must be one, out_dir
+# must be one if it exists, and every other path must be there and not be a
+# directory, as a flag's must; so a pipe, or /dev/stdin, may be read
+_FILE_CHECK = (lambda path: path.exists() and not path.is_dir(), "file not found")
+_PATH_CHECKS = {
+    "lexicon_dir": (Path.is_dir, "directory not found"),
+    "out_dir": (lambda path: not path.exists() or path.is_dir(), "not a directory"),
+}
 
 
 @dataclass
@@ -113,27 +121,26 @@ class EngineConfig:
     max_iter: int = DEFAULT_MAX_ITER
     workers: int = 1
 
-    def validate(self) -> None:
-        check_values(**{key: getattr(self, key) for key in _OUT_OF_RANGE})
-        for key in ("captions", "vocab", "regions", "region_embeddings", "queries"):
-            path = getattr(self, key)
-            if not Path(path).is_file():
-                raise ConfigError(key, f"file not found: {path}")
-        for key in ("seed_annotations", "image_embeddings", "thresholds", "whitelist"):
-            path = getattr(self, key)
-            if path is not None and not Path(path).is_file():
-                raise ConfigError(key, f"file not found: {path}")
-        for key in ("generated_tags", "generated_captions"):
-            for path in getattr(self, key):
-                if not Path(path).is_file():
-                    raise ConfigError(key, f"file not found: {path}")
-        if self.lexicon_dir is not None and not Path(self.lexicon_dir).is_dir():
-            raise ConfigError("lexicon_dir", f"directory not found: {self.lexicon_dir}")
-        if Path(self.out_dir).exists() and not Path(self.out_dir).is_dir():
-            raise ConfigError("out_dir", f"not a directory: {self.out_dir}")
+    def validate(self, keys: Collection[str] | None = None) -> None:
+        """Raise ConfigError for the first value out of range, then for the
+        first path of `keys` (None: every key), in field order, that is not
+        there; a bad value fails alike from a flag or a config file."""
+        for key, (is_bad, message) in _OUT_OF_RANGE.items():
+            if is_bad(getattr(self, key)):
+                raise ConfigError(key, message.format(getattr(self, key)))
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if "Path" not in f.type or value is None or keys is not None and f.name not in keys:
+                continue
+            is_there, message = _PATH_CHECKS.get(f.name, _FILE_CHECK)
+            for path in value if f.type == "list[Path]" else [value]:
+                if not is_there(Path(path)):
+                    raise ConfigError(f.name, f"{message}: {path}")
 
 
 _FIELDS = {f.name: f for f in fields(EngineConfig)}
+_REQUIRED = [key for key, f in _FIELDS.items()
+             if f.default is MISSING and f.default_factory is MISSING]
 
 
 def read_config_file(path: str | Path) -> dict[str, str]:
@@ -168,41 +175,38 @@ def _read(key: str, value, base_dir: Path):
         raise ConfigError(key, f"cannot parse {value!r}") from None
 
 
-def _merged(values: dict, overrides: dict) -> dict:
-    return {**values, **{key: value for key, value in overrides.items() if value is not None}}
-
-
-def seed_and_workers(
-    config_path: str | Path | None, seed: int | None, workers: int | None
-) -> tuple[int, int]:
-    """A command's --seed and --workers, each falling back to the config
-    file's key, then to the field's default; workers must be >= 1 and seed
-    in [0, 2^64)."""
-    values = read_config_file(config_path) if config_path is not None else {}
-    values = _merged(values, {"seed": seed, "workers": workers})
-    seed, workers = (
-        _read(key, values[key], Path()) if key in values else _FIELDS[key].default
-        for key in ("seed", "workers")
-    )
-    check_values(workers=workers, seed=seed)
-    return seed, workers
-
-
 def build_engine_config(
-    values: dict[str, str], base_dir: str | Path = ".", overrides: dict | None = None
+    values: dict[str, str],
+    base_dir: str | Path = ".",
+    overrides: dict | None = None,
+    keys: Collection[str] | None = None,
 ) -> EngineConfig:
-    """Merge config-file values with override flags (overrides win), and read
-    each key as its EngineConfig field."""
-    merged = _merged(values, overrides or {})
+    """Merge config-file values with override flags (overrides win; a None
+    override is not given), read each key as its EngineConfig field and
+    check it. A file's path joins `base_dir`; a flag's is taken as given.
+    `keys` are the keys the command reads (None: every key): only these must
+    be given when required, and only their paths must exist; an unread
+    required key not given is None."""
+    given = {key: value for key, value in (overrides or {}).items() if value is not None}
+    merged = {**values, **given}
     unknown = sorted(set(merged) - set(_FIELDS))
     if unknown:
         raise ConfigError(unknown[0], "unknown config key")
-    missing = [key for key, f in _FIELDS.items()
-               if f.default is MISSING and f.default_factory is MISSING and key not in merged]
+    missing = [key for key in _REQUIRED if key not in merged and (keys is None or key in keys)]
     if missing:
         raise ConfigError(missing[0], "required key missing")
-    config = EngineConfig(
-        **{key: _read(key, merged[key], Path(base_dir)) for key in _FIELDS if key in merged}
-    )
-    config.validate()
+    read = {key: _read(key, merged[key], Path("." if key in given else base_dir))
+            for key in _FIELDS if key in merged}
+    config = EngineConfig(**{**dict.fromkeys(_REQUIRED), **read})
+    config.validate(keys)
     return config
+
+
+def load_engine_config(
+    path: str | Path | None, overrides: dict, keys: Collection[str] | None = None
+) -> EngineConfig:
+    """build_engine_config over config file `path` (None: no file), whose
+    paths join the file's directory."""
+    if path is None:
+        return build_engine_config({}, ".", overrides, keys)
+    return build_engine_config(read_config_file(path), Path(path).parent, overrides, keys)

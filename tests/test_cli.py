@@ -1,6 +1,7 @@
 import json
 import os
 import re
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -39,6 +40,22 @@ def test_parse_matches_golden_bytes(runner, tmp_path):
     assert result.exit_code == 0, result.output
     assert out_tags.read_bytes() == (DATA / "fixture_tags.golden.jsonl").read_bytes()
     assert out_freq.read_bytes() == (DATA / "fixture_freq.golden.tsv").read_bytes()
+
+
+@pytest.mark.parametrize("workers", ["1", "2"])
+def test_parse_reads_captions_from_a_pipe(tmp_path, workers):
+    path = [str(Path(tagforge.__file__).parents[1]), os.environ.get("PYTHONPATH", "")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
+    done = subprocess.run(
+        [sys.executable, "-m", "tagforge.cli", "parse", "--captions", "/dev/stdin",
+         "--out-tags", str(tmp_path / "tags.jsonl"), "--out-freq", str(tmp_path / "freq.tsv"),
+         "--workers", workers],
+        input=(DATA / "fixture_captions.jsonl").read_bytes(), capture_output=True, env=env,
+    )
+    assert done.returncode == 0, done.stderr
+    for name, golden in (("tags.jsonl", "fixture_tags.golden.jsonl"),
+                         ("freq.tsv", "fixture_freq.golden.tsv")):
+        assert (tmp_path / name).read_bytes() == (DATA / golden).read_bytes(), name
 
 
 def test_parse_worker_counts_byte_identical(runner, tmp_path):
@@ -527,11 +544,17 @@ def _engine_inputs(corpus, tmp_path: Path) -> dict[str, list[str]]:
     ("engine clean", "margin", "nan", "flag"),
     ("engine clean", "min_regions", "-5", "flag"),
     ("engine clean", "fraction", "1.0", "flag"),
+    ("engine clean", "margin", "-1", "config"),
+    ("engine clean", "fraction", "1.0", "config"),
+    ("engine clean", "min_regions", "-5", "config"),
     ("parse", "seed", "-1", "flag"),
     ("parse", "seed", "18446744073709551616", "config"),
     ("engine generate", "seed", "18446744073709551616", "flag"),
     ("engine clean", "seed", "-1", "flag"),
     ("engine clean", "seed", "-0x1", "config"),
+    ("parse", "bogus_key", "1", "config"),
+    ("engine generate", "bogus_key", "1", "config"),
+    ("engine clean", "bogus_key", "1", "config"),
 ])
 def test_subcommands_reject_engine_values_as_engine_run_does(
     runner, tmp_path, command, key, value, source
@@ -557,6 +580,34 @@ def test_subcommands_reject_engine_values_as_engine_run_does(
     assert result.stderr == expected.stderr
     assert not any(tmp_path.glob("*.tsv")) and not (tmp_path / "cleaned.jsonl").exists()
     assert not (tmp_path / "merged.jsonl").exists() and not (tmp_path / "run").exists()
+
+
+def test_parse_reads_lexicon_dir_from_its_config_as_from_its_flag(runner, tmp_path):
+    from tagforge.caption_parser import default_lexicon_dir
+
+    lexicons = tmp_path / "lexicons"
+    shutil.copytree(default_lexicon_dir(), lexicons)
+    with open(lexicons / "stopwords.txt", "a") as stopwords:
+        stopwords.write("dog\n")
+    config = tmp_path / "parse.cfg"
+    config.write_text("lexicon_dir = lexicons\n")  # relative to the config file's directory
+    outputs = {}
+    for name, flags in (
+        ("flag", ["--lexicon-dir", str(lexicons)]), ("config", ["--config", str(config)]),
+        ("packaged", []), ("flag beats config", ["--config", str(config), "--lexicon-dir",
+                                                 str(default_lexicon_dir())]),
+    ):
+        out = tmp_path / name
+        out.mkdir()
+        result = runner.invoke(cli, [
+            "parse", "--captions", str(DATA / "fixture_captions.jsonl"),
+            "--out-tags", str(out / "tags.jsonl"), "--out-freq", str(out / "freq.tsv"), *flags,
+        ])
+        assert result.exit_code == 0, result.output
+        outputs[name] = (out / "tags.jsonl").read_bytes(), (out / "freq.tsv").read_bytes()
+    assert outputs["config"] == outputs["flag"]
+    assert outputs["flag beats config"] == outputs["packaged"] != outputs["flag"]
+    assert b"dog" in outputs["packaged"][1] and b"dog" not in outputs["flag"][1]
 
 
 def test_engine_run_reports_parse_rejects(runner, tmp_path):
@@ -635,8 +686,8 @@ def test_generated_caption_rejects_reported(runner, tmp_path):
         ])
         assert result.exit_code == 0, result.output
         outputs[name] = result
-    assert "generated captions, 0 rejected records" in outputs["good"].stderr
-    assert "generated captions, 1 rejected records" in outputs["bad"].stderr
+    assert "generate stage, 0 rejected records" in outputs["good"].stderr
+    assert "generate stage, 1 rejected records" in outputs["bad"].stderr
     assert "reject reason: invalid JSON (1)" in outputs["bad"].stderr
     assert outputs["bad"].stdout == outputs["good"].stdout
     assert merged["bad"].read_bytes() == merged["good"].read_bytes()

@@ -17,8 +17,8 @@ from tagforge.config import (
     ConfigError,
     EngineConfig,
     build_engine_config,
+    load_engine_config,
     read_config_file,
-    seed_and_workers,
 )
 
 REQUIRED_FILES = {
@@ -49,9 +49,9 @@ def _read(tmp_path: Path, text: str) -> EngineConfig:
     return build_engine_config(read_config_file(path), tmp_path)
 
 
-def _error(values: dict, base_dir: Path, overrides: dict | None = None) -> str:
+def _error(values: dict, base_dir: Path, overrides: dict | None = None, keys=None) -> str:
     with pytest.raises(ConfigError) as excinfo:
-        build_engine_config(values, base_dir, overrides)
+        build_engine_config(values, base_dir, overrides, keys)
     return str(excinfo.value)
 
 
@@ -142,11 +142,13 @@ def test_comma_lists_drop_blank_parts(tmp_path):
     assert config.generated_captions == []
 
 
-def test_a_list_override_is_taken_as_given(tmp_path):
-    _touch(tmp_path, "a.jsonl", "b.jsonl")
+def test_a_list_override_is_taken_as_given(tmp_path, monkeypatch):
+    # a flag's relative path is relative to the working directory, not base_dir
+    _touch(tmp_path, "a.jsonl", "b.jsonl", "cwd/a.jsonl")
+    monkeypatch.chdir(tmp_path / "cwd")
     paths = (str(tmp_path / "b.jsonl"), "a.jsonl")
     config = build_engine_config(_required(tmp_path), tmp_path, {"generated_tags": paths})
-    assert config.generated_tags == [tmp_path / "b.jsonl", tmp_path / "a.jsonl"]
+    assert config.generated_tags == [tmp_path / "b.jsonl", Path("a.jsonl")]
 
 
 @pytest.mark.parametrize("key", [
@@ -243,18 +245,24 @@ def test_an_out_dir_that_is_a_file_is_refused(tmp_path):
     assert message == f"config key 'out_dir': not a directory: {tmp_path / 'out'}"
 
 
+def _seed_and_workers(path, seed, workers) -> tuple[int, int]:
+    """seed and workers as a command that reads only them takes them."""
+    config = load_engine_config(path, {"seed": seed, "workers": workers}, ("seed", "workers"))
+    return config.seed, config.workers
+
+
 def test_seed_and_workers_fall_back_from_flag_to_file_to_default(tmp_path):
-    assert seed_and_workers(None, None, None) == (0, 1)
-    assert seed_and_workers(None, 4, 3) == (4, 3)
+    assert _seed_and_workers(None, None, None) == (0, 1)
+    assert _seed_and_workers(None, 4, 3) == (4, 3)
     other = tmp_path / "other.cfg"
-    other.write_text("captions = c.jsonl\n")
-    assert seed_and_workers(other, None, None) == (0, 1)
+    other.write_text("captions = c.jsonl\n")  # an unread path need not exist
+    assert _seed_and_workers(other, None, None) == (0, 1)
     both = tmp_path / "both.cfg"
     both.write_text("seed = 0x10\nworkers = 3\n")
-    assert seed_and_workers(both, None, None) == (16, 3)
-    assert seed_and_workers(both, 5, None) == (5, 3)
-    assert seed_and_workers(both, None, 2) == (16, 2)
-    assert seed_and_workers(both, 0, 1) == (0, 1)
+    assert _seed_and_workers(both, None, None) == (16, 3)
+    assert _seed_and_workers(both, 5, None) == (5, 3)
+    assert _seed_and_workers(both, None, 2) == (16, 2)
+    assert _seed_and_workers(both, 0, 1) == (0, 1)
 
 
 @pytest.mark.parametrize("text, flags, message", [
@@ -265,13 +273,30 @@ def test_seed_and_workers_fall_back_from_flag_to_file_to_default(tmp_path):
     ("seed = -1\n", (None, None), "config key 'seed': -1 outside [0, 2^64)"),
     ("workers = 2\n", (2**64, None), "config key 'seed': 18446744073709551616 outside [0, 2^64)"),
     ("seed = -1\nworkers = 0\n", (None, None), "config key 'workers': must be >= 1"),
+    ("fraction = 1.0\n", (None, None), "config key 'fraction': 1.0 outside [0, 1)"),
+    ("tol = 0\n", (None, None), "config key 'tol': must be > 0"),
+    ("bogus_key = 1\n", (None, None), "config key 'bogus_key': unknown config key"),
 ])
 def test_seed_and_workers_name_a_bad_value(tmp_path, text, flags, message):
+    # every key in the file is parsed and checked, read or not
     path = tmp_path / "engine.cfg"
     path.write_text(text)
     with pytest.raises(ConfigError) as excinfo:
-        seed_and_workers(path, *flags)
+        _seed_and_workers(path, *flags)
     assert str(excinfo.value) == message
+
+
+def test_only_the_keys_a_command_reads_must_be_given_and_exist(tmp_path):
+    config = build_engine_config({"captions": "missing.jsonl"}, tmp_path, keys=("workers",))
+    assert config.captions == tmp_path / "missing.jsonl"
+    assert (config.vocab, config.out_dir, config.generated_tags) == (None, None, [])
+    message = _error({"captions": "missing.jsonl"}, tmp_path)
+    assert message == "config key 'vocab': required key missing"
+    message = _error({"captions": "missing.jsonl"}, tmp_path, keys=("captions",))
+    assert message == f"config key 'captions': file not found: {tmp_path / 'missing.jsonl'}"
+    values = {**_required(tmp_path), "out_dir": "captions.jsonl", "whitelist": "gone.txt"}
+    config = build_engine_config(values, tmp_path, keys=("vocab", "regions"))
+    assert config.whitelist == tmp_path / "gone.txt"
 
 
 @pytest.mark.parametrize("key", [f.name for f in fields(EngineConfig)])

@@ -2,8 +2,13 @@
 runner, data_engine.run_engine: each checks the stats and replays the audit,
 and each reports what its stages dropped."""
 
+import dataclasses
 import json
 import multiprocessing
+import os
+import shutil
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -134,7 +139,7 @@ def test_engine_run_reports_generated_records_naming_an_unknown_tag(corpus, pars
 
     result = CliRunner().invoke(cli, _generate_argv(corpus, parsed, tmp_path, generated))
     assert result.exit_code == 0, result.output
-    assert ", 1 rejected records, " in result.stderr
+    assert "generated tags, 1 rejected records\n" in result.stderr
 
 
 def _regions_with_a_missing_key(corpus, tmp_path: Path) -> tuple[Path, dict]:
@@ -227,3 +232,84 @@ def test_a_bad_regions_file_is_named_before_a_bad_region_embeddings_file(
         f"Error: engine stage 'clean' failed: {regions}:{line}: malformed region record\n"
     )
     assert multiprocessing.active_children() == []
+
+
+def _clean_outputs(corpus, merged, tmp_path: Path, name: str, *extra, **flags):
+    """`engine clean`'s output and audit bytes, written under tmp_path/name."""
+    out = tmp_path / name
+    out.mkdir()
+    result = CliRunner().invoke(cli, _clean_argv(corpus, merged, out, **flags) + list(extra))
+    assert result.exit_code == 0, result.output
+    return (out / "cleaned.jsonl").read_bytes(), (out / "audit.jsonl").read_bytes()
+
+
+@pytest.mark.parametrize("key, value, default", [
+    ("fraction", "0.3", "0.1"), ("margin", "0.2", "0.05"),
+    ("outlier_scope", "cluster", "category"), ("min_regions", "1000000", "20"),
+])
+def test_engine_clean_reads_its_keys_from_config_as_from_its_flags(
+    corpus, merged, tmp_path, key, value, default
+):
+    config = tmp_path / "clean.cfg"
+    config.write_text(f"{key} = {value}\n")
+    flag = key.replace("_", "-")
+    via_config = _clean_outputs(corpus, merged, tmp_path, "config", "--config", str(config))
+    via_flag = _clean_outputs(corpus, merged, tmp_path, "flag", **{flag: value})
+    flag_beats_file = _clean_outputs(
+        corpus, merged, tmp_path, "both", "--config", str(config), **{flag: default}
+    )
+    assert via_config == via_flag
+    assert flag_beats_file == _clean_outputs(corpus, merged, tmp_path, "default") != via_flag
+
+
+def test_engine_clean_reads_tol_and_max_iter_from_config(corpus, merged, tmp_path):
+    config = tmp_path / "clean.cfg"
+    config.write_text("tol = 0.5\nmax_iter = 1\n")
+    via_config = _clean_outputs(corpus, merged, tmp_path, "config", "--config", str(config))
+    assert via_config != _clean_outputs(corpus, merged, tmp_path, "default")
+    settings = dataclasses.replace(
+        corpus.config, captions=None, out_dir=None, whitelist=None, generated_tags=[],
+        fraction=0.1, tol=0.5, max_iter=1,
+    )
+    final, audit = tmp_path / "final.jsonl", tmp_path / "audit.jsonl"
+    data_engine.run_engine(
+        settings, merged, [data_engine.STAGE_CLEAN, data_engine.STAGE_FILTER],
+        {"final": final, "audit": audit},
+    )
+    assert via_config == (final.read_bytes(), audit.read_bytes())
+
+
+def test_engine_generate_reads_generated_tags_from_config_as_from_its_flag(
+    corpus, parsed, tmp_path
+):
+    shutil.copy(corpus.config.generated_tags[0], tmp_path / "generated.jsonl")
+    config = tmp_path / "generate.cfg"
+    config.write_text("generated_tags = generated.jsonl\n")  # relative to the config file
+    outputs = {}
+    for name, flags in (
+        ("flag", ["--generated-tags", str(tmp_path / "generated.jsonl")]),
+        ("config", ["--config", str(config)]),
+        ("none", []),
+    ):
+        out = tmp_path / name
+        out.mkdir()
+        argv = _generate_argv(corpus, parsed, out)
+        at = argv.index("--generated-tags")
+        del argv[at:at + 2]
+        result = CliRunner().invoke(cli, argv + flags)
+        assert result.exit_code == 0, result.output
+        outputs[name] = (out / "merged.jsonl").read_bytes(), (out / "audit.jsonl").read_bytes()
+    assert outputs["config"] == outputs["flag"] != outputs["none"]
+
+
+def test_engine_run_reads_captions_from_a_pipe(corpus, parsed, tmp_path):
+    argv = _run_argv(corpus, tmp_path / "out")
+    argv[argv.index("--captions") + 1] = "/dev/stdin"
+    path = [str(Path(data_engine.__file__).parents[1]), os.environ.get("PYTHONPATH", "")]
+    done = subprocess.run(
+        [sys.executable, "-m", "tagforge.cli", *argv], capture_output=True,
+        input=corpus.config.captions.read_bytes(),
+        env={**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))},
+    )
+    assert done.returncode == 0, done.stderr
+    assert (tmp_path / "out" / "parsed.jsonl").read_bytes() == parsed.read_bytes()
