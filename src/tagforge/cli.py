@@ -61,16 +61,20 @@ def _data_errors(fn):
 def common_options(keys: tuple[str, ...] | None):
     """--seed, --workers and --config for a command that reads config keys
     `keys` (None: every key). A command that reads none draws no random
-    numbers and runs in one process: it accepts all three and ignores them."""
+    numbers and runs in one process: it accepts all three and ignores them.
+    One that reads keys but not seed checks --seed's range and draws no
+    random numbers either."""
     ignored = keys == ()
     reads = "every key" if keys is None else ", ".join(keys)
+    if keys is None or "seed" in keys:
+        seed_help = "Random seed [default: 0, or the config file's seed]."
+    elif ignored:
+        seed_help = "Ignored: this command draws no random numbers."
+    else:
+        seed_help = "Range-checked, then unused: this command draws no random numbers."
 
     def decorate(fn):
-        fn = click.option(
-            "--seed", type=int, default=None,
-            help="Ignored: this command draws no random numbers."
-            if ignored else "Random seed [default: 0, or the config file's seed].",
-        )(fn)
+        fn = click.option("--seed", type=int, default=None, help=seed_help)(fn)
         fn = click.option(
             "--workers", type=int, default=None,
             help="Ignored: this command runs in one process." if ignored

@@ -560,7 +560,7 @@ class EngineResult:
 
 
 def _tag_id_record(obj) -> tuple[str, list[int]]:
-    return jsonl.image_id(obj), [int(t) for t in jsonl.as_list(obj["tag_ids"], "tag_ids")]
+    return jsonl.image_id(obj), list(map(jsonl.tag_id, jsonl.as_list(obj["tag_ids"], "tag_ids")))
 
 
 def load_tag_id_records(path: str | Path) -> list[tuple[str, list[int]]]:
@@ -568,17 +568,13 @@ def load_tag_id_records(path: str | Path) -> list[tuple[str, list[int]]]:
     return list(jsonl.read(path, "tag-id", _tag_id_record))
 
 
-def _tag_id(value) -> int:
-    tag_id = int(value)
-    if not -(2**63) <= tag_id < 2**63:
-        raise ValueError("tag_id outside int64")
-    return tag_id
-
-
 def _region_record(obj) -> tuple[str, str, int, str]:
-    image_id, region_id = jsonl.image_id(obj), str(obj["region_id"])
-    tag_id, score, key = _tag_id(obj["tag_id"]), float(obj["score"]), str(obj["embedding_key"])
-    if not 0.0 <= score <= 1.0:
+    image_id, region_id = jsonl.image_id(obj), jsonl.string(obj, "region_id")
+    tag_id, score = jsonl.tag_id(obj["tag_id"]), obj["score"]
+    key = jsonl.string(obj, "embedding_key")
+    if type(score) not in (int, float):
+        raise TypeError("score must be a number")
+    if not 0.0 <= float(score) <= 1.0:
         raise jsonl.RecordError("detector score outside [0, 1]")
     return image_id, region_id, tag_id, key
 
@@ -820,13 +816,13 @@ def _load_pairs(path: str | Path, what: str, record) -> tuple[list[str], np.ndar
 def load_annotations(path: str | Path) -> Annotations:
     """JSONL of {"image_id": ..., "tags": [{"tag_id": ..., "provenance": ...}]},
     over tables of its own ids. A record whose image_id is not a string, or
-    whose tag_id is outside int64, is malformed. A provenance may be any JSON
-    value and is kept as its JSON text ("parsed" when absent); of a pair given
-    twice, the first is kept."""
+    whose tag_id is not an integer within int64, is malformed. A provenance
+    may be any JSON value and is kept as its JSON text ("parsed" when
+    absent); of a pair given twice, the first is kept."""
     dumps, codes, provenance = jsonl.memo_dumps(), {p: i for i, p in enumerate(PROVENANCES)}, []
 
     def record(obj) -> tuple[str, list[int]]:
-        tags = [_tag_id(t["tag_id"]) for t in obj["tags"]]
+        tags = [jsonl.tag_id(t["tag_id"]) for t in obj["tags"]]
         for t in obj["tags"]:
             provenance.append(codes.setdefault(dumps(t.get("provenance", PROV_PARSED)), len(codes)))
         return jsonl.image_id(obj), tags
@@ -855,7 +851,7 @@ def write_audit(audit: Audit, path: str | Path) -> None:
 def load_audit(path: str | Path) -> Audit:
     """JSONL of {"image_id": ..., "tag_id": ..., "action": ..., "reason": ...,
     "stage": ...}, over tables of its own ids. A record is malformed unless its
-    image_id, reason and stage are strings and its tag_id fits in int64; an
+    image_id, reason and stage are strings and its tag_id is an int64; an
     action other than added or removed is named."""
     kinds, event = {}, []
 
@@ -866,7 +862,7 @@ def load_audit(path: str | Path) -> Audit:
         if not isinstance(reason, str) or not isinstance(stage, str):
             raise TypeError("reason and stage must be strings")
         event.append(kinds.setdefault((action, reason, stage), len(kinds)))
-        return jsonl.image_id(obj), [_tag_id(obj["tag_id"])]
+        return jsonl.image_id(obj), [jsonl.tag_id(obj["tag_id"])]
 
     pairs = _load_pairs(path, "audit", record)  # fills event and kinds
     return Audit(*pairs, np.array(event, np.min_scalar_type(len(kinds))), list(kinds))

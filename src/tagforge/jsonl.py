@@ -2,8 +2,8 @@
 written through memo_dumps and write_lines.
 
 Lines end as textfile states: U+0085, U+2028 and U+2029, which JSON strings
-may hold, never end one. Blank lines are skipped but counted. Lines are read
-lazily, BATCH_LINES at a time.
+may hold, never end one. Blank lines, those that str.strip() empties, are
+skipped but counted. Lines are read lazily, one at a time.
 """
 
 from __future__ import annotations
@@ -16,7 +16,8 @@ from typing import Any, Callable, Iterable, Iterator
 from .errors import TagforgeError
 from .textfile import invalid_utf8, open_text, undecodable
 
-BATCH_LINES = 8192
+BATCH_LINES = 8192  # lines joined per write by write_lines
+_JSON_WHITESPACE = " \t\n\r"
 
 INVALID = object()  # the value of a line that is not one JSON value
 NOT_UTF8 = object()  # the value of a line holding a byte that is not UTF-8
@@ -26,47 +27,28 @@ class RecordError(ValueError):
     """Raised by a build step to reject a record with its own message."""
 
 
-def _decode_batch(lines: list[str]) -> list | None:
-    """The JSON value of each of lines, from one json.loads call; None when
-    they must be decoded one by one.
-
-    Joined as "[" + ",".join(lines) + "]", lines that are not one JSON value
-    each could still decode, such as a record split over two lines next to
-    a line holding two records. So each line goes into its own array, and
-    the join is trusted only when no line holds a bracket: then the arrays'
-    brackets can only pair up line by line, as no JSON string spans the
-    newline between two lines.
-    """
-    if any("[" in line or "]" in line for line in lines):
-        return None
-    try:
-        groups = json.loads("[[" + "],\n[".join(lines) + "]]")
-        return [value for (value,) in groups]  # ValueError unless one value each
-    except (ValueError, RecursionError):
-        return None
-
-
 def decode(lines: Iterable[str]) -> Iterator[tuple[int, Any]]:
     """(line number, value) of each non-blank line; INVALID if not JSON,
-    NOT_UTF8 if it holds a byte that a surrogateescape reader escaped."""
-    rest = iter(lines)
-    done = 0  # lines read before this chunk
-    while chunk := list(islice(rest, BATCH_LINES)):
-        # line numbers and lines, not a tuple per line: the tuples would set off
-        # cyclic garbage collections that scan every record decoded so far
-        numbers = [lineno for lineno, line in enumerate(chunk, done + 1) if line.strip()]
-        batch = [chunk[lineno - done - 1] for lineno in numbers]
-        done += len(chunk)
-        decoded = None if any(map(undecodable, batch)) else _decode_batch(batch)
-        if decoded is not None:
-            yield from zip(numbers, decoded)
+    NOT_UTF8 if it holds a byte that a surrogateescape reader escaped.
+
+    A line's value is what json.loads(line) gives: raw_decode reads one value
+    from the line stripped of JSON whitespace, which must end at its end.
+    """
+    raw_decode = json.JSONDecoder().raw_decode
+    for lineno, line in enumerate(lines, 1):
+        if not line.strip():
             continue
-        for lineno, line in zip(numbers, batch):
-            try:
-                value = NOT_UTF8 if undecodable(line) else json.loads(line)
-            except (ValueError, RecursionError):
+        if undecodable(line):
+            yield lineno, NOT_UTF8
+            continue
+        text = line.strip(_JSON_WHITESPACE)
+        try:
+            value, end = raw_decode(text)
+            if end != len(text):
                 value = INVALID
-            yield lineno, value
+        except (ValueError, RecursionError):
+            value = INVALID
+        yield lineno, value
 
 
 def values(lines: Iterable[str]) -> Iterator[Any]:
@@ -102,8 +84,22 @@ def read(
 
 def image_id(obj) -> str:
     """A record's "image_id", a string: ids sort as strings, and 5 would pair with "5"."""
-    if not isinstance(value := obj["image_id"], str):
-        raise TypeError("image_id must be a string")
+    return string(obj, "image_id")
+
+
+def string(obj, field: str) -> str:
+    """A record's field, if a string, as an id or key must be."""
+    if not isinstance(value := obj[field], str):
+        raise TypeError(f"{field} must be a string")
+    return value
+
+
+def tag_id(value) -> int:
+    """value, a tag id, if a JSON integer within int64: not a bool, 1.0 or "1"."""
+    if type(value) is not int:
+        raise TypeError("tag id must be an integer")
+    if not -(2**63) <= value < 2**63:
+        raise ValueError("tag id outside int64")
     return value
 
 

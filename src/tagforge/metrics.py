@@ -315,7 +315,7 @@ def load_eval_instances(predictions_path: str | Path, ground_truth_path: str | P
 
 def _label_set(obj, field: str) -> set[int]:
     """A ground-truth record's class ids under field, a list when present."""
-    return set(map(int, jsonl.as_list(obj.get(field, []), field)))
+    return set(map(jsonl.tag_id, jsonl.as_list(obj.get(field, []), field)))
 
 
 def _class_ids(keys: list[str]) -> tuple[list[int], list[int] | None]:

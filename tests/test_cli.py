@@ -842,12 +842,23 @@ def test_selftest_is_not_a_command(runner):
     assert "No such command 'selftest'" in result.output
 
 
-def test_seed_help_states_the_seed_each_command_uses(runner):
+def test_seed_help_states_the_seed_each_command_uses(runner, tmp_path):
     def help_text(*args):
         return " ".join(runner.invoke(cli, [*args, "--help"]).output.split())
 
-    for args in (["parse"], ["engine", "generate"], ["engine", "clean"]):
-        assert "Random seed [default: 0, or the config file's seed]" in help_text(*args)
+    assert "Random seed [default: 0, or the config file's seed]" in help_text("engine", "clean")
+    for args in (["parse"], ["engine", "generate"]):  # neither reads the seed key
+        text = help_text(*args)
+        assert "Range-checked, then unused: this command draws no random numbers." in text
+        assert "Random seed" not in text
+    captions = tmp_path / "captions.jsonl"
+    captions.write_text('{"image_id": "a", "caption": "a red dog"}\n')
+    result = runner.invoke(cli, [
+        "parse", "--captions", str(captions), "--out-tags", str(tmp_path / "tags.jsonl"),
+        "--out-freq", str(tmp_path / "freq.tsv"), "--seed", "-1",
+    ])
+    assert result.exit_code == 1
+    assert "config key 'seed': -1 outside [0, 2^64)" in result.output
 
 
 def _unreachable_after_main(argv) -> int:

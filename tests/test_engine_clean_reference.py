@@ -16,7 +16,6 @@ import numpy as np
 import pytest
 
 import tagforge
-from tagforge import jsonl
 from tagforge.data_engine import (
     PROV_PARSED,
     REASON_CONTRARY,
@@ -103,14 +102,18 @@ def reference_load_regions(path):
                 continue
             try:
                 obj = json.loads(line)
-                if not isinstance(obj["image_id"], str):
-                    raise TypeError("image_id must be a string")
+                # ids and keys are strings, the tag id an integer and the score a number
+                keys = (obj["image_id"], obj["region_id"], obj["embedding_key"])
+                if not all(isinstance(key, str) for key in keys):
+                    raise TypeError("ids and keys must be strings")
+                if type(obj["tag_id"]) is not int or type(obj["score"]) not in (int, float):
+                    raise TypeError("tag_id must be an integer and score a number")
                 record = ReferenceRegionRecord(
                     image_id=obj["image_id"],
-                    region_id=str(obj["region_id"]),
-                    tag_id=int(obj["tag_id"]),
+                    region_id=obj["region_id"],
+                    tag_id=obj["tag_id"],
                     detector_score=float(obj["score"]),
-                    embedding_key=str(obj["embedding_key"]),
+                    embedding_key=obj["embedding_key"],
                 )
                 if not -(2**63) <= record.tag_id < 2**63:
                     raise OverflowError("tag_id outside int64")
@@ -343,12 +346,7 @@ ODD_REGION_FILES = {
     "empty": "",
     "blank lines only": "\n  \n\t\n",
     "padded lines": f"  {GOOD}\t\n\t{GOOD}  \n",
-    "loose field types": '{"image_id": "7", "region_id": 1.5, "tag_id": "3", "score": 1, '
-                         '"embedding_key": null}\n'
-                         '{"image_id": "i", "region_id": "r", "tag_id": 2.9, "score": "0.25", '
-                         '"embedding_key": "k"}\n',
-    "bool tag id and score": '{"image_id": "i", "region_id": "r", "tag_id": true, "score": false, '
-                             '"embedding_key": "k"}\n',
+    "integer score": GOOD.replace("0.5", "1") + "\n",
     "unicode": '{"image_id": "ünï", "region_id": "中", "tag_id": 0, "score": 0.0, '
                '"embedding_key": "🙂"}\n',
     "brackets in a string": GOOD.replace('"k"', '"k[0]"') + "\n" + GOOD + "\n",
@@ -384,6 +382,13 @@ BAD_REGION_FILES = {
     "null": "null\n",
     "a list": f"{GOOD}\n[1, 2]\n",
     "bad tag id": GOOD.replace("1,", '"x",') + "\n",
+    # README's types, not values that int(), float() or str() would take
+    "loose field types": '{"image_id": "7", "region_id": 1.5, "tag_id": "3", "score": 1, '
+                         '"embedding_key": null}\n'
+                         '{"image_id": "i", "region_id": "r", "tag_id": 2.9, "score": "0.25", '
+                         '"embedding_key": "k"}\n',
+    "bool tag id and score": '{"image_id": "i", "region_id": "r", "tag_id": true, "score": false, '
+                             '"embedding_key": "k"}\n',
     # a number would pair with the string id it prints as
     "int image id": GOOD.replace('"i"', "7") + "\n" + GOOD + "\n",
     "bool image id": f"{GOOD}\n" + GOOD.replace('"i"', "true") + "\n",
@@ -454,11 +459,9 @@ def test_loaded_regions_hold_few_bytes_each(tmp_path):
     assert len(regions) > 15000 and held / len(regions) < 160
 
 
-def test_loading_regions_peaks_at_few_bytes_each(tmp_path, monkeypatch):
-    # the same records, decoded 1024 lines at a time so that the decoder's
-    # batch of dicts does not hide the columns' peak; holding a tuple per
-    # record until every record was read peaked at 355-362 bytes per region
-    monkeypatch.setattr(jsonl, "BATCH_LINES", 1024)
+def test_loading_regions_peaks_at_few_bytes_each(tmp_path):
+    # the same records; holding a tuple per record until every record was
+    # read peaked at 355-362 bytes per region
     rng = np.random.default_rng(3)
     path = tmp_path / "regions.jsonl"
     with open(path, "w", encoding="utf-8") as fh:

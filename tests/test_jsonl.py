@@ -1,4 +1,4 @@
-"""The JSON Lines reader behind every JSONL input: its line rule, batching
+"""The JSON Lines reader behind every JSONL input: its line rule, decoding
 and errors; the loaders built on it (round trips, `parse` at every worker
 count, hostile lines); and a fuzz of every loader."""
 
@@ -52,27 +52,47 @@ def test_lines_end_at_newline_crlf_and_cr_only(tmp_path):
     assert got == ["1\u2028x", "2\u2029\x85", 3, 4]
 
 
-LINES = [
-    '{"a": 1}\n', "\n", '{"b": "x]"}\n', '{"a": 2}, {"a": 3}\n', "{broken\n", " \t\n",
-    "7\n", '{"c": {"d": null}}\n', '{"e": "\u2028"}\n', '"s"\n', '{"f": 1e999}\n', "[1,\n",
+# pieces a line is made of: values, brackets and braces that a line of their
+# own leaves open, a BOM, NaN, nesting (too deep to decode, and never closed,
+# so that no Python version's recursion limit decides), huge ints, an escaped
+# byte, and whitespace that JSON allows, or that only str.strip() strips
+PIECES = [
+    '{"a": 1}', '"s"', "7", "-0.5e3", "null", "true", "NaN", "-Infinity", "1e999",
+    "[", "]", "{", "}", "[1,", "2]", '{"a":', '"b"}', '{"b": "x]"}', ",", ":",
+    "\ufeff", "\f", "\v", "\x1c", "\x85", "\u2028", " ", "\t", "\udcff",
+    "[" * 20 + "]" * 20, "[" * 100000, '{"a": ' * 100000,
+    "1" + "0" * 400, "1" + "0" * 5000,
 ]
+line_texts = st.lists(st.sampled_from(PIECES), max_size=4).map("".join)
+numbered_lines = st.lists(
+    st.tuples(line_texts, st.sampled_from(ENDINGS + ("",))).map("".join), max_size=8
+)
 
 
-@pytest.mark.parametrize("batch", [1, 2, 3, 5, 8192])
-def test_batches_decode_as_lines_decoded_one_by_one(monkeypatch, batch):
-    monkeypatch.setattr(jsonl, "BATCH_LINES", batch)
-    want = []
-    for lineno, line in enumerate(LINES, 1):
-        if line.strip():
-            try:
-                want.append((lineno, json.loads(line)))
-            except ValueError:
-                want.append((lineno, jsonl.INVALID))
-    assert list(jsonl.decode(LINES)) == want
+def _loaded(line):
+    """What decode must give for a non-blank line: what json.loads gives."""
+    if re.search("[\udc80-\udcff]", line):
+        return jsonl.NOT_UTF8
+    try:
+        return json.loads(line)
+    except (ValueError, RecursionError):
+        return jsonl.INVALID
 
 
-def test_each_batch_is_built_before_the_next_is_read(monkeypatch):
-    monkeypatch.setattr(jsonl, "BATCH_LINES", 4)
+def _comparable(value):
+    # NaN is not equal to itself, so values compare by their JSON text
+    return value if value is jsonl.INVALID or value is jsonl.NOT_UTF8 else json.dumps(value)
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(lines=numbered_lines)
+def test_lines_decode_as_json_loads_decodes_each(lines):
+    want = [(lineno, _loaded(line)) for lineno, line in enumerate(lines, 1) if line.strip()]
+    got = list(jsonl.decode(lines))
+    assert [(n, _comparable(v)) for n, v in got] == [(n, _comparable(v)) for n, v in want]
+
+
+def test_each_line_is_decoded_before_the_next_is_read():
     read = []
 
     def lines():
@@ -81,7 +101,7 @@ def test_each_batch_is_built_before_the_next_is_read(monkeypatch):
             yield f'{{"i": {i}}}\n'
 
     seen = [(value["i"], len(read)) for _, value in jsonl.decode(lines())]
-    assert seen == [(i, min(10, (i // 4 + 1) * 4)) for i in range(10)]
+    assert seen == [(i, i + 1) for i in range(10)]
 
 
 def test_read_raises_the_callers_error_at_the_first_bad_line(tmp_path):
@@ -132,7 +152,7 @@ def test_invalid_utf8_names_file_and_line_in_the_callers_error(tmp_path, ending,
     (b'{"a": "x"}', b'{"a": "\xff"}', "malformed"),  # a record its build refuses
     (b'{"a": "\xff"}', b"{broken", "invalid UTF-8"),
 ])
-@pytest.mark.parametrize("before", [0, 14998])  # lines ahead of the pair, in one batch
+@pytest.mark.parametrize("before", [0, 14998])  # lines ahead of the pair
 def test_read_names_the_files_first_bad_line_either_way(tmp_path, ending, first, second,
                                                          bad_line, before):
     path = tmp_path / "x.jsonl"
@@ -295,6 +315,53 @@ def test_load_annotations_refuses_an_image_id_that_is_not_a_string(tmp_path, ima
     )
     with pytest.raises(TagforgeError, match=f"^{re.escape(str(path))}:2: malformed annotation record$"):
         load_annotations(path)
+
+
+def _load_ground_truth(path):
+    predictions = path.with_name("pred.jsonl")
+    predictions.write_text('{"image_id": "a", "scores": {"1": 0.5}}\n')
+    return load_eval_instances(predictions, path)
+
+
+READERS = {
+    "region": load_regions, "annotation": load_annotations, "audit": load_audit,
+    "tag-id": load_tag_id_records, "ground-truth": _load_ground_truth,
+}
+# a record of each reader, @ marking a tag id
+TAG_ID_AT = {
+    "region":
+        '{"image_id": "i", "region_id": "r", "tag_id": @, "score": 0.5, "embedding_key": "k"}',
+    "annotation": '{"image_id": "a", "tags": [{"tag_id": @, "provenance": "parsed"}]}',
+    "audit": '{"image_id": "a", "tag_id": @, "action": "removed", "reason": "x", "stage": "clean"}',
+    "tag-id": '{"image_id": "a", "tag_ids": [1, @]}',
+    "ground-truth": '{"image_id": "a", "positive": [1], "negative": [@]}',
+}
+REGION = TAG_ID_AT["region"].replace("@", "1")
+WRONG_TYPES = [
+    pytest.param(what, line.replace("@", raw), id=f"{what}-tag_id-{raw}")
+    for what, line in TAG_ID_AT.items()
+    for raw in ("1.9", "1.0", "true", "false", '"3"', str(2**63))
+] + [
+    pytest.param("region", REGION.replace(old, new, 1), id=f"region-{field}-{new}")
+    for field, old, new in (
+        ("region_id", '"r"', "7"), ("embedding_key", '"k"', "12"),
+        ("score", "0.5", "true"), ("score", "0.5", '"0.5"'),
+    )
+]
+
+
+@pytest.mark.parametrize("what, line", WRONG_TYPES)
+def test_readers_refuse_a_tag_id_key_or_score_of_another_json_type(tmp_path, what, line):
+    # README's types: a tag id is a JSON integer within int64, not a bool, 1.0
+    # or "1"; region and embedding keys are strings, so 12 cannot pair with
+    # the EMB1 key "12"; a score is a number
+    path = tmp_path / "x.jsonl"
+    good = TAG_ID_AT[what].replace("@", str(2**63 - 1))
+    path.write_text(good + "\n")
+    READERS[what](path)
+    path.write_text(good + "\n" + line + "\n")
+    with pytest.raises(TagforgeError, match=_error_at(path, 2, f"malformed {what} record")):
+        READERS[what](path)
 
 
 def test_parse_byte_identical_across_line_ends_and_worker_counts(tmp_path, golden_corpus):

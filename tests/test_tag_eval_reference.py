@@ -412,7 +412,7 @@ def test_load_eval_instances_matches_reference_on_odd_values(tmp_path):
     ])
     truth = _write_lines(tmp_path / "gt.jsonl", [
         {"image_id": "a", "positive": [0, 1], "negative": [1, 2]},  # both lists: negative wins
-        {"image_id": "z", "positive": ["3"]},
+        {"image_id": "z", "positive": [3]},
         {"image_id": "b"},
     ])
     _assert_same_instances(load_eval_instances(pred, truth),
@@ -462,6 +462,7 @@ def test_load_eval_instances_names_bad_prediction_line(tmp_path, line):
     '{"image_id": ["b"], "positive": [0]}',
     '{"image_id": 7, "positive": [0]}',
     '{"image_id": "b", "positive": ["x"]}',
+    '{"image_id": "b", "positive": ["3"]}',
 ])
 def test_load_eval_instances_names_bad_ground_truth_line(tmp_path, line):
     pred = _write_lines(tmp_path / "pred.jsonl", ['{"image_id": "a", "scores": {"0": 0.5}}'])
